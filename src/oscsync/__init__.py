@@ -46,6 +46,7 @@ from .dynamics import (
     dynamical_eigenvalues,
     propagate_exact,
     propagate_stepwise,
+    sample_moments,
     sample_trajectory,
     steady_state,
 )
@@ -116,6 +117,7 @@ __all__ = [
     "propagate_exact",
     "propagate_stepwise",
     "steady_state",
+    "sample_moments",
     "sample_trajectory",
     # info
     "CovarianceMatrix",

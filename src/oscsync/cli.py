@@ -58,6 +58,7 @@ from .model import (
 from .sweep import (
     METRICS,
     SweepGrid,
+    _fmt,
     run_sweep,
     write_sweep_csv,
     write_sweep_sidecar,
@@ -253,10 +254,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _fmt(x: float) -> str:
-    return "" if math.isnan(x) else format(float(x), ".17g")
-
-
 def _write_csv(path: str, comment: str, header: list, columns: list) -> None:
     lines = ["# " + comment, ",".join(header)]
     n = len(columns[0])
@@ -400,7 +397,7 @@ def cmd_eigen(cfg: RunConfig) -> list:
     return [path]
 
 
-def cmd_sweep(cfg: RunConfig, max_workers: int | None = None) -> list:
+def cmd_sweep(cfg: RunConfig) -> list:
     grid = SweepGrid(
         omega2_values=cfg.sweep_omega2,
         lambda_values=cfg.sweep_lambda,
@@ -415,7 +412,6 @@ def cmd_sweep(cfg: RunConfig, max_workers: int | None = None) -> list:
         topology=cfg.bath.topology,
         window=cfg.window,
         dt_out=cfg.dt_out,
-        max_workers=max_workers,
     )
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "sweep.csv")

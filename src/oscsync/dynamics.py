@@ -45,6 +45,7 @@ __all__ = [
     "propagate_exact",
     "propagate_stepwise",
     "steady_state",
+    "sample_moments",
     "sample_trajectory",
 ]
 
@@ -255,28 +256,37 @@ def propagate_exact(gen: MomentGenerator, state: MomentState, t: float) -> Momen
     return MomentState(first_moments=fm, second_moments=v[:10], time=t)
 
 
+def _rk4_step_matrix(A: np.ndarray, h: float) -> np.ndarray:
+    # One classical RK4 step of dx/dt = A x maps x to T x, where T is the
+    # degree-4 Taylor polynomial of expm(h A).
+    hA = h * A
+    T = term = np.eye(len(A))
+    for k in range(1, 5):
+        term = term @ hA / k
+        T = T + term
+    return T
+
+
 def propagate_stepwise(
     gen: MomentGenerator, state: MomentState, dt: float, n_steps: int
 ) -> MomentState:
-    """Classical fixed-step 4th-order integration (cross-check oracle)."""
+    """Classical fixed-step 4th-order integration (cross-check oracle).
+
+    The affine system is stepped in its augmented form, so each RK4 step is
+    one product with a precomputed step matrix; the result is the same as
+    the four-stage update up to round-off.
+    """
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")
-    M, N, A1 = gen.M, gen.N, gen.A1
-    r = state.second_moments.copy()
-    m = state.first_moments.copy()
+    T = _rk4_step_matrix(_augmented(gen), dt)
+    T1 = _rk4_step_matrix(gen.A1, dt)
+    v = np.append(state.second_moments, 1.0)
+    m = state.first_moments
     for _ in range(n_steps):
-        k1 = M @ r + N
-        k2 = M @ (r + 0.5 * dt * k1) + N
-        k3 = M @ (r + 0.5 * dt * k2) + N
-        k4 = M @ (r + dt * k3) + N
-        r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        l1 = A1 @ m
-        l2 = A1 @ (m + 0.5 * dt * l1)
-        l3 = A1 @ (m + 0.5 * dt * l2)
-        l4 = A1 @ (m + dt * l3)
-        m = m + (dt / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+        v = T @ v
+        m = T1 @ m
     return MomentState(
-        first_moments=m, second_moments=r, time=state.time + n_steps * dt
+        first_moments=m, second_moments=v[:10], time=state.time + n_steps * dt
     )
 
 
@@ -299,6 +309,41 @@ def steady_state(gen: MomentGenerator) -> MomentState:
     )
 
 
+def sample_moments(
+    gens: list[MomentGenerator],
+    initials: list[MomentState],
+    dt_out: float,
+    n: int,
+    k_start: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Moments of a batch of systems at ``k * dt_out`` past their initial states.
+
+    Samples ``k = k_start .. k_start + n - 1`` of each pair of generator and
+    initial state, returned as first moments of shape ``(batch, n, 4)`` and
+    second moments of shape ``(batch, n, 10)``.  Consecutive samples are one
+    product with the per-step exponential ``phi = expm(A dt_out)``, and the
+    jump to ``k_start`` is the matrix power ``phi**k_start`` of that same
+    step, so a window agrees with the samples a run from ``k = 0`` produces
+    up to round-off.  Stacked ``expm``, ``matmul`` and ``matrix_power`` give
+    each system the bits it would get on its own.
+    """
+    phi = expm(np.stack([_augmented(g) for g in gens]) * dt_out)
+    phi1 = expm(np.stack([g.A1 for g in gens]) * dt_out)
+    v = np.stack([np.append(s.second_moments, 1.0) for s in initials])[..., None]
+    m = np.stack([s.first_moments for s in initials])[..., None]
+    if k_start:
+        v = np.linalg.matrix_power(phi, k_start) @ v
+        m = np.linalg.matrix_power(phi1, k_start) @ m
+    second = np.empty((len(gens), n, 10))
+    first = np.empty((len(gens), n, 4))
+    for k in range(n):
+        second[:, k] = v[:, :10, 0]
+        first[:, k] = m[:, :, 0]
+        v = phi @ v
+        m = phi1 @ m
+    return first, second
+
+
 def sample_trajectory(
     gen: MomentGenerator, initial: MomentState, t_max: float, dt_out: float
 ) -> Trajectory:
@@ -313,16 +358,6 @@ def sample_trajectory(
             f"need t_max >= 0 and dt_out > 0, got {t_max}, {dt_out}"
         )
     n = int(math.floor(t_max / dt_out + 1e-12)) + 1
-    phi = expm(_augmented(gen) * dt_out)
-    phi1 = expm(gen.A1 * dt_out)
-    second = np.empty((n, 10))
-    first = np.empty((n, 4))
-    v = np.append(initial.second_moments, 1.0)
-    m = initial.first_moments.copy()
-    for k in range(n):
-        second[k] = v[:10]
-        first[k] = m
-        v = phi @ v
-        m = phi1 @ m
+    first, second = sample_moments([gen], [initial], dt_out, n)
     times = initial.time + dt_out * np.arange(n)
-    return Trajectory(times=times, first_moments=first, second_moments=second)
+    return Trajectory(times=times, first_moments=first[0], second_moments=second[0])

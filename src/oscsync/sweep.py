@@ -1,28 +1,30 @@
 """Parameter-grid sweeps over detuning and coupling.
 
-Every grid cell is an independent pure computation: simulate to the
-evaluation time plus one indicator window, then extract the requested
-metrics.  Cells run in a bounded worker pool (``OSCSYNC_THREADS`` caps the
-pool size) and are aggregated by index, so results are bit-identical
-regardless of scheduling.
+A cell reads the indicator over the window ``[t_eval, t_eval + window]``
+and the information measures at ``t_eval``, so only that window is
+propagated.  Each omega2 row is stepped as one stack: the row's per-step
+exponentials are raised to the evaluation step, then stepped through the
+window together (:func:`~oscsync.dynamics.sample_moments`).  Set-up and
+metrics stay per cell, and a cell that fails is reported with its message
+while the rest of its row goes on.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
 from .dynamics import (
+    MomentGenerator,
     MomentState,
+    Trajectory,
     build_generator,
     dynamical_eigenvalues,
-    sample_trajectory,
+    sample_moments,
 )
 from .errors import DomainError, OscSyncError
 from .info import (
@@ -35,6 +37,7 @@ from .info import (
 )
 from .model import (
     BathParams,
+    NormalModeBasis,
     SystemParams,
     Topology,
     diagonalize,
@@ -131,45 +134,72 @@ def default_grid(
     )
 
 
-def _evaluate_cell(task: tuple) -> CellResult:
-    (omega1, omega2, lam, bath, initial, t_eval, window, dt_out, metrics) = task
+@dataclass(frozen=True)
+class _Pending:
+    """A set-up cell that still needs its propagated window."""
+
+    omega2: float
+    lam: float
+    system: SystemParams
+    basis: NormalModeBasis
+    gen: MomentGenerator
+    state0: MomentState
+    eig_ratio: float
+
+
+def _start_cell(omega1, omega2, lam, bath, initial, metrics):
+    """A finished CellResult, or a _Pending cell that needs its window."""
+    if abs(lam) >= omega1 * omega2:
+        return CellResult(
+            omega2=omega2,
+            lam=lam,
+            status="skipped",
+            message="coupling exceeds stability bound |lam| < omega1*omega2",
+        )
     try:
         sys = SystemParams(omega1=omega1, omega2=omega2, lam=lam)
         basis = diagonalize(sys)
         coeffs = dissipation_coefficients(sys, bath, basis)
         gen = build_generator(basis, coeffs)
-        out = {}
+        eig_ratio = math.nan
         if "eigRatio" in metrics:
-            out["eig_ratio"] = dynamical_eigenvalues(gen).ratio
-        needs_traj = {"syncAbs", "discord", "mutualInfo"} & set(metrics)
-        if needs_traj:
-            state0 = make_initial(initial, sys, basis)
-            traj = sample_trajectory(gen, state0, t_eval + window, dt_out)
-            k_eval = int(round(t_eval / dt_out))
-            if "syncAbs" in metrics:
-                x1, x2 = lab_variance_series(traj, basis, sys)
-                result = windowed_correlation(
-                    ObservableSeries(traj.times, x1),
-                    ObservableSeries(traj.times, x2),
-                    window,
-                )
-                out["sync_abs"] = float(abs(result.C[k_eval]))
-            if {"discord", "mutualInfo"} & set(metrics):
-                state = MomentState(
-                    first_moments=traj.first_moments[k_eval],
-                    second_moments=traj.second_moments[k_eval],
-                    time=float(traj.times[k_eval]),
-                )
-                cov = to_lab_covariance(state, basis, sys)
-                if "discord" in metrics:
-                    out["discord"] = gaussian_discord(cov)
-                if "mutualInfo" in metrics:
-                    out["mutual_info"] = mutual_information(cov)
-        return CellResult(omega2=omega2, lam=lam, status="ok", **out)
+            eig_ratio = dynamical_eigenvalues(gen).ratio
+        if not {"syncAbs", "discord", "mutualInfo"} & set(metrics):
+            return CellResult(omega2=omega2, lam=lam, eig_ratio=eig_ratio)
+        state0 = make_initial(initial, sys, basis)
+    except OscSyncError as exc:
+        return CellResult(omega2=omega2, lam=lam, status="error", message=str(exc))
+    return _Pending(omega2, lam, sys, basis, gen, state0, eig_ratio)
+
+
+def _finish_cell(cell: _Pending, traj: Trajectory, window: float, metrics):
+    """Metrics of a cell from its window, which starts at the evaluation time."""
+    out = {"eig_ratio": cell.eig_ratio}
+    try:
+        if "syncAbs" in metrics:
+            x1, x2 = lab_variance_series(traj, cell.basis, cell.system)
+            result = windowed_correlation(
+                ObservableSeries(traj.times, x1),
+                ObservableSeries(traj.times, x2),
+                window,
+            )
+            out["sync_abs"] = float(abs(result.C[0]))
+        if {"discord", "mutualInfo"} & set(metrics):
+            state = MomentState(
+                first_moments=traj.first_moments[0],
+                second_moments=traj.second_moments[0],
+                time=float(traj.times[0]),
+            )
+            cov = to_lab_covariance(state, cell.basis, cell.system)
+            if "discord" in metrics:
+                out["discord"] = gaussian_discord(cov)
+            if "mutualInfo" in metrics:
+                out["mutual_info"] = mutual_information(cov)
     except OscSyncError as exc:
         return CellResult(
-            omega2=omega2, lam=lam, status="error", message=str(exc)
+            omega2=cell.omega2, lam=cell.lam, status="error", message=str(exc)
         )
+    return CellResult(omega2=cell.omega2, lam=cell.lam, **out)
 
 
 def run_sweep(
@@ -178,62 +208,46 @@ def run_sweep(
     topology: Topology | str | None = None,
     window: float = 15.0,
     dt_out: float = 0.1,
-    max_workers: int | None = None,
 ) -> SweepResult:
     """Evaluate every feasible grid cell; infeasible cells are marked skipped.
 
-    The worker count is ``max_workers`` if given, else the
-    ``OSCSYNC_THREADS`` environment variable, else the CPU count.  With one
-    worker everything runs in-process, which is also the deterministic
-    reference path the pooled runs must reproduce exactly.
+    ``t_eval`` and ``window`` are rounded to whole steps of ``dt_out``;
+    the provenance records the effective values (``t_eval_effective``,
+    ``window_effective``) and every cell that is not ``ok``, with its
+    message (``flagged_cells``).
     """
+    if dt_out <= 0 or window <= 0:
+        raise DomainError(
+            f"need dt_out > 0 and window > 0, got {dt_out}, {window}"
+        )
     bath = grid.bath
     if topology is not None:
         bath = replace(bath, topology=Topology(topology))
-    if max_workers is None:
-        env = os.environ.get("OSCSYNC_THREADS", "").strip()
-        max_workers = int(env) if env else (os.cpu_count() or 1)
-    max_workers = max(1, max_workers)
+    k_eval = int(round(grid.t_eval / dt_out))
+    w = int(round(window / dt_out))
+    times = dt_out * np.arange(k_eval, k_eval + w + 1)
 
-    tasks = []
-    slots = []  # (cell index, task index or skipped CellResult)
     cells: list = []
     for omega2 in grid.omega2_values:
-        for lam in grid.lambda_values:
-            if abs(lam) >= grid.system.omega1 * omega2:
-                cells.append(
-                    CellResult(
-                        omega2=omega2,
-                        lam=lam,
-                        status="skipped",
-                        message="coupling exceeds stability bound "
-                        "|lam| < omega1*omega2",
-                    )
-                )
-                continue
-            slots.append(len(cells))
-            cells.append(None)
-            tasks.append(
-                (
-                    grid.system.omega1,
-                    omega2,
-                    lam,
-                    bath,
-                    initial,
-                    grid.t_eval,
-                    window,
-                    dt_out,
-                    grid.metrics,
-                )
+        row = [
+            _start_cell(
+                grid.system.omega1, omega2, lam, bath, initial, grid.metrics
             )
-    if max_workers == 1 or len(tasks) <= 1:
-        results = [_evaluate_cell(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            chunk = max(1, len(tasks) // (4 * max_workers))
-            results = list(pool.map(_evaluate_cell, tasks, chunksize=chunk))
-    for slot, res in zip(slots, results):
-        cells[slot] = res
+            for lam in grid.lambda_values
+        ]
+        pending = [i for i, c in enumerate(row) if isinstance(c, _Pending)]
+        if pending:
+            first, second = sample_moments(
+                [row[i].gen for i in pending],
+                [row[i].state0 for i in pending],
+                dt_out,
+                w + 1,
+                k_start=k_eval,
+            )
+            for j, i in enumerate(pending):
+                traj = Trajectory(times, first[j], second[j])
+                row[i] = _finish_cell(row[i], traj, w * dt_out, grid.metrics)
+        cells.extend(row)
 
     provenance = {
         "version": __version__,
@@ -246,15 +260,27 @@ def run_sweep(
         "bath": bath.topology.value,
         "initial": asdict(initial),
         "t_eval": grid.t_eval,
+        "t_eval_effective": k_eval * dt_out,
         "window": window,
+        "window_effective": w * dt_out,
         "dt_out": dt_out,
         "metrics": list(grid.metrics),
+        "flagged_cells": [
+            {
+                "omega2": c.omega2,
+                "lambda": c.lam,
+                "status": c.status,
+                "message": c.message,
+            }
+            for c in cells
+            if c.status != "ok"
+        ],
     }
     return SweepResult(grid=grid, cells=tuple(cells), provenance=provenance)
 
 
 def _fmt(x: float) -> str:
-    return "" if math.isnan(x) else format(x, ".17g")
+    return "" if math.isnan(x) else format(float(x), ".17g")
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:

@@ -175,7 +175,7 @@ def test_criterion_02_rate_separation():
 def test_criterion_03_separate_bath_no_separation():
     t0 = time.perf_counter()
     grid = default_grid(metrics=("eigRatio",))
-    res = run_sweep(grid, SQ, topology="separate", max_workers=1)
+    res = run_sweep(grid, SQ, topology="separate")
     ratios = res.metric_map("eigRatio")
     elapsed = time.perf_counter() - t0
     ok = bool(np.all(ratios >= 0.8)) and elapsed < 30.0

@@ -191,6 +191,26 @@ class TestSweepCommand:
         assert doc["metrics"] == ["eigRatio"]
         assert doc["omega2_values"] == [1.0, 1.05, 1.1]
 
+    def test_t_eval_rounding_up_keeps_a_full_window(self, tmp_path):
+        # t_eval = 0.26 rounds to the sample at 0.3, whose window
+        # [0.3, 1.8] ends past t_eval + window = 1.76
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "sweep_omega2 = 1.4:1.4:0.1\n"
+            "sweep_lambda = 0.7:0.7:0.1\n"
+            "t_eval = 0.26\n"
+            "window = 1.5\n"
+        )
+        out = tmp_path / "out"
+        assert _run(["sweep", "--config", cfg, "--out", out]) == 0
+        _, header, rows = _read_csv(out / "sweep.csv")
+        cell = dict(zip(header, rows[0]))
+        assert cell["status"] == "ok"
+        assert math.isfinite(float(cell["syncAbs"]))
+        doc = json.loads((out / "sweep_manifest.json").read_text())
+        assert doc["t_eval_effective"] == pytest.approx(0.3, rel=1e-12)
+        assert doc["flagged_cells"] == []
+
 
 class TestCompareRwa:
     def test_smoke(self, tmp_path):

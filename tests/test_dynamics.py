@@ -18,6 +18,7 @@ from oscsync import (
     dynamical_eigenvalues,
     propagate_exact,
     propagate_stepwise,
+    sample_moments,
     sample_trajectory,
     steady_state,
 )
@@ -216,6 +217,52 @@ class TestPropagation:
             err.append(np.max(np.abs(rk - exact)))
         ratio = err[0] / err[1]
         assert 10.0 < ratio < 22.0  # halving dt cuts the error ~16x
+
+    def test_stepwise_matches_four_stage_update(self):
+        # the four-stage RK4 update, kept as the reference for the
+        # step-matrix form; only the round-off order differs
+        _, basis, _, gen = make_gen(1.31, 0.62, "separate")
+        state = _vacuum_state(basis)
+        state = MomentState(np.array([0.3, -0.1, 0.2, 0.4]), state.second_moments)
+        dt, n = 1e-2, 2000
+        M, N, A1 = gen.M, gen.N, gen.A1
+        r, m = state.second_moments.copy(), state.first_moments.copy()
+        for _ in range(n):
+            k1 = M @ r + N
+            k2 = M @ (r + 0.5 * dt * k1) + N
+            k3 = M @ (r + 0.5 * dt * k2) + N
+            k4 = M @ (r + dt * k3) + N
+            r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            l1 = A1 @ m
+            l2 = A1 @ (m + 0.5 * dt * l1)
+            l3 = A1 @ (m + 0.5 * dt * l2)
+            l4 = A1 @ (m + dt * l3)
+            m = m + (dt / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+        out = propagate_stepwise(gen, state, dt, n)
+        assert out.time == pytest.approx(n * dt)
+        assert np.allclose(out.second_moments, r, rtol=1e-11, atol=1e-14)
+        assert np.allclose(out.first_moments, m, rtol=1e-11, atol=1e-14)
+
+    def test_window_matches_run_from_zero(self):
+        gens, states = [], []
+        for omega2, lam in ((1.05, 0.3), (1.4, 0.7)):
+            _, basis, _, gen = make_gen(omega2, lam)
+            gens.append(gen)
+            states.append(_vacuum_state(basis))
+        first, second = sample_moments(gens, states, 0.1, 21, k_start=400)
+        assert first.shape == (2, 21, 4) and second.shape == (2, 21, 10)
+        for j, (gen, state) in enumerate(zip(gens, states)):
+            traj = sample_trajectory(gen, state, 42.0, 0.1)
+            assert np.allclose(
+                second[j], traj.second_moments[400:], rtol=1e-10, atol=1e-13
+            )
+            assert np.allclose(
+                first[j], traj.first_moments[400:], rtol=1e-10, atol=1e-13
+            )
+            # a stacked system gets the bits it would get on its own
+            alone = sample_moments([gen], [state], 0.1, 21, k_start=400)
+            assert np.array_equal(alone[1][0], second[j])
+            assert np.array_equal(alone[0][0], first[j])
 
     def test_sampling_grid_and_consistency(self):
         _, basis, _, gen = make_gen(1.05, 0.3)

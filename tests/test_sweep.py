@@ -9,6 +9,7 @@ from oscsync import (
     BathParams,
     DomainError,
     InitialStateSpec,
+    MomentState,
     ObservableSeries,
     OscSyncError,
     SweepGrid,
@@ -18,11 +19,14 @@ from oscsync import (
     diagonalize,
     dissipation_coefficients,
     dynamical_eigenvalues,
+    gaussian_discord,
     information_series,
     lab_variance_series,
     make_initial,
+    mutual_information,
     run_sweep,
     sample_trajectory,
+    to_lab_covariance,
     windowed_correlation,
     write_sweep_csv,
     write_sweep_sidecar,
@@ -40,6 +44,11 @@ def _tiny_grid(omega2=(1.4,), lam=(0.7,), metrics=sweep_mod.METRICS, **bath_kw):
         bath=BathParams(**bath_kw),
         metrics=metrics,
     )
+
+
+def _close(got, want, tol=1e-9):
+    # relative, absolute below 1
+    return abs(got - want) <= tol * max(1.0, abs(want))
 
 
 class TestGrid:
@@ -69,7 +78,7 @@ class TestGrid:
 class TestRunSweep:
     def test_single_cell_matches_direct_computation(self):
         grid = _tiny_grid()
-        res = run_sweep(grid, SQ, max_workers=1)
+        res = run_sweep(grid, SQ)
         assert len(res.cells) == 1
         cell = res.cells[0]
         assert cell.status == "ok"
@@ -90,21 +99,54 @@ class TestRunSweep:
         info = information_series(traj, basis, sys_p)
         mu = dynamical_eigenvalues(gen)
 
-        assert cell.sync_abs == abs(sync.C[k])
-        assert cell.discord == info["discord"][k]
-        assert cell.mutual_info == info["mutualInfo"][k]
+        # the cell jumps to t_eval by a matrix power of the per-step
+        # exponential instead of stepping there, so round-off differs
+        assert _close(cell.sync_abs, abs(sync.C[k]))
+        assert _close(cell.discord, info["discord"][k])
+        assert _close(cell.mutual_info, info["mutualInfo"][k])
         assert cell.eig_ratio == mu.ratio
 
-    def test_pool_matches_serial_bitwise(self):
-        grid = _tiny_grid(omega2=(1.1, 1.3), lam=(0.2, 0.5))
-        serial = run_sweep(grid, SQ, max_workers=1)
-        pooled = run_sweep(grid, SQ, max_workers=3)
-        for a, b in zip(serial.cells, pooled.cells):
-            assert a == b  # dataclass equality covers every field exactly
+    @pytest.mark.parametrize("topology", ["common", "separate"])
+    def test_window_path_matches_full_trajectory(self, topology):
+        omega2s, lams = (1.0, 1.3), (0.3, 0.6, 0.825)
+        grid = _tiny_grid(omega2=omega2s, lam=lams, topology=topology)
+        res = run_sweep(grid, SQ)
+        k = int(round(grid.t_eval / 0.1))
+        for cell in res.cells:
+            assert cell.status == "ok"
+            sys_p = SystemParams(1.0, cell.omega2, cell.lam)
+            basis = diagonalize(sys_p)
+            coeffs = dissipation_coefficients(sys_p, grid.bath, basis)
+            gen = build_generator(basis, coeffs)
+            state = make_initial(SQ, sys_p, basis)
+            traj = sample_trajectory(gen, state, grid.t_eval + 15.0, 0.1)
+            x1, x2 = lab_variance_series(traj, basis, sys_p)
+            sync = windowed_correlation(
+                ObservableSeries(traj.times, x1),
+                ObservableSeries(traj.times, x2),
+                15.0,
+            )
+            cov = to_lab_covariance(
+                MomentState(traj.first_moments[k], traj.second_moments[k]),
+                basis,
+                sys_p,
+            )
+            # The exact-resonance cell keeps an undamped mode under the
+            # common bath, and its discord and mutual information are
+            # ill-conditioned there (measured 1.3e-8 and 2.5e-8 nats).
+            resonant = cell.omega2 == 1.0 and topology == "common"
+            tol = 1e-7 if resonant else 1e-9
+            pairs = [
+                (cell.sync_abs, abs(sync.C[k])),
+                (cell.discord, gaussian_discord(cov)),
+                (cell.mutual_info, mutual_information(cov)),
+            ]
+            assert all(_close(got, want, tol) for got, want in pairs)
+            assert cell.eig_ratio == dynamical_eigenvalues(gen).ratio
 
     def test_row_major_cell_order(self):
         grid = _tiny_grid(omega2=(1.1, 1.3), lam=(0.2, 0.5), metrics=("eigRatio",))
-        res = run_sweep(grid, SQ, max_workers=1)
+        res = run_sweep(grid, SQ)
         keys = [(c.omega2, c.lam) for c in res.cells]
         assert keys == [(1.1, 0.2), (1.1, 0.5), (1.3, 0.2), (1.3, 0.5)]
         ratio = res.metric_map("eigRatio")
@@ -113,7 +155,7 @@ class TestRunSweep:
 
     def test_infeasible_cell_skipped(self):
         grid = _tiny_grid(omega2=(1.1,), lam=(0.5, 1.2))
-        res = run_sweep(grid, SQ, max_workers=1)
+        res = run_sweep(grid, SQ)
         by_lam = {c.lam: c for c in res.cells}
         assert by_lam[0.5].status == "ok"
         bad = by_lam[1.2]
@@ -123,7 +165,7 @@ class TestRunSweep:
 
     def test_eig_ratio_only_skips_trajectory(self):
         grid = _tiny_grid(metrics=("eigRatio",))
-        res = run_sweep(grid, SQ, max_workers=1)
+        res = run_sweep(grid, SQ)
         cell = res.cells[0]
         assert math.isfinite(cell.eig_ratio)
         assert math.isnan(cell.sync_abs)
@@ -131,38 +173,18 @@ class TestRunSweep:
 
     def test_topology_override_changes_result(self):
         grid = _tiny_grid(metrics=("eigRatio",))
-        common = run_sweep(grid, SQ, max_workers=1)
-        separate = run_sweep(grid, SQ, topology="separate", max_workers=1)
+        common = run_sweep(grid, SQ)
+        separate = run_sweep(grid, SQ, topology="separate")
         assert separate.cells[0].eig_ratio > common.cells[0].eig_ratio
         assert separate.provenance["bath"] == "separate"
         assert common.provenance["bath"] == "common"
 
-    def test_thread_env_var(self, monkeypatch):
-        calls = {}
-
-        class FakePool:
-            def __init__(self, max_workers=None):
-                calls["workers"] = max_workers
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return [fn(t) for t in tasks]
-
-        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", FakePool)
-        grid = _tiny_grid(omega2=(1.1, 1.2), metrics=("eigRatio",))
-        monkeypatch.setenv("OSCSYNC_THREADS", "3")
-        run_sweep(grid, SQ)
-        assert calls["workers"] == 3
-        # a single worker must short-circuit to the in-process path
-        calls.clear()
-        monkeypatch.setenv("OSCSYNC_THREADS", "1")
-        run_sweep(grid, SQ)
-        assert "workers" not in calls
+    def test_step_and_window_validation(self):
+        grid = _tiny_grid()
+        with pytest.raises(DomainError):
+            run_sweep(grid, SQ, dt_out=0.0)
+        with pytest.raises(DomainError):
+            run_sweep(grid, SQ, window=-1.0)
 
     def test_cell_error_is_captured(self, monkeypatch):
         def boom(*args, **kwargs):
@@ -170,7 +192,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(sweep_mod, "dissipation_coefficients", boom)
         grid = _tiny_grid(metrics=("eigRatio",))
-        res = run_sweep(grid, SQ, max_workers=1)
+        res = run_sweep(grid, SQ)
         cell = res.cells[0]
         assert cell.status == "error"
         assert "injected failure" in cell.message
@@ -181,7 +203,7 @@ class TestSweepIO:
     @pytest.fixture()
     def small_result(self):
         grid = _tiny_grid(omega2=(1.1,), lam=(0.3, 1.5), metrics=("eigRatio",))
-        return run_sweep(grid, SQ, max_workers=1)
+        return run_sweep(grid, SQ)
 
     def test_csv_layout_and_nan_blanks(self, small_result, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -224,3 +246,40 @@ class TestSweepIO:
         assert doc["metrics"] == ["eigRatio"]
         assert doc["initial"]["kind"] == "sq"
         assert "version" in doc
+        assert doc["t_eval_effective"] == 300.0
+        assert doc["window_effective"] == 15.0
+        assert doc["flagged_cells"] == [
+            {
+                "omega2": 1.1,
+                "lambda": 1.5,
+                "status": "skipped",
+                "message": small_result.cells[1].message,
+            }
+        ]
+
+    def test_sidecar_reports_rounding_and_errors(self, tmp_path, monkeypatch):
+        def boom(*args, **kwargs):
+            raise OscSyncError("injected failure")
+
+        monkeypatch.setattr(sweep_mod, "dissipation_coefficients", boom)
+        grid = SweepGrid(
+            omega2_values=(1.2,),
+            lambda_values=(0.4,),
+            system=SystemParams(),
+            bath=BathParams(),
+            t_eval=12.34,
+        )
+        res = run_sweep(grid, SQ, window=1.26)
+        path = tmp_path / "sweep_manifest.json"
+        write_sweep_sidecar(res, path)
+        doc = json.loads(path.read_text())
+        assert doc["t_eval_effective"] == 123 * 0.1
+        assert doc["window_effective"] == 13 * 0.1
+        assert doc["flagged_cells"] == [
+            {
+                "omega2": 1.2,
+                "lambda": 0.4,
+                "status": "error",
+                "message": "injected failure",
+            }
+        ]
