@@ -52,11 +52,16 @@ from .dynamics import (
 )
 from .info import (
     CovarianceMatrix,
+    GaussianMeasures,
     InitialStateSpec,
     SymplecticSpectrum,
     entropy,
     gaussian_discord,
+    gaussian_measures,
+    information_measures,
     information_series,
+    lab_covariances,
+    lab_frame,
     lab_variance_series,
     log_negativity,
     make_initial,
@@ -121,10 +126,14 @@ __all__ = [
     "sample_trajectory",
     # info
     "CovarianceMatrix",
+    "GaussianMeasures",
     "InitialStateSpec",
     "SymplecticSpectrum",
     "make_initial",
+    "lab_frame",
+    "lab_covariances",
     "to_lab_covariance",
+    "gaussian_measures",
     "symplectic_spectrum",
     "entropy",
     "mutual_information",
@@ -132,6 +141,7 @@ __all__ = [
     "log_negativity",
     "min_symplectic_eigenvalue",
     "lab_variance_series",
+    "information_measures",
     "information_series",
     # sync
     "ObservableSeries",

@@ -6,7 +6,10 @@ simulate
     One trajectory run; writes ``trajectory.csv`` (mode moments plus
     shot-noise-normalized lab variances), ``info.csv`` (mutual information,
     discord, log-negativity, minimum symplectic eigenvalue), ``sync.csv``
-    (raw and smoothed indicator), and ``manifest.json``.
+    (raw and smoothed indicator), and ``manifest.json``.  Samples whose
+    information measures fail (below the uncertainty bound) get empty
+    measures and a ``physicality`` record in the manifest; the files are
+    written and the command then exits 3.
 eigen
     Dynamical eigenvalues of the drift matrix plus the analytic decay-rate
     clusters and their deviations; writes ``spectrum.json``.
@@ -43,6 +46,7 @@ from .dynamics import (
 from .errors import DomainError, OscSyncError
 from .info import (
     InitialStateSpec,
+    information_measures,
     information_series,
     lab_variance_series,
     make_initial,
@@ -58,7 +62,7 @@ from .model import (
 from .sweep import (
     METRICS,
     SweepGrid,
-    _fmt,
+    _fmt_column,
     run_sweep,
     write_sweep_csv,
     write_sweep_sidecar,
@@ -254,13 +258,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
+_CSV_BLOCK_ROWS = 1024
+
+
 def _write_csv(path: str, comment: str, header: list, columns: list) -> None:
-    lines = ["# " + comment, ",".join(header)]
-    n = len(columns[0])
-    for k in range(n):
-        lines.append(",".join(_fmt(col[k]) for col in columns))
+    # Formats a block of rows at a time, column by column, to bound memory.
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("# " + comment + "\n" + ",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = [_fmt_column(c[start : start + _CSV_BLOCK_ROWS]) for c in columns]
+            fh.writelines(",".join(row) + "\n" for row in zip(*block))
 
 
 def _complex_list(mu: np.ndarray) -> list:
@@ -313,7 +320,14 @@ def cmd_simulate(cfg: RunConfig) -> list:
         cfg.window,
     )
     smooth = gaussian_smooth(sync, cfg.filter_width)
-    info = information_series(traj, basis, cfg.system)
+    # Samples that fail a measure (the Redfield transient can dip below the
+    # uncertainty bound) get empty measures; the run writes every file and
+    # then exits with the first sample's error.
+    measures = information_measures(traj, basis, cfg.system)
+    info = measures.series
+    failed = measures.failed_samples()
+    for name in ("mutualInfo", "discord", "logNegativity"):
+        info[name][failed] = np.nan
 
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
@@ -354,7 +368,23 @@ def cmd_simulate(cfg: RunConfig) -> list:
     manifest["files"] = [
         os.path.basename(p) for p in (traj_path, info_path, sync_path)
     ]
+    nu_min = info["nuMin"]
+    k_min = int(np.nanargmin(nu_min)) if np.isfinite(nu_min).any() else None
+    manifest["physicality"] = {
+        "minNu": None if k_min is None else float(nu_min[k_min]),
+        "minNuTime": None if k_min is None else float(traj.times[k_min]),
+        "violatingSamples": len(failed),
+        "firstViolationTime": float(traj.times[failed[0]]) if failed else None,
+        "lastViolationTime": float(traj.times[failed[-1]]) if failed else None,
+    }
     _write_json(manifest_path, manifest)
+    if failed:
+        first = measures.error(failed[0])
+        raise type(first)(
+            f"{first} at t = {traj.times[failed[0]]:.6g}; {len(failed)} of"
+            f" {len(traj.times)} samples up to t = {traj.times[failed[-1]]:.6g}"
+            f" have empty information measures in {info_path}"
+        )
     return [traj_path, info_path, sync_path, manifest_path]
 
 

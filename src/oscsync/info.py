@@ -4,8 +4,9 @@ All information formulas work on the 4x4 covariance matrix over
 ``(q1, p1, q2, p2)`` in shot-noise units, where ``q_i = sqrt(2 omega_i) x_i``
 and ``p_i = sqrt(2 / omega_i) p_i`` so the two-oscillator vacuum is the
 identity matrix.  Conversion from the normal-mode moment vector (physical
-units) is owned by :func:`to_lab_covariance`; everything downstream is
-dimensionless.
+units) is owned by :func:`lab_covariances`; everything downstream is
+dimensionless.  :func:`gaussian_measures` computes every measure of a
+stack of covariances at once; the scalar functions call it with one.
 """
 
 from __future__ import annotations
@@ -17,15 +18,25 @@ import numpy as np
 from scipy.special import xlogy
 
 from .dynamics import IDX_PP, IDX_XP, IDX_XX, MomentState, Trajectory
-from .errors import DegenerateState, DomainError, NumericalError, UnphysicalState
+from .errors import (
+    DegenerateState,
+    DomainError,
+    OscSyncError,
+    UnphysicalState,
+)
 from .model import NormalModeBasis, SystemParams
 
 __all__ = [
     "CovarianceMatrix",
+    "GaussianMeasures",
     "InitialStateSpec",
     "SymplecticSpectrum",
+    "MEASURES",
     "make_initial",
+    "lab_frame",
+    "lab_covariances",
     "to_lab_covariance",
+    "gaussian_measures",
     "symplectic_spectrum",
     "entropy",
     "mutual_information",
@@ -33,6 +44,7 @@ __all__ = [
     "log_negativity",
     "min_symplectic_eigenvalue",
     "lab_variance_series",
+    "information_measures",
     "information_series",
 ]
 
@@ -59,12 +71,7 @@ class CovarianceMatrix:
         means = np.asarray(self.means, dtype=float)
         if sigma.shape != (4, 4) or means.shape != (4,):
             raise DomainError("covariance must be 4x4 with a 4-vector of means")
-        if np.max(np.abs(sigma - sigma.T)) > 1e-12 * max(
-            1.0, float(np.max(np.abs(sigma)))
-        ):
-            raise DomainError("covariance matrix must be symmetric")
-        sigma = 0.5 * (sigma + sigma.T)
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "sigma", _symmetrised(sigma))
         object.__setattr__(self, "means", means)
 
 
@@ -205,47 +212,297 @@ def make_initial(
     return MomentState(first_moments=np.zeros(4), second_moments=r, time=0.0)
 
 
-def _mode_covariance(state: MomentState) -> tuple[np.ndarray, np.ndarray]:
-    # Central 4x4 covariance over (X-, P-, X+, P+) from raw moments.
-    r = state.second_moments
-    xm, pm, xp, pp = state.first_moments
-    m = np.array([xm, pm, xp, pp])
-    cov = np.empty((4, 4))
-    x = (0, 2)  # position slots per mode
-    p = (1, 3)
-    for i in (0, 1):
-        for j in (0, 1):
-            cov[x[i], x[j]] = r[IDX_XX[i, j]] - m[x[i]] * m[x[j]]
-            cov[p[i], p[j]] = r[IDX_PP[i, j]] - m[p[i]] * m[p[j]]
-            cov[x[i], p[j]] = 0.5 * r[IDX_XP[i, j]] - m[x[i]] * m[p[j]]
-            cov[p[j], x[i]] = cov[x[i], p[j]]
-    return cov, m
+# Slot of each mode-covariance entry over (X-, P-, X+, P+) in the raw
+# second-moment vector (IDX_XX, IDX_PP, IDX_XP), and its weight: the
+# stored <{X, P}> is twice the symmetrised product.
+_MODE_SLOT = np.array(
+    [
+        [0, 6, 2, 8],
+        [6, 3, 9, 5],
+        [2, 9, 1, 7],
+        [8, 5, 7, 4],
+    ]
+)
+_MODE_WEIGHT = np.where(_MODE_SLOT >= 6, 0.5, 1.0)
+
+
+def _symmetrised(sigma: np.ndarray) -> np.ndarray:
+    # Symmetry check (1e-12 relative) and symmetrisation of one 4x4
+    # covariance or a stack of them.
+    sigma_t = np.swapaxes(sigma, -1, -2)
+    asym = np.max(np.abs(sigma - sigma_t), axis=(-2, -1))
+    size = np.maximum(1.0, np.max(np.abs(sigma), axis=(-2, -1)))
+    if np.any(asym > 1e-12 * size):
+        raise DomainError("covariance matrix must be symmetric")
+    return 0.5 * (sigma + sigma_t)
+
+
+def lab_frame(
+    basis: NormalModeBasis, sys: SystemParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mode rotation and shot-noise scale that take mode moments to the lab.
+
+    Returns the orthogonal ``(4, 4)`` map ``(x1, p1, x2, p2) -> (X-, P-,
+    X+, P+)`` and the diagonal ``(4, 4)`` shot-noise scale, the two
+    arguments :func:`lab_covariances` takes per sample.
+    """
+    return _mode_rotation(basis), _shot_noise_scale(sys)
+
+
+def lab_covariances(
+    first: np.ndarray,
+    second: np.ndarray,
+    rotation: np.ndarray,
+    scale: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lab-frame covariances and means, in shot-noise units, of many samples.
+
+    ``first`` (``(n, 4)``) and ``second`` (``(n, 10)``) are raw mode
+    moments.  ``rotation`` and ``scale`` come from :func:`lab_frame`, as
+    one ``(4, 4)`` pair for every sample or stacked ``(n, 4, 4)`` per
+    sample.  Returns the ``(n, 4, 4)`` covariances, checked symmetric to
+    1e-12 relative and symmetrised, and the ``(n, 4)`` means.
+    """
+    first = np.asarray(first, dtype=float)
+    second = np.asarray(second, dtype=float)
+    cov = _MODE_WEIGHT * second[:, _MODE_SLOT] - first[:, :, None] * first[:, None, :]
+    rot_t = np.swapaxes(rotation, -1, -2)
+    sigma = scale @ (rot_t @ cov @ rotation) @ scale
+    means = np.diagonal(scale, axis1=-2, axis2=-1) * (rot_t @ first[..., None])[..., 0]
+    return _symmetrised(sigma), means
 
 
 def to_lab_covariance(
     state: MomentState, basis: NormalModeBasis, sys: SystemParams
 ) -> CovarianceMatrix:
     """Rotate mode moments back to the lab frame, in shot-noise units."""
-    cov, m = _mode_covariance(state)
-    rot = _mode_rotation(basis)
-    sigma_lab = rot.T @ cov @ rot
-    means_lab = rot.T @ m
-    scale = _shot_noise_scale(sys)
-    return CovarianceMatrix(
-        sigma=scale @ sigma_lab @ scale, means=np.diag(scale) * means_lab
+    sigma, means = lab_covariances(
+        state.first_moments[None], state.second_moments[None], *lab_frame(basis, sys)
     )
+    return CovarianceMatrix(sigma=sigma[0], means=means[0])
+
+
+# The partial transpose F sigma F = (F L)(F L)^T, so i L^T (F Omega F) L
+# carries its symplectic eigenvalues as i L^T Omega L carries sigma's.
+_FLIP = np.diag([1.0, 1.0, 1.0, -1.0])
+_OMEGAS = np.stack([OMEGA_SYMP, _FLIP @ OMEGA_SYMP @ _FLIP])
+
+MEASURES = ("mutualInfo", "discord", "logNegativity", "nuMin")
+_ENTROPY_FLOOR = 1.0 - 1e-6
+
+
+@dataclass(frozen=True)
+class GaussianMeasures:
+    """Information measures of a stack of covariances, one entry per sample.
+
+    ``nu`` holds the global symplectic eigenvalues ``(nu1, nu2)`` and
+    ``reduced`` the single-mode ones ``(nu_a, nu_b)``, both ``(n, 2)``.
+    ``series`` maps each name in :data:`MEASURES` to its ``(n,)`` values.
+    ``failures`` maps the same names to ``{sample: error}``: the error the
+    scalar function of that measure raises on that sample, where the value
+    is NaN.  Nothing is raised here, and a failed sample leaves the other
+    samples as they would be on their own.
+    """
+
+    nu: np.ndarray
+    reduced: np.ndarray
+    series: dict
+    failures: dict
+
+    def error(self, k: int, names=MEASURES) -> OscSyncError | None:
+        """The first error of ``names``, in that order, at sample ``k``."""
+        for name in names:
+            if k in self.failures[name]:
+                return self.failures[name][k]
+        return None
+
+    def failed_samples(self) -> list:
+        """Sorted indices of the samples where any measure failed."""
+        return sorted(set().union(*self.failures.values()))
+
+
+def _cholesky(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Lower Cholesky factors of a stack of 4x4 matrices, column by column,
+    # and which matrices are positive definite.  np.linalg.cholesky fails
+    # the whole stack on one such matrix; here it gets the identity factor.
+    ok = np.all(np.isfinite(sigma), axis=(1, 2))
+    a = np.where(ok[:, None, None], sigma, np.eye(4))
+    low = np.zeros_like(a)
+    for j in range(4):
+        pivot = a[:, j, j] - np.einsum("nk,nk->n", low[:, j, :j], low[:, j, :j])
+        ok &= pivot > 0.0
+        low[:, j, j] = np.sqrt(np.where(ok, pivot, 1.0))
+        low[:, j + 1 :, j] = (
+            a[:, j + 1 :, j]
+            - np.einsum("nik,nk->ni", low[:, j + 1 :, :j], low[:, j, :j])
+        ) / low[:, j, j, None]
+    low[~ok] = np.eye(4)
+    return low, ok
+
+
+_J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _adjugate(m: np.ndarray) -> np.ndarray:
+    # adj(M) = J M^T J^T for a stack of 2x2 matrices
+    return _J2 @ np.swapaxes(m, -1, -2) @ _J2.T
+
+
+def _d_minus_a(s, a, c, d, u) -> np.ndarray:
+    # D - A either from det(sigma), with round-off ~eps (|D| + |A|), or as
+    # (D - AB) + A (B - 1) with D - AB = C^2 - tr(adj(beta) gamma^T adj(alpha)
+    # gamma) for sigma = [[alpha, gamma], [gamma^T, beta]], with round-off
+    # ~eps times the size of its terms; whichever is smaller.  The discord
+    # divides D - A by B - 1, which vanishes for a pure measured mode while
+    # the round-off of det(sigma) does not.
+    alpha, beta, gamma = s[:, :2, :2], s[:, 2:, 2:], s[:, :2, 2:]
+    left = _adjugate(beta) @ np.swapaxes(gamma, -1, -2)
+    right = _adjugate(alpha) @ gamma
+    trace = np.einsum("nij,nji->n", left, right)
+    size = np.einsum("nij,nji->n", np.abs(left), np.abs(right))
+    return np.where(
+        np.abs(d) + np.abs(a) <= c * c + size + np.abs(a * u),
+        d - a,
+        c * c - trace + a * u,
+    )
+
+
+def _entropies(nu: np.ndarray) -> np.ndarray:
+    # f(nu) with nu clamped to >= 1; callers check the 1e-6 window.
+    nu = np.maximum(nu, 1.0)
+    up = 0.5 * (nu + 1.0)
+    dn = 0.5 * (nu - 1.0)
+    return xlogy(up, up) - xlogy(dn, dn)
+
+
+def _below_bound(nu: np.ndarray):
+    return nu < _ENTROPY_FLOOR, lambda k: UnphysicalState(
+        f"symplectic eigenvalue {float(nu[k])} < 1 violates the uncertainty bound"
+    )
+
+
+def _first_failures(checks) -> dict:
+    # {sample: error of the first check that fails there}
+    out = {}
+    for failed, make in checks:
+        for k in np.flatnonzero(failed):
+            if int(k) not in out:
+                out[int(k)] = make(k)
+    return out
+
+
+def gaussian_measures(sigma: np.ndarray) -> GaussianMeasures:
+    """Spectra and information measures of ``(n, 4, 4)`` covariances.
+
+    With ``A, B, C`` the determinants of the 2x2 blocks and ``D = det
+    sigma``, the global symplectic eigenvalues ``nu1 <= nu2`` and those of
+    the partial transpose come from ``L = cholesky(sigma)``: the Hermitian
+    ``i L^T Omega L`` has the ascending eigenvalues ``-nu2, -nu1, nu1,
+    nu2``.  Then ``I = f(nu_a) + f(nu_b) - f(nu1) - f(nu2)`` and the
+    discord with oscillator 2 measured is
+
+        delta = f(sqrt(B)) - f(nu1) - f(nu2) + f(sqrt(Emin)),
+
+    where ``Emin`` takes its first closed-form branch when ``(D - A*B)^2 <=
+    (1 + B) C^2 (A + D)`` and the generic second branch otherwise (Adesso &
+    Datta, PRL 105, 030501, 2010).  ``E_N = max(0, -ln nu~1)``.
+
+    A sample fails a measure when sigma is not positive definite (all
+    measures), when an entropy argument lies below ``1 - 1e-6``
+    (:class:`UnphysicalState`), when ``B = 1`` with ``|C| >= 1e-15``
+    (:class:`DegenerateState`, discord), or when the partial transpose has
+    a zero eigenvalue (log-negativity).  ``B = 1`` with ``|C| < 1e-15`` has
+    zero discord.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    low, pd = _cholesky(sigma)
+    s = np.where(pd[:, None, None], sigma, np.eye(4))
+    a = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
+    b = s[:, 2, 2] * s[:, 3, 3] - s[:, 2, 3] * s[:, 3, 2]
+    c = s[:, 0, 2] * s[:, 1, 3] - s[:, 0, 3] * s[:, 1, 2]
+    d = np.linalg.det(s)
+    k = np.swapaxes(low, -1, -2)[:, None] @ _OMEGAS @ low[:, None]
+    ev = np.linalg.eigvalsh(1j * k)
+    nu1, nu2 = ev[:, 0, 2], ev[:, 0, 3]
+    nu_pt = ev[:, 1, 2]
+    nu_a = np.sqrt(np.maximum(a, 0.0))
+    nu_b = np.sqrt(np.maximum(b, 0.0))
+
+    u = b - 1.0
+    d_minus_a = _d_minus_a(s, a, c, d, u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first_branch = (d - a * b) ** 2 <= (1.0 + b) * c * c * (a + d)
+        # (2C^2 + u (D - A) + 2|C| root) / u^2 with root^2 = C^2 + u (D - A)
+        root = np.sqrt(np.maximum(c * c + u * d_minus_a, 0.0))
+        e_first = ((np.abs(c) + root) / u) ** 2
+        disc = c**4 + (d - a * b) ** 2 - 2.0 * c * c * (a * b + d)
+        e_second = (a * b - c * c + d - np.sqrt(np.maximum(disc, 0.0))) / (2.0 * b)
+        e_min = np.where(first_branch, e_first, e_second)
+    # B = 1 has zero discord or none, and its first branch divides by zero.
+    pure_b = b == 1.0
+    nu_e = np.sqrt(np.maximum(np.where(pure_b, 1.0, e_min), 0.0))
+
+    f_a, f_b, f_1, f_2 = (_entropies(x) for x in (nu_a, nu_b, nu1, nu2))
+    values = {
+        "mutualInfo": np.maximum((f_a + f_b) - (f_1 + f_2), 0.0),
+        "discord": np.where(
+            pure_b, 0.0, np.maximum(f_b - f_1 - f_2 + _entropies(nu_e), 0.0)
+        ),
+        "logNegativity": np.maximum(0.0, -np.log(np.where(nu_pt > 0.0, nu_pt, 1.0))),
+        "nuMin": nu1,
+    }
+
+    # Each measure's checks in the order its scalar function made them.
+    not_pd = (~pd, lambda k: UnphysicalState(
+        "covariance matrix is not positive definite, which violates the"
+        " uncertainty bound"
+    ))
+    degenerate = (pure_b & (np.abs(c) >= 1e-15), lambda k: DegenerateState(
+        "measured mode is pure (det B = 1) yet carries correlations"
+    ))
+    pt_zero = (nu_pt <= 0.0, lambda k: UnphysicalState(
+        "partial transpose produced a zero eigenvalue"
+    ))
+    discord_checks = [not_pd, degenerate]
+    for failed, make in map(_below_bound, (nu_b, nu1, nu2, nu_e)):
+        discord_checks.append((failed & ~pure_b, make))
+    failures = {
+        "mutualInfo": _first_failures(
+            [not_pd] + [_below_bound(x) for x in (nu_a, nu_b, nu1, nu2)]
+        ),
+        "discord": _first_failures(discord_checks),
+        "logNegativity": _first_failures([not_pd, pt_zero]),
+        "nuMin": _first_failures([not_pd]),
+    }
+    for name, failed in failures.items():
+        values[name][list(failed)] = np.nan
+    spectra = np.stack([nu1, nu2, nu_a, nu_b], axis=1)
+    spectra[~pd] = np.nan
+    return GaussianMeasures(
+        nu=spectra[:, :2],
+        reduced=spectra[:, 2:],
+        series=values,
+        failures=failures,
+    )
+
+
+def _single(sigma: np.ndarray, name: str) -> GaussianMeasures:
+    # The kernel on one covariance; raises its failure of measure ``name``.
+    measures = gaussian_measures(sigma[None])
+    error = measures.error(0, (name,))
+    if error is not None:
+        raise error
+    return measures
+
+
+def _scalar(sigma: np.ndarray, name: str) -> float:
+    return float(_single(sigma, name).series[name][0])
 
 
 def symplectic_spectrum(cov: CovarianceMatrix) -> SymplecticSpectrum:
     """Global and reduced symplectic eigenvalues of the covariance."""
-    try:
-        ev = np.linalg.eigvals(1j * OMEGA_SYMP @ cov.sigma)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NumericalError(f"eigensolver failed: {exc}") from exc
-    nus = np.sort(np.abs(ev))
-    nu_a = math.sqrt(max(float(np.linalg.det(cov.sigma[:2, :2])), 0.0))
-    nu_b = math.sqrt(max(float(np.linalg.det(cov.sigma[2:, 2:])), 0.0))
-    return SymplecticSpectrum(nu=(nus[0], nus[2]), reduced=(nu_a, nu_b))
+    measures = _single(cov.sigma, "nuMin")
+    return SymplecticSpectrum(nu=measures.nu[0], reduced=measures.reduced[0])
 
 
 def entropy(nu: float) -> float:
@@ -254,36 +511,24 @@ def entropy(nu: float) -> float:
     ``f(nu) = ((nu+1)/2) ln((nu+1)/2) - ((nu-1)/2) ln((nu-1)/2)``; values in
     ``[1 - 1e-6, 1]`` clamp to 1 (f = 0), anything lower is unphysical.
     """
-    if nu < 1.0 - 1e-6:
+    if nu < _ENTROPY_FLOOR:
         raise UnphysicalState(
             f"symplectic eigenvalue {nu} < 1 violates the uncertainty bound"
         )
-    nu = max(nu, 1.0)
-    up = 0.5 * (nu + 1.0)
-    dn = 0.5 * (nu - 1.0)
-    return float(xlogy(up, up) - xlogy(dn, dn))
+    return float(_entropies(nu))
 
 
 def mutual_information(cov: CovarianceMatrix) -> float:
     """Total correlations I = f(nu_a) + f(nu_b) - f(nu1) - f(nu2), >= 0."""
-    spec = symplectic_spectrum(cov)
-    total = entropy(spec.reduced[0]) + entropy(spec.reduced[1])
-    total -= entropy(spec.nu[0]) + entropy(spec.nu[1])
-    return max(total, 0.0)
+    return _scalar(cov.sigma, "mutualInfo")
 
 
 def gaussian_discord(cov: CovarianceMatrix, measured: int = 2) -> float:
     """Gaussian quantum discord under the optimal Gaussian measurement.
 
     Uses the closed-form minimum over Gaussian measurements on one party
-    (by default oscillator 2; ``measured=1`` swaps the roles).  With
-    ``A = det A``, ``B = det B``, ``C = det C``, ``D = det sigma``::
-
-        delta = f(sqrt(B)) - f(nu1) - f(nu2) + f(sqrt(Emin))
-
-    where ``Emin`` takes its first closed-form branch when
-    ``(D - A*B)^2 <= (1 + B) C^2 (A + D)`` and the generic second branch
-    otherwise.
+    (by default oscillator 2; ``measured=1`` swaps the roles); see
+    :func:`gaussian_measures`.
 
     Raises ``DegenerateState`` for the inconsistent combination B = 1
     (pure measured mode) with nonzero cross correlations.
@@ -294,48 +539,17 @@ def gaussian_discord(cov: CovarianceMatrix, measured: int = 2) -> float:
     if measured == 1:
         order = [2, 3, 0, 1]
         sigma = sigma[np.ix_(order, order)]
-    a = float(np.linalg.det(sigma[:2, :2]))
-    b = float(np.linalg.det(sigma[2:, 2:]))
-    c = float(np.linalg.det(sigma[:2, 2:]))
-    d = float(np.linalg.det(sigma))
-    if b == 1.0:
-        if abs(c) < 1e-15:
-            return 0.0
-        raise DegenerateState(
-            "measured mode is pure (det B = 1) yet carries correlations"
-        )
-    if (d - a * b) ** 2 <= (1.0 + b) * c * c * (a + d):
-        root = math.sqrt(max(c * c + (b - 1.0) * (d - a), 0.0))
-        e_min = (2.0 * c * c + (b - 1.0) * (d - a) + 2.0 * abs(c) * root) / (
-            (b - 1.0) ** 2
-        )
-    else:
-        disc = c**4 + (d - a * b) ** 2 - 2.0 * c * c * (a * b + d)
-        e_min = (a * b - c * c + d - math.sqrt(max(disc, 0.0))) / (2.0 * b)
-    spec = symplectic_spectrum(cov)
-    delta = (
-        entropy(math.sqrt(max(b, 0.0)))
-        - entropy(spec.nu[0])
-        - entropy(spec.nu[1])
-        + entropy(math.sqrt(max(e_min, 0.0)))
-    )
-    return max(delta, 0.0)
+    return _scalar(sigma, "discord")
 
 
 def log_negativity(cov: CovarianceMatrix) -> float:
     """E_N = max(0, -ln nu~_-) from the partially transposed covariance."""
-    flip = np.diag([1.0, 1.0, 1.0, -1.0])
-    tilde = flip @ cov.sigma @ flip
-    ev = np.linalg.eigvals(1j * OMEGA_SYMP @ tilde)
-    nu_min = float(np.min(np.abs(ev)))
-    if nu_min <= 0:
-        raise UnphysicalState("partial transpose produced a zero eigenvalue")
-    return max(0.0, -math.log(nu_min))
+    return _scalar(cov.sigma, "logNegativity")
 
 
 def min_symplectic_eigenvalue(cov: CovarianceMatrix) -> float:
     """Physicality margin: the smallest global symplectic eigenvalue."""
-    return symplectic_spectrum(cov).nu[0]
+    return _scalar(cov.sigma, "nuMin")
 
 
 def lab_variance_series(
@@ -355,27 +569,54 @@ def lab_variance_series(
     return 2.0 * sys.omega1 * x1, 2.0 * sys.omega2 * x2
 
 
+_BLOCK_SAMPLES = 1024  # bounds the kernel's temporaries on long runs
+
+
+def information_measures(
+    traj: Trajectory, basis: NormalModeBasis, sys: SystemParams
+) -> GaussianMeasures:
+    """The measures of every sample, with failures recorded, not raised.
+
+    Samples go through :func:`gaussian_measures` in blocks of
+    ``_BLOCK_SAMPLES``; a sample's values do not depend on its block.
+    """
+    frame = lab_frame(basis, sys)
+    starts = range(0, len(traj.times), _BLOCK_SAMPLES)
+    parts = []
+    for start in starts:
+        block = slice(start, start + _BLOCK_SAMPLES)
+        sigma, _ = lab_covariances(
+            traj.first_moments[block], traj.second_moments[block], *frame
+        )
+        parts.append(gaussian_measures(sigma))
+    return GaussianMeasures(
+        nu=np.concatenate([p.nu for p in parts]),
+        reduced=np.concatenate([p.reduced for p in parts]),
+        series={
+            name: np.concatenate([p.series[name] for p in parts])
+            for name in MEASURES
+        },
+        failures={
+            name: {
+                start + k: error
+                for start, p in zip(starts, parts)
+                for k, error in p.failures[name].items()
+            }
+            for name in MEASURES
+        },
+    )
+
+
 def information_series(
     traj: Trajectory, basis: NormalModeBasis, sys: SystemParams
 ) -> dict[str, np.ndarray]:
-    """Mutual information, discord, log-negativity, and nu_min per sample."""
-    n = len(traj.times)
-    out = {
-        "mutualInfo": np.empty(n),
-        "discord": np.empty(n),
-        "logNegativity": np.empty(n),
-        "nuMin": np.empty(n),
-    }
-    for k in range(n):
-        state = MomentState(
-            first_moments=traj.first_moments[k],
-            second_moments=traj.second_moments[k],
-            time=float(traj.times[k]),
-        )
-        cov = to_lab_covariance(state, basis, sys)
-        spec = symplectic_spectrum(cov)
-        out["nuMin"][k] = spec.nu[0]
-        out["mutualInfo"][k] = mutual_information(cov)
-        out["discord"][k] = gaussian_discord(cov)
-        out["logNegativity"][k] = log_negativity(cov)
-    return out
+    """Mutual information, discord, log-negativity, and nu_min per sample.
+
+    Raises the error of the first sample that fails a measure (in the
+    order mutual information, discord, log-negativity).
+    """
+    measures = information_measures(traj, basis, sys)
+    failed = measures.failed_samples()
+    if failed:
+        raise measures.error(failed[0])
+    return measures.series

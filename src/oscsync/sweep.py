@@ -4,9 +4,11 @@ A cell reads the indicator over the window ``[t_eval, t_eval + window]``
 and the information measures at ``t_eval``, so only that window is
 propagated.  Each omega2 row is stepped as one stack: the row's per-step
 exponentials are raised to the evaluation step, then stepped through the
-window together (:func:`~oscsync.dynamics.sample_moments`).  Set-up and
-metrics stay per cell, and a cell that fails is reported with its message
-while the rest of its row goes on.
+window together (:func:`~oscsync.dynamics.sample_moments`), and the
+information measures of the row's first window samples are one call of
+:func:`~oscsync.info.gaussian_measures`.  Set-up and the indicator stay per
+cell, and a cell that fails is reported with its message while the rest of
+its row goes on.
 """
 
 from __future__ import annotations
@@ -28,12 +30,13 @@ from .dynamics import (
 )
 from .errors import DomainError, OscSyncError
 from .info import (
+    GaussianMeasures,
     InitialStateSpec,
-    gaussian_discord,
+    gaussian_measures,
+    lab_covariances,
+    lab_frame,
     lab_variance_series,
     make_initial,
-    mutual_information,
-    to_lab_covariance,
 )
 from .model import (
     BathParams,
@@ -172,8 +175,19 @@ def _start_cell(omega1, omega2, lam, bath, initial, metrics):
     return _Pending(omega2, lam, sys, basis, gen, state0, eig_ratio)
 
 
-def _finish_cell(cell: _Pending, traj: Trajectory, window: float, metrics):
-    """Metrics of a cell from its window, which starts at the evaluation time."""
+def _finish_cell(
+    cell: _Pending,
+    traj: Trajectory,
+    window: float,
+    metrics,
+    measures: GaussianMeasures | None,
+    k: int,
+):
+    """Metrics of a cell from its window, which starts at the evaluation time.
+
+    ``measures`` holds the information measures of the row's first window
+    samples, the cell's at index ``k``.
+    """
     out = {"eig_ratio": cell.eig_ratio}
     try:
         if "syncAbs" in metrics:
@@ -184,22 +198,29 @@ def _finish_cell(cell: _Pending, traj: Trajectory, window: float, metrics):
                 window,
             )
             out["sync_abs"] = float(abs(result.C[0]))
-        if {"discord", "mutualInfo"} & set(metrics):
-            state = MomentState(
-                first_moments=traj.first_moments[0],
-                second_moments=traj.second_moments[0],
-                time=float(traj.times[0]),
-            )
-            cov = to_lab_covariance(state, cell.basis, cell.system)
-            if "discord" in metrics:
-                out["discord"] = gaussian_discord(cov)
-            if "mutualInfo" in metrics:
-                out["mutual_info"] = mutual_information(cov)
+        for name, attr in (("discord", "discord"), ("mutualInfo", "mutual_info")):
+            if name in metrics:
+                error = measures.error(k, (name,))
+                if error is not None:
+                    raise error
+                out[attr] = float(measures.series[name][k])
     except OscSyncError as exc:
         return CellResult(
             omega2=cell.omega2, lam=cell.lam, status="error", message=str(exc)
         )
     return CellResult(omega2=cell.omega2, lam=cell.lam, **out)
+
+
+def _first_sample_measures(cells: list, first, second) -> GaussianMeasures:
+    # One kernel call on the first window sample of every cell in a row.
+    frames = [lab_frame(c.basis, c.system) for c in cells]
+    sigma, _ = lab_covariances(
+        first[:, 0],
+        second[:, 0],
+        np.stack([rotation for rotation, _ in frames]),
+        np.stack([scale for _, scale in frames]),
+    )
+    return gaussian_measures(sigma)
 
 
 def run_sweep(
@@ -244,9 +265,16 @@ def run_sweep(
                 w + 1,
                 k_start=k_eval,
             )
+            measures = None
+            if {"discord", "mutualInfo"} & set(grid.metrics):
+                measures = _first_sample_measures(
+                    [row[i] for i in pending], first, second
+                )
             for j, i in enumerate(pending):
                 traj = Trajectory(times, first[j], second[j])
-                row[i] = _finish_cell(row[i], traj, w * dt_out, grid.metrics)
+                row[i] = _finish_cell(
+                    row[i], traj, w * dt_out, grid.metrics, measures, j
+                )
         cells.extend(row)
 
     provenance = {
@@ -279,31 +307,28 @@ def run_sweep(
     return SweepResult(grid=grid, cells=tuple(cells), provenance=provenance)
 
 
-def _fmt(x: float) -> str:
-    return "" if math.isnan(x) else format(float(x), ".17g")
+def _fmt_column(values) -> list:
+    """Each value with 17 significant digits; NaN becomes an empty field."""
+    return [
+        "" if v != v else format(v, ".17g")
+        for v in np.asarray(values, dtype=float).tolist()
+    ]
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
     """CSV per cell; empty fields mark metrics that were not computed."""
+    cells = result.cells
+    columns = [
+        _fmt_column([getattr(c, attr) for c in cells])
+        for attr in ("omega2", "lam", "sync_abs", "discord", "mutual_info", "eig_ratio")
+    ]
+    columns.append([c.status for c in cells])
     lines = [
         "# omega2 [omega1], lambda [omega1^2], syncAbs [-], discord [nats],"
         " mutualInfo [nats], eigRatio [-], status",
         "omega2,lambda,syncAbs,discord,mutualInfo,eigRatio,status",
     ]
-    for c in result.cells:
-        lines.append(
-            ",".join(
-                [
-                    format(c.omega2, ".17g"),
-                    format(c.lam, ".17g"),
-                    _fmt(c.sync_abs),
-                    _fmt(c.discord),
-                    _fmt(c.mutual_info),
-                    _fmt(c.eig_ratio),
-                    c.status,
-                ]
-            )
-        )
+    lines.extend(",".join(row) for row in zip(*columns))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

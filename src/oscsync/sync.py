@@ -30,6 +30,12 @@ __all__ = [
 VAR_FLOOR = 1e-30  # below this a window is treated as constant -> NaN gap
 
 
+def _close(a: np.ndarray, b) -> bool:
+    # np.allclose(a, b, rtol=1e-9, atol=1e-12) for finite b; NaN or
+    # infinite entries are never close.
+    return bool(np.all(np.abs(a - b) <= 1e-12 + 1e-9 * np.abs(b)))
+
+
 @dataclass(frozen=True)
 class ObservableSeries:
     """A scalar observable sampled on a uniform time grid."""
@@ -43,7 +49,7 @@ class ObservableSeries:
         if t.ndim != 1 or t.shape != v.shape or t.size < 2:
             raise DomainError("series needs matching 1-d times/values, length >= 2")
         steps = np.diff(t)
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
+        if not _close(steps, steps[0]):
             raise DomainError("time grid must be uniformly spaced")
         if not np.all(np.isfinite(v)):
             raise DomainError("observable values must be finite")
@@ -88,8 +94,9 @@ def windowed_correlation(
     DomainError
         If the window is shorter than 10 sample spacings.
     """
-    if f.times.shape != g.times.shape or not np.allclose(
-        f.times, g.times, rtol=1e-9, atol=1e-12
+    # A series' times are finite and uniform, so one object is one grid.
+    if f.times is not g.times and (
+        f.times.shape != g.times.shape or not _close(f.times, g.times)
     ):
         raise GridMismatch("observable series must share one time grid")
     dt = f.dt

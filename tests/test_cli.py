@@ -107,6 +107,48 @@ class TestSimulate:
         }
 
 
+class TestPhysicalityBound:
+    def test_transient_violation_writes_everything_then_exits_3(
+        self, tmp_path, capsys
+    ):
+        # at dt_out = 0.01 the Redfield transient of the default run dips
+        # below the uncertainty bound for t <= 0.08
+        code = _run(["simulate", "--t-max", 20, "--dt-out", 0.01, "--out", tmp_path])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: symplectic eigenvalue")
+        assert sorted(os.listdir(tmp_path)) == [
+            "info.csv",
+            "manifest.json",
+            "sync.csv",
+            "trajectory.csv",
+        ]
+        _, header, rows = _read_csv(tmp_path / "info.csv")
+        assert len(rows) == 2001
+        empty = [r for r in rows if r[1:4] == ["", "", ""]]
+        assert all(r[4] != "" for r in rows)
+        assert all("" not in r for r in rows if r not in empty)
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        phys = doc["physicality"]
+        assert phys["violatingSamples"] == len(empty) > 0
+        assert phys["firstViolationTime"] == float(empty[0][0])
+        assert phys["lastViolationTime"] == float(empty[-1][0])
+        assert phys["lastViolationTime"] <= 0.2
+        assert phys["minNu"] == min(float(r[4]) for r in rows) < 1.0 - 1e-6
+        assert all(float(r[4]) >= 1.0 - 1e-6 for r in rows if r not in empty)
+
+    def test_coarse_sampling_is_unchanged(self, tmp_path):
+        # the same run at dt_out = 0.1 steps over the dip and succeeds
+        code = _run(["simulate", "--t-max", 20, "--dt-out", 0.1, "--out", tmp_path])
+        assert code == 0
+        _, header, rows = _read_csv(tmp_path / "info.csv")
+        assert len(rows) == 201 and all("" not in r for r in rows)
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        assert doc["physicality"]["violatingSamples"] == 0
+        assert doc["physicality"]["firstViolationTime"] is None
+        assert doc["physicality"]["minNu"] >= 1.0 - 1e-6
+
+
 class TestValidation:
     def test_unstable_coupling_exits_2(self, capsys):
         code = _run(["simulate", "--lambda", 2.0, "--out", "/tmp/unused"])
@@ -231,8 +273,7 @@ class TestCompareRwa:
 
 class TestPlumbing:
     def test_nan_serializes_to_blank(self, tmp_path):
-        assert cli._fmt(float("nan")) == ""
-        assert cli._fmt(1.0) == "1"
+        assert cli._fmt_column([float("nan"), 1.0]) == ["", "1"]
         path = tmp_path / "t.csv"
         cli._write_csv(
             str(path),

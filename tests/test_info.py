@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
 
 from oscsync import (
     BathParams,
@@ -21,6 +23,11 @@ from oscsync import (
     information_series,
     lab_variance_series,
     log_negativity,
+    OscSyncError,
+    gaussian_measures,
+    information_measures,
+    lab_covariances,
+    lab_frame,
     make_initial,
     min_symplectic_eigenvalue,
     mutual_information,
@@ -28,7 +35,8 @@ from oscsync import (
     symplectic_spectrum,
     to_lab_covariance,
 )
-from oscsync.dynamics import IDX_PP, IDX_XX
+from oscsync import info as info_mod
+from oscsync.dynamics import IDX_PP, IDX_XP, IDX_XX
 
 # Frozen arbitrary-precision references for the two-mode squeezed state r=2
 COSH_2 = 3.7621956910836314596
@@ -36,6 +44,7 @@ F_COSH_2 = 1.6198220928977022644
 TWO_F_COSH_2 = 3.2396441857954045287
 EXP_M2 = 0.13533528323661269189
 COTH_005 = 20.016663889550099248
+COSH_1 = 1.5430806348152437785
 
 
 def _tms_sigma(r):
@@ -229,6 +238,21 @@ class TestDiscord:
             log_negativity(cov0), rel=1e-9, abs=1e-11
         )
 
+    def test_product_state_with_pure_measured_mode(self):
+        # det B = 1 up to round-off, so B - 1 is round-off; the discord
+        # divides D - A by it and must not divide det(sigma)'s round-off
+        # (the per-sample code gave 0.33 for 36 of these 1200 states)
+        for r in np.linspace(0.05, 2.0, 400):
+            squeezer = np.diag([math.exp(-r), math.exp(r)])
+            for nu in (1.5, 2.75, 10.0):
+                sigma = np.zeros((4, 4))
+                sigma[:2, :2] = squeezer @ squeezer.T
+                sigma[2:, 2:] = nu * np.eye(2)
+                cov = CovarianceMatrix(sigma=sigma, means=np.zeros(4))
+                discord = gaussian_discord(cov, measured=1)
+                assert discord == pytest.approx(0.0, abs=1e-12)
+                assert mutual_information(cov) == pytest.approx(0.0, abs=1e-12)
+
     def test_mutual_info_bounds_discord(self):
         cov = CovarianceMatrix(
             sigma=_tms_sigma(1.0).sigma + 0.5 * np.eye(4), means=np.zeros(4)
@@ -284,3 +308,297 @@ class TestTrajectoryMeasures:
     def test_min_symplectic_eigenvalue_accessor(self):
         cov = _tms_sigma(0.7)
         assert min_symplectic_eigenvalue(cov) == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The per-sample loop the batched kernel replaced, kept as its reference:
+# mode covariance entry by entry, complex eigvals for the spectra and LU
+# determinants for the blocks.
+
+
+def _reference_entropy(nu):
+    if nu < 1.0 - 1e-6:
+        raise UnphysicalState(
+            f"symplectic eigenvalue {nu} < 1 violates the uncertainty bound"
+        )
+    nu = max(nu, 1.0)
+    up, dn = 0.5 * (nu + 1.0), 0.5 * (nu - 1.0)
+    return float(xlogy(up, up) - xlogy(dn, dn))
+
+
+def _reference_sigma(first, second, basis, sys_p):
+    cov = np.empty((4, 4))
+    x, p = (0, 2), (1, 3)
+    for i in (0, 1):
+        for j in (0, 1):
+            cov[x[i], x[j]] = second[IDX_XX[i, j]] - first[x[i]] * first[x[j]]
+            cov[p[i], p[j]] = second[IDX_PP[i, j]] - first[p[i]] * first[p[j]]
+            cov[x[i], p[j]] = 0.5 * second[IDX_XP[i, j]] - first[x[i]] * first[p[j]]
+            cov[p[j], x[i]] = cov[x[i], p[j]]
+    rot = info_mod._mode_rotation(basis)
+    scale = info_mod._shot_noise_scale(sys_p)
+    sigma = scale @ (rot.T @ cov @ rot) @ scale
+    return 0.5 * (sigma + sigma.T)
+
+
+def _reference_measures(sigma):
+    """(mutualInfo, discord, logNegativity, nuMin) of one covariance."""
+    omega = info_mod.OMEGA_SYMP
+    nus = np.sort(np.abs(np.linalg.eigvals(1j * omega @ sigma)))
+    nu1, nu2 = nus[0], nus[2]
+    a, b, c, d = (
+        float(np.linalg.det(m))
+        for m in (sigma[:2, :2], sigma[2:, 2:], sigma[:2, 2:], sigma)
+    )
+    total = _reference_entropy(math.sqrt(max(a, 0.0))) + _reference_entropy(
+        math.sqrt(max(b, 0.0))
+    )
+    total -= _reference_entropy(nu1) + _reference_entropy(nu2)
+    if b == 1.0:
+        if abs(c) >= 1e-15:
+            raise DegenerateState(
+                "measured mode is pure (det B = 1) yet carries correlations"
+            )
+        discord = 0.0
+    else:
+        if (d - a * b) ** 2 <= (1.0 + b) * c * c * (a + d):
+            root = math.sqrt(max(c * c + (b - 1.0) * (d - a), 0.0))
+            e_min = (2.0 * c * c + (b - 1.0) * (d - a) + 2.0 * abs(c) * root) / (
+                (b - 1.0) ** 2
+            )
+        else:
+            disc = c**4 + (d - a * b) ** 2 - 2.0 * c * c * (a * b + d)
+            e_min = (a * b - c * c + d - math.sqrt(max(disc, 0.0))) / (2.0 * b)
+        discord = max(
+            _reference_entropy(math.sqrt(max(b, 0.0)))
+            - _reference_entropy(nu1)
+            - _reference_entropy(nu2)
+            + _reference_entropy(math.sqrt(max(e_min, 0.0))),
+            0.0,
+        )
+    flip = np.diag([1.0, 1.0, 1.0, -1.0])
+    nu_t = float(np.min(np.abs(np.linalg.eigvals(1j * omega @ flip @ sigma @ flip))))
+    if nu_t <= 0:
+        raise UnphysicalState("partial transpose produced a zero eigenvalue")
+    return max(total, 0.0), discord, max(0.0, -math.log(nu_t)), nu1
+
+
+def _reference_series(traj, basis, sys_p, samples):
+    rows = [
+        _reference_measures(
+            _reference_sigma(
+                traj.first_moments[k], traj.second_moments[k], basis, sys_p
+            )
+        )
+        for k in samples
+    ]
+    names = ("mutualInfo", "discord", "logNegativity", "nuMin")
+    return dict(zip(names, np.array(rows).T))
+
+
+def _squeezed_run(omega2, lam, topology, backend, t_max, dt_out):
+    sys_p = SystemParams(1.0, omega2, lam)
+    basis = diagonalize(sys_p)
+    coeffs = dissipation_coefficients(sys_p, BathParams(topology=topology), basis)
+    gen = build_generator(basis, coeffs, backend=backend)
+    state = make_initial(InitialStateSpec.separable_squeezed(2.0, 4.0), sys_p, basis)
+    return sys_p, basis, sample_trajectory(gen, state, t_max, dt_out)
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("backend", ["full", "rwa"])
+    @pytest.mark.parametrize("topology", ["common", "separate"])
+    def test_matches_per_sample_reference(self, topology, backend):
+        # criterion 6's trajectory; the first 30 samples hold the strongly
+        # squeezed start, where the two spectra differ most (~5e-11)
+        sys_p, basis, traj = _squeezed_run(1.4, 0.7, topology, backend, 315.0, 0.1)
+        samples = list(range(30)) + list(range(30, len(traj.times), 9))
+        want = _reference_series(traj, basis, sys_p, samples)
+        got = information_series(traj, basis, sys_p)
+        for name, ref in want.items():
+            dev = np.abs(got[name][samples] - ref) / np.maximum(1.0, np.abs(ref))
+            assert np.max(dev) <= 1e-9, name
+
+    def test_first_failure_matches_reference(self, fig_system):
+        sys_p, basis, traj = _squeezed_run(1.4, 0.7, "common", "full", 6.0, 0.02)
+        for k in range(len(traj.times)):
+            try:
+                _reference_measures(
+                    _reference_sigma(
+                        traj.first_moments[k], traj.second_moments[k], basis, sys_p
+                    )
+                )
+            except OscSyncError as exc:
+                want = exc
+                break
+        with pytest.raises(OscSyncError) as got:
+            information_series(traj, basis, sys_p)
+        number = r"[-+0-9.e]+"
+        assert type(got.value) is type(want)
+        assert re.sub(number, "#", str(got.value)) == re.sub(number, "#", str(want))
+        (g,), (w,) = (re.findall(r"\d\.\d+", str(e)) for e in (got.value, want))
+        assert abs(float(g) - float(w)) <= 1e-9
+        measures = information_measures(traj, basis, sys_p)
+        assert measures.failed_samples()[0] == k
+
+    def test_bad_samples_leave_neighbours_alone(self):
+        good = np.stack(
+            [
+                _tms_sigma(r).sigma + x * np.eye(4)
+                for r, x in ((0.4, 0.1), (1.0, 0.5), (2.0, 0.0))
+            ]
+        )
+        degenerate = np.eye(4)
+        degenerate[0, 2] = degenerate[2, 0] = 0.1
+        degenerate[1, 3] = degenerate[3, 1] = -0.1
+        nan = np.eye(4)
+        nan[0, 0] = np.nan
+        bad = [
+            (-np.eye(4), "nuMin", UnphysicalState),
+            (nan, "nuMin", UnphysicalState),
+            (0.5 * np.eye(4), "mutualInfo", UnphysicalState),
+            (degenerate, "discord", DegenerateState),
+        ]
+        alone = gaussian_measures(good)
+        for sigma, name, error in bad:
+            assert isinstance(gaussian_measures(sigma[None]).error(0, (name,)), error)
+            mixed = gaussian_measures(np.stack([good[0], sigma, good[1], good[2]]))
+            keep = [0, 2, 3]
+            for measure in alone.series:
+                got = mixed.series[measure][keep]
+                assert np.array_equal(got, alone.series[measure])
+                assert set(mixed.failures[measure]) <= {1}
+                if mixed.failures[measure]:
+                    assert np.isnan(mixed.series[measure][1])
+            assert np.array_equal(mixed.nu[keep], alone.nu)
+            assert mixed.failed_samples() == [1]
+            assert isinstance(mixed.error(1, (name,)), error)
+
+    def test_each_measure_reports_its_first_check(self):
+        # the checks run in the order of the per-sample code: mutual
+        # information nu_a, nu_b, nu1, nu2; discord nu_b, nu1, nu2, Emin.
+        # Both states have nu_b = cosh(1)/2 and nu1 < nu_b; the second has
+        # nu_a > 1.  Log-negativity and nu_min check no entropy argument.
+        shrunk = 0.5 * _tms_sigma(1.0).sigma
+        for sigma in (shrunk, shrunk + np.diag([0.4, 0.4, 0.0, 0.0])):
+            cov = CovarianceMatrix(sigma=sigma, means=np.zeros(4))
+            assert min_symplectic_eigenvalue(cov) < 0.5 * COSH_1
+            for func in (mutual_information, gaussian_discord):
+                with pytest.raises(UnphysicalState) as exc:
+                    func(cov)
+                (nu,) = re.findall(r"\d\.\d+", str(exc.value))
+                assert float(nu) == pytest.approx(0.5 * COSH_1, rel=1e-12)
+        cov = CovarianceMatrix(sigma=shrunk, means=np.zeros(4))
+        assert min_symplectic_eigenvalue(cov) == pytest.approx(0.5, rel=1e-12)
+        # nu~ = e^-1 / 2 for the halved two-mode squeezed state
+        assert log_negativity(cov) == pytest.approx(1.0 + math.log(2.0), rel=1e-12)
+
+    def test_blocks_leave_samples_alone(self, monkeypatch):
+        sys_p, basis, traj = _squeezed_run(1.4, 0.7, "common", "full", 6.0, 0.02)
+        whole = information_measures(traj, basis, sys_p)
+        monkeypatch.setattr(info_mod, "_BLOCK_SAMPLES", 3)
+        blocks = information_measures(traj, basis, sys_p)
+        assert whole.failed_samples() == [1, 2, 3, 4]  # two blocks of 3
+        def reasons(measures):
+            return {
+                name: {k: (type(e), str(e)) for k, e in failed.items()}
+                for name, failed in measures.failures.items()
+            }
+
+        assert reasons(blocks) == reasons(whole)
+        for name in whole.series:
+            assert np.array_equal(
+                blocks.series[name], whole.series[name], equal_nan=True
+            )
+        assert np.array_equal(blocks.nu, whole.nu)
+
+    def test_stacked_builder_matches_reference(self, fig_system):
+        sys_p, basis, traj = _squeezed_run(1.4, 0.7, "common", "full", 20.0, 0.5)
+        sigma, _ = lab_covariances(
+            traj.first_moments, traj.second_moments, *lab_frame(basis, fig_system)
+        )
+        for k in range(len(traj.times)):
+            want = _reference_sigma(
+                traj.first_moments[k], traj.second_moments[k], basis, sys_p
+            )
+            assert np.allclose(sigma[k], want, rtol=1e-14, atol=0.0)
+        rotation, scale = lab_frame(basis, fig_system)
+        n = len(traj.times)
+        per_sample, _ = lab_covariances(
+            traj.first_moments,
+            traj.second_moments,
+            np.broadcast_to(rotation, (n, 4, 4)),
+            np.broadcast_to(scale, (n, 4, 4)),
+        )
+        assert np.array_equal(per_sample, sigma)
+
+
+def _symplectic_2x2(phi, r):
+    rot = np.array([[math.cos(phi), math.sin(phi)], [-math.sin(phi), math.cos(phi)]])
+    return rot @ np.diag([math.exp(-r), math.exp(r)])
+
+
+@st.composite
+def physical_states(draw):
+    """Random physical covariance S diag(nu1, nu1, nu2, nu2) S^T."""
+    nu1, nu2 = draw(st.floats(1.0, 4.0)), draw(st.floats(1.0, 4.0))
+    ang = [draw(st.floats(0.0, 2 * math.pi)) for _ in range(5)]
+    sq = [draw(st.floats(-1.2, 1.2)) for _ in range(5)]
+    local = [
+        np.block([[_symplectic_2x2(ang[i], sq[i]), np.zeros((2, 2))],
+                  [np.zeros((2, 2)), _symplectic_2x2(ang[i + 1], sq[i + 1])]])
+        for i in (0, 2)
+    ]
+    ch, sh = math.cosh(sq[4]), math.sinh(sq[4])
+    tms = np.block([[ch * np.eye(2), sh * np.diag([1.0, -1.0])],
+                    [sh * np.diag([1.0, -1.0]), ch * np.eye(2)]])
+    c, s = math.cos(ang[4]), math.sin(ang[4])
+    splitter = np.block(
+        [[c * np.eye(2), s * np.eye(2)], [-s * np.eye(2), c * np.eye(2)]]
+    )
+    sym = local[0] @ splitter @ tms @ local[1]
+    sigma = sym @ np.diag([nu1, nu1, nu2, nu2]) @ sym.T
+    return 0.5 * (sigma + sigma.T)
+
+
+class TestKernelProperties:
+    @settings(deadline=None, max_examples=40)
+    @given(st.lists(physical_states(), min_size=1, max_size=6))
+    def test_batched_equals_scalar(self, sigmas):
+        measures = gaussian_measures(np.stack(sigmas))
+        assert measures.failed_samples() == []
+        for k, sigma in enumerate(sigmas):
+            cov = CovarianceMatrix(sigma=sigma, means=np.zeros(4))
+            assert measures.series["mutualInfo"][k] == mutual_information(cov)
+            assert measures.series["discord"][k] == gaussian_discord(cov)
+            assert measures.series["logNegativity"][k] == log_negativity(cov)
+            assert measures.series["nuMin"][k] == min_symplectic_eigenvalue(cov)
+
+    @settings(deadline=None, max_examples=60)
+    @given(physical_states())
+    def test_mutual_information_bounds_discord(self, sigma):
+        cov = CovarianceMatrix(sigma=sigma, means=np.zeros(4))
+        i = mutual_information(cov)
+        # criterion 8's slack: f(nu) has infinite slope at nu = 1, so a
+        # pure mode's round-off of ~1e-13 in nu reaches ~1e-11 nats
+        for measured in (1, 2):
+            d = gaussian_discord(cov, measured=measured)
+            assert i >= d - 1e-9
+            assert d >= 0.0
+
+    @settings(deadline=None, max_examples=15)
+    @given(
+        st.floats(1.0, 1.5),
+        st.floats(0.05, 0.9),
+        st.sampled_from(["common", "separate"]),
+        st.sampled_from(["sq:2:4", "sq:1:-1", "tms:1.5", "vacuum"]),
+    )
+    def test_rwa_backend_stays_physical(self, omega2, lam, topology, initial):
+        sys_p = SystemParams(1.0, omega2, lam)
+        basis = diagonalize(sys_p)
+        coeffs = dissipation_coefficients(sys_p, BathParams(topology=topology), basis)
+        gen = build_generator(basis, coeffs, backend="rwa")
+        state = make_initial(InitialStateSpec.parse(initial), sys_p, basis)
+        traj = sample_trajectory(gen, state, 8.0, 0.02)
+        info = information_series(traj, basis, sys_p)
+        assert np.min(info["nuMin"]) >= 1.0 - 1e-9

@@ -144,6 +144,37 @@ class TestRunSweep:
             assert all(_close(got, want, tol) for got, want in pairs)
             assert cell.eig_ratio == dynamical_eigenvalues(gen).ratio
 
+    def test_failed_cell_leaves_its_row_alone(self, monkeypatch):
+        # the middle cell's first window sample is made unphysical; it alone
+        # is an error, and its neighbours keep the bits of a row without it
+        full = run_sweep(_tiny_grid(lam=(0.3, 0.7)), SQ)
+        real = sweep_mod.sample_moments
+
+        def shrink_middle(gens, initials, *args, **kwargs):
+            first, second = real(gens, initials, *args, **kwargs)
+            second[1, 0] *= 0.01
+            return first, second
+
+        monkeypatch.setattr(sweep_mod, "sample_moments", shrink_middle)
+        res = run_sweep(_tiny_grid(lam=(0.3, 0.5, 0.7)), SQ)
+        assert [c.status for c in res.cells] == ["ok", "error", "ok"]
+        assert res.cells[0] == full.cells[0] and res.cells[2] == full.cells[1]
+
+        sys_p = SystemParams(1.0, 1.4, 0.5)
+        basis = diagonalize(sys_p)
+        coeffs = dissipation_coefficients(sys_p, BathParams(), basis)
+        gen = build_generator(basis, coeffs)
+        first, second = real(
+            [gen], [make_initial(SQ, sys_p, basis)], 0.1, 1, k_start=3000
+        )
+        cov = to_lab_covariance(
+            MomentState(first[0, 0], 0.01 * second[0, 0]), basis, sys_p
+        )
+        with pytest.raises(OscSyncError) as exc:
+            gaussian_discord(cov)
+        assert res.cells[1].message == str(exc.value)
+        assert "uncertainty bound" in res.cells[1].message
+
     def test_row_major_cell_order(self):
         grid = _tiny_grid(omega2=(1.1, 1.3), lam=(0.2, 0.5), metrics=("eigRatio",))
         res = run_sweep(grid, SQ)
