@@ -6,8 +6,8 @@ bath) or independent (separate baths).  Second moments evolve under the
 weak-coupling master equation in the normal-mode basis; submodules provide
 the coefficient model (:mod:`.model`), moment propagation (:mod:`.dynamics`),
 Gaussian information measures (:mod:`.info`), a windowed synchronization
-indicator (:mod:`.sync`), parameter-grid sweeps (:mod:`.sweep`), and a CLI
-(:mod:`.cli`).
+indicator (:mod:`.sync`), the run of one parameter point and parameter-grid
+sweeps (:mod:`.sweep`), and a CLI (:mod:`.cli`).
 """
 
 __version__ = "0.1.0"
@@ -79,9 +79,11 @@ from .sync import (
 )
 from .sweep import (
     CellResult,
+    PointRun,
     SweepGrid,
     SweepResult,
     default_grid,
+    run_point,
     run_sweep,
     write_sweep_csv,
     write_sweep_sidecar,
@@ -153,7 +155,9 @@ __all__ = [
     "SweepGrid",
     "CellResult",
     "SweepResult",
+    "PointRun",
     "default_grid",
+    "run_point",
     "run_sweep",
     "write_sweep_csv",
     "write_sweep_sidecar",

@@ -18,7 +18,9 @@ sweep
     ``sweep.csv`` and ``sweep_manifest.json``.
 compare-rwa
     Runs the same configuration under both backends and writes per-backend
-    sync/info CSVs plus a ``compare_rwa.json`` deviation summary.
+    sync/info CSVs plus a ``compare_rwa.json`` deviation summary with each
+    backend's ``physicality`` record; failed samples are handled as in
+    ``simulate``.
 
 All floats are serialized with 17 significant digits, so identical configs
 produce byte-identical outputs.  NaN serializes as an empty CSV field.
@@ -28,7 +30,6 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -37,37 +38,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .dynamics import (
-    Backend,
-    build_generator,
-    dynamical_eigenvalues,
-    sample_trajectory,
-)
+from .dynamics import Backend, dynamical_eigenvalues
 from .errors import DomainError, OscSyncError
-from .info import (
-    InitialStateSpec,
-    information_measures,
-    information_series,
-    lab_variance_series,
-    make_initial,
-)
-from .model import (
-    BathParams,
-    SystemParams,
-    Topology,
-    diagonalize,
-    dissipation_coefficients,
-    rwa_rates,
-)
+from .info import MEASURES, InitialStateSpec
+from .model import BathParams, SystemParams, Topology, rwa_rates
 from .sweep import (
     METRICS,
+    PointRun,
     SweepGrid,
     _fmt_column,
+    _set_up,
+    _write_json,
+    run_point,
     run_sweep,
     write_sweep_csv,
     write_sweep_sidecar,
 )
-from .sync import ObservableSeries, gaussian_smooth, windowed_correlation
+from .sync import gaussian_smooth
 
 __all__ = ["main", "build_parser", "read_config_file", "resolve_config"]
 
@@ -116,16 +103,10 @@ class RunConfig:
     metrics: tuple = METRICS
 
     def __post_init__(self) -> None:
-        if self.t_max <= 0:
-            raise DomainError(f"t_max must be positive, got {self.t_max}")
-        if self.dt_out <= 0:
-            raise DomainError(f"dt_out must be positive, got {self.dt_out}")
-        if self.window <= 0:
-            raise DomainError(f"window must be positive, got {self.window}")
-        if self.filter_width <= 0:
-            raise DomainError(
-                f"filter_width must be positive, got {self.filter_width}"
-            )
+        for name in ("t_max", "dt_out", "window", "filter_width"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise DomainError(f"{name} must be positive, got {value}")
 
     def parameters(self) -> dict:
         """Flat snapshot of every resolved parameter, for manifests."""
@@ -208,21 +189,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     merged = dict(_DEFAULTS)
     if getattr(args, "config", None):
         merged.update(read_config_file(args.config))
-    flag_names = {
-        "omega2": "omega2",
-        "lambda": "lam",
-        "gamma": "gamma",
-        "cutoff": "cutoff",
-        "temperature": "temperature",
-        "bath": "bath",
-        "initial": "initial",
-        "t_max": "t_max",
-        "dt_out": "dt_out",
-        "window": "window",
-        "backend": "backend",
-    }
-    for key, attr in flag_names.items():
-        value = getattr(args, attr, None)
+    for key in _DEFAULTS:
+        value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
     for key in _FLOAT_KEYS:
@@ -274,29 +242,6 @@ def _complex_list(mu: np.ndarray) -> list:
     return [{"re": float(z.real), "im": float(z.imag)} for z in mu]
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _base_manifest(cfg: RunConfig, basis, coeffs, spectrum) -> dict:
-    return {
-        "version": __version__,
-        "parameters": cfg.parameters(),
-        "normalModes": {
-            "theta": basis.theta,
-            "omegaMinus": basis.omega_minus,
-            "omegaPlus": basis.omega_plus,
-            "kappaMinus": basis.kappa_minus,
-            "kappaPlus": basis.kappa_plus,
-        },
-        "gammaTilde": coeffs.gamma_tilde.tolist(),
-        "dTilde": coeffs.d_tilde.tolist(),
-        "eigenvalues": _complex_list(spectrum.mu),
-    }
-
-
 _TRAJ_HEADER = [
     "t",
     "xx_mm", "xx_pp", "xx_mp",
@@ -307,27 +252,24 @@ _TRAJ_HEADER = [
 ]
 
 
+def _raise_first_failure(run: PointRun, info_path: str) -> None:
+    # Once every file is written, the first failed sample's error, one line.
+    failed = run.measures.failed_samples()
+    if failed:
+        first = run.measures.error(failed[0])
+        times = run.traj.times
+        raise type(first)(
+            f"{first} at t = {times[failed[0]]:.6g}; {len(failed)} of"
+            f" {len(times)} samples up to t = {times[failed[-1]]:.6g}"
+            f" have empty information measures in {info_path}"
+        )
+
+
 def cmd_simulate(cfg: RunConfig) -> list:
-    basis = diagonalize(cfg.system)
-    coeffs = dissipation_coefficients(cfg.system, cfg.bath, basis)
-    gen = build_generator(basis, coeffs, backend=cfg.backend)
-    state0 = make_initial(cfg.initial, cfg.system, basis)
-    traj = sample_trajectory(gen, state0, cfg.t_max, cfg.dt_out)
-    x1, x2 = lab_variance_series(traj, basis, cfg.system)
-    sync = windowed_correlation(
-        ObservableSeries(traj.times, x1),
-        ObservableSeries(traj.times, x2),
-        cfg.window,
-    )
+    run = run_point(cfg.system, cfg.bath, cfg.initial, cfg.backend,
+                    cfg.t_max, cfg.dt_out, cfg.window)
+    traj, sync = run.traj, run.sync
     smooth = gaussian_smooth(sync, cfg.filter_width)
-    # Samples that fail a measure (the Redfield transient can dip below the
-    # uncertainty bound) get empty measures; the run writes every file and
-    # then exits with the first sample's error.
-    measures = information_measures(traj, basis, cfg.system)
-    info = measures.series
-    failed = measures.failed_samples()
-    for name in ("mutualInfo", "discord", "logNegativity"):
-        info[name][failed] = np.nan
 
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
@@ -345,15 +287,14 @@ def cmd_simulate(cfg: RunConfig) -> list:
         " position variances in shot-noise units",
         _TRAJ_HEADER,
         [traj.times] + [r[:, k] for k in range(10)]
-        + [m[:, k] for k in range(4)] + [x1, x2],
+        + [m[:, k] for k in range(4)] + [run.x1, run.x2],
     )
     _write_csv(
         info_path,
         "t [1/omega1]; mutualInfo/discord [nats], logNegativity [log-units],"
         " nuMin [shot noise]",
-        ["t", "mutualInfo", "discord", "logNegativity", "nuMin"],
-        [traj.times, info["mutualInfo"], info["discord"],
-         info["logNegativity"], info["nuMin"]],
+        ["t", *MEASURES],
+        [traj.times] + [run.measures.series[name] for name in MEASURES],
     )
     _write_csv(
         sync_path,
@@ -363,35 +304,32 @@ def cmd_simulate(cfg: RunConfig) -> list:
         ["t", "C", "Csmooth"],
         [sync.times, sync.C, smooth.C],
     )
-    manifest = _base_manifest(cfg, basis, coeffs, dynamical_eigenvalues(gen))
-    manifest["command"] = "simulate"
-    manifest["files"] = [
-        os.path.basename(p) for p in (traj_path, info_path, sync_path)
-    ]
-    nu_min = info["nuMin"]
-    k_min = int(np.nanargmin(nu_min)) if np.isfinite(nu_min).any() else None
-    manifest["physicality"] = {
-        "minNu": None if k_min is None else float(nu_min[k_min]),
-        "minNuTime": None if k_min is None else float(traj.times[k_min]),
-        "violatingSamples": len(failed),
-        "firstViolationTime": float(traj.times[failed[0]]) if failed else None,
-        "lastViolationTime": float(traj.times[failed[-1]]) if failed else None,
+    basis = run.basis
+    manifest = {
+        "version": __version__,
+        "command": "simulate",
+        "parameters": cfg.parameters(),
+        "windowEffective": run.sync.span,
+        "normalModes": {
+            "theta": basis.theta,
+            "omegaMinus": basis.omega_minus,
+            "omegaPlus": basis.omega_plus,
+            "kappaMinus": basis.kappa_minus,
+            "kappaPlus": basis.kappa_plus,
+        },
+        "gammaTilde": run.coeffs.gamma_tilde.tolist(),
+        "dTilde": run.coeffs.d_tilde.tolist(),
+        "eigenvalues": _complex_list(dynamical_eigenvalues(run.gen).mu),
+        "files": [os.path.basename(p) for p in (traj_path, info_path, sync_path)],
+        "physicality": run.physicality(),
     }
     _write_json(manifest_path, manifest)
-    if failed:
-        first = measures.error(failed[0])
-        raise type(first)(
-            f"{first} at t = {traj.times[failed[0]]:.6g}; {len(failed)} of"
-            f" {len(traj.times)} samples up to t = {traj.times[failed[-1]]:.6g}"
-            f" have empty information measures in {info_path}"
-        )
+    _raise_first_failure(run, info_path)
     return [traj_path, info_path, sync_path, manifest_path]
 
 
 def cmd_eigen(cfg: RunConfig) -> list:
-    basis = diagonalize(cfg.system)
-    coeffs = dissipation_coefficients(cfg.system, cfg.bath, basis)
-    gen = build_generator(basis, coeffs, backend=cfg.backend)
+    basis, _, gen, _ = _set_up(cfg.system, cfg.bath, None, cfg.backend)
     spectrum = dynamical_eigenvalues(gen)
     rates = rwa_rates(cfg.system, cfg.bath, basis)
     re = spectrum.mu.real
@@ -452,72 +390,58 @@ def cmd_sweep(cfg: RunConfig) -> list:
 
 
 def cmd_compare_rwa(cfg: RunConfig) -> list:
-    basis = diagonalize(cfg.system)
-    coeffs = dissipation_coefficients(cfg.system, cfg.bath, basis)
-    state0 = make_initial(cfg.initial, cfg.system, basis)
-
-    series = {}
-    for backend in (Backend.FULL, Backend.RWA):
-        gen = build_generator(basis, coeffs, backend=backend)
-        traj = sample_trajectory(gen, state0, cfg.t_max, cfg.dt_out)
-        x1, x2 = lab_variance_series(traj, basis, cfg.system)
-        sync = windowed_correlation(
-            ObservableSeries(traj.times, x1),
-            ObservableSeries(traj.times, x2),
-            cfg.window,
-        )
-        info = information_series(traj, basis, cfg.system)
-        series[backend.value] = (traj, sync, info)
+    runs = {
+        backend.value: run_point(cfg.system, cfg.bath, cfg.initial, backend,
+                                 cfg.t_max, cfg.dt_out, cfg.window)
+        for backend in (Backend.FULL, Backend.RWA)
+    }
 
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     paths = []
-    for name, (traj, sync, info) in series.items():
+    for name, run in runs.items():
         sync_path = os.path.join(out, f"sync_{name}.csv")
         info_path = os.path.join(out, f"info_{name}.csv")
         _write_csv(
             sync_path,
             "t [1/omega1]; windowed indicator C, " + name + " backend",
             ["t", "C"],
-            [sync.times, sync.C],
+            [run.sync.times, run.sync.C],
         )
         _write_csv(
             info_path,
             "t [1/omega1]; information measures, " + name + " backend",
-            ["t", "mutualInfo", "discord", "logNegativity", "nuMin"],
-            [traj.times, info["mutualInfo"], info["discord"],
-             info["logNegativity"], info["nuMin"]],
+            ["t", *MEASURES],
+            [run.traj.times] + [run.measures.series[name] for name in MEASURES],
         )
         paths.extend([sync_path, info_path])
 
-    traj_f, sync_f, info_f = series["full"]
-    traj_r, sync_r, info_r = series["rwa"]
-    c_f, c_r = sync_f.C, sync_r.C
+    full, rwa = runs["full"], runs["rwa"]
+    c_f, c_r = full.sync.C, rwa.sync.C
     both = np.isfinite(c_f) & np.isfinite(c_r)
     max_sync_dev = float(np.max(np.abs(c_f[both] - c_r[both]))) if both.any() else math.nan
-    disc_scale = float(np.max(np.abs(info_f["discord"])))
-    max_disc_dev = float(
-        np.max(np.abs(info_f["discord"] - info_r["discord"])) / disc_scale
-    ) if disc_scale > 0 else 0.0
-    mom_scale = np.maximum(
-        np.max(np.abs(traj_f.second_moments), axis=0), 1e-30
-    )
-    max_mom_dev = float(
-        np.max(
-            np.abs(traj_f.second_moments - traj_r.second_moments) / mom_scale
-        )
-    )
+    # nanmax skips the blanked samples and equals max when there are none
+    d_f, d_r = full.measures.series["discord"], rwa.measures.series["discord"]
+    disc_scale = float(np.nanmax(np.abs(d_f)))
+    max_disc_dev = float(np.nanmax(np.abs(d_f - d_r)) / disc_scale) if disc_scale > 0 else 0.0
+    r_f, r_r = full.traj.second_moments, rwa.traj.second_moments
+    mom_scale = np.maximum(np.max(np.abs(r_f), axis=0), 1e-30)
+    max_mom_dev = float(np.max(np.abs(r_f - r_r) / mom_scale))
     summary = {
         "version": __version__,
         "parameters": cfg.parameters(),
+        "windowEffective": full.sync.span,
         "maxAbsSyncDeviation": max_sync_dev,
         "maxRelDiscordDeviation": max_disc_dev,
         "maxRelSecondMomentDeviation": max_mom_dev,
+        "physicality": {name: run.physicality() for name, run in runs.items()},
         "files": [os.path.basename(p) for p in paths],
     }
     summary_path = os.path.join(out, "compare_rwa.json")
     _write_json(summary_path, summary)
     paths.append(summary_path)
+    for name, run in runs.items():
+        _raise_first_failure(run, os.path.join(out, f"info_{name}.csv"))
     return paths
 
 
@@ -525,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key = value config file")
     common.add_argument("--omega2", type=float, help="second oscillator frequency")
-    common.add_argument("--lambda", dest="lam", type=float, help="coupling strength")
+    common.add_argument("--lambda", dest="lambda", type=float, help="coupling strength")
     common.add_argument("--gamma", type=float, help="damping constant")
     common.add_argument("--cutoff", type=float, help="bath cutoff frequency")
     common.add_argument("--temperature", type=float, help="bath temperature")

@@ -148,7 +148,6 @@ def build_generator(
     om2 = basis.frequencies**2
     G = coeffs.gamma_tilde
     D = coeffs.d_tilde
-    F = coeffs.f_tilde
     M = np.zeros((10, 10))
     N = np.zeros(10)
 
@@ -171,7 +170,6 @@ def build_generator(
             M[row, IDX_XX[i, j]] -= 2.0 * om2[j]
             M[row, IDX_XP[i, j]] -= G[j, j]
             M[row, IDX_XP[i, 1 - j]] -= G[j, 1 - j]
-            N[row] += F[i, j]  # anticommutator slots are distinct per (i, j)
     else:
         for m in (0, 1):
             if D[m, m] / basis.frequencies[m] < G[m, m]:
@@ -242,18 +240,14 @@ def _augmented(gen: MomentGenerator) -> np.ndarray:
 
 
 def propagate_exact(gen: MomentGenerator, state: MomentState, t: float) -> MomentState:
-    """Closed-form propagation to time ``t`` via the matrix exponential."""
+    """Closed-form propagation to time ``t``: one step of :func:`sample_moments`."""
     dt = t - state.time
     if dt < 0:
         raise DomainError(f"cannot propagate backwards: {t} < {state.time}")
-    if dt == 0:
-        return state
-    phi = expm(_augmented(gen) * dt)
-    if not np.all(np.isfinite(phi)):
+    first, second = sample_moments([gen], [state], dt, 1, k_start=1)
+    if not np.all(np.isfinite(second)):
         raise NumericalError("matrix exponential overflowed")
-    v = phi @ np.append(state.second_moments, 1.0)
-    fm = expm(gen.A1 * dt) @ state.first_moments
-    return MomentState(first_moments=fm, second_moments=v[:10], time=t)
+    return MomentState(first_moments=first[0, 0], second_moments=second[0, 0], time=t)
 
 
 def _rk4_step_matrix(A: np.ndarray, h: float) -> np.ndarray:

@@ -8,15 +8,15 @@ environment acts either as a single common bath coupled to the collective
 coordinate ``x1 + x2`` or as two independent, identical baths, one per
 oscillator.  In this module the dissipative structure is condensed into
 2x2 coefficient matrices over the mode index ``(-, +)``: damping rates
-``Gamma~``, normal diffusion ``D~``, and anomalous diffusion ``F~`` (kept as
-a data field, zero by default).
+``Gamma~`` and normal diffusion ``D~``.  The anomalous diffusion vanishes
+under the asymptotic coefficient model used here, so it has no field.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -139,14 +139,11 @@ class DissipationCoefficients:
 
     ``gamma_tilde[m, n]`` multiplies the damping term that couples mode m's
     momentum-sector moments to mode n's; ``d_tilde`` is the corresponding
-    normal diffusion (drives the momentum variances), and ``f_tilde`` the
-    anomalous diffusion, retained as a configuration hook but zero under
-    the asymptotic coefficient model used here.
+    normal diffusion (drives the momentum variances).
     """
 
     gamma_tilde: np.ndarray
     d_tilde: np.ndarray
-    f_tilde: np.ndarray = field(default_factory=lambda: np.zeros((2, 2)))
 
 
 class DecayRates(NamedTuple):

@@ -1,6 +1,9 @@
-"""Parameter-grid sweeps over detuning and coupling.
+"""One parameter point's run, and parameter-grid sweeps over detuning and coupling.
 
-A cell reads the indicator over the window ``[t_eval, t_eval + window]``
+:func:`run_point` is the run behind ``simulate``, ``compare-rwa`` and the
+acceptance tests: one trajectory from ``t = 0`` and what is read from it.
+
+A sweep cell reads the indicator over the window ``[t_eval, t_eval + window]``
 and the information measures at ``t_eval``, so only that window is
 propagated.  Each omega2 row is stepped as one stack: the row's per-step
 exponentials are raised to the evaluation step, then stepped through the
@@ -21,18 +24,21 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
+    Backend,
     MomentGenerator,
     MomentState,
     Trajectory,
     build_generator,
     dynamical_eigenvalues,
     sample_moments,
+    sample_trajectory,
 )
 from .errors import DomainError, OscSyncError
 from .info import (
     GaussianMeasures,
     InitialStateSpec,
     gaussian_measures,
+    information_measures,
     lab_covariances,
     lab_frame,
     lab_variance_series,
@@ -40,20 +46,23 @@ from .info import (
 )
 from .model import (
     BathParams,
+    DissipationCoefficients,
     NormalModeBasis,
     SystemParams,
     Topology,
     diagonalize,
     dissipation_coefficients,
 )
-from .sync import ObservableSeries, windowed_correlation
+from .sync import ObservableSeries, SyncResult, windowed_correlation
 
 __all__ = [
     "METRICS",
     "SweepGrid",
     "CellResult",
     "SweepResult",
+    "PointRun",
     "default_grid",
+    "run_point",
     "run_sweep",
     "write_sweep_csv",
     "write_sweep_sidecar",
@@ -137,6 +146,78 @@ def default_grid(
     )
 
 
+def _variance_sync(traj: Trajectory, basis, system, window):
+    # The lab variances in shot-noise units and their windowed indicator.
+    x1, x2 = lab_variance_series(traj, basis, system)
+    f, g = ObservableSeries(traj.times, x1), ObservableSeries(traj.times, x2)
+    return x1, x2, windowed_correlation(f, g, window)
+
+
+def _set_up(system, bath, initial, backend=Backend.FULL):
+    # Basis, coefficients, generator and, unless `initial` is None, the
+    # initial moments of one parameter point.
+    basis = diagonalize(system)
+    coeffs = dissipation_coefficients(system, bath, basis)
+    gen = build_generator(basis, coeffs, backend=backend)
+    state0 = None if initial is None else make_initial(initial, system, basis)
+    return basis, coeffs, gen, state0
+
+
+@dataclass(frozen=True)
+class PointRun:
+    """Everything one parameter point computes.  In ``measures.series`` the
+    measures other than ``nuMin`` are NaN at each failed sample."""
+
+    basis: NormalModeBasis
+    coeffs: DissipationCoefficients
+    gen: MomentGenerator
+    traj: Trajectory
+    x1: np.ndarray
+    x2: np.ndarray
+    sync: SyncResult
+    measures: GaussianMeasures
+
+    def physicality(self) -> dict:
+        """The minimum symplectic eigenvalue and its time, and the count and
+        the first and last time of the samples whose measures failed."""
+        failed = self.measures.failed_samples()
+        times = self.traj.times
+        nu_min = self.measures.series["nuMin"]
+        k_min = int(np.nanargmin(nu_min)) if np.isfinite(nu_min).any() else None
+        return {
+            "minNu": None if k_min is None else float(nu_min[k_min]),
+            "minNuTime": None if k_min is None else float(times[k_min]),
+            "violatingSamples": len(failed),
+            "firstViolationTime": float(times[failed[0]]) if failed else None,
+            "lastViolationTime": float(times[failed[-1]]) if failed else None,
+        }
+
+
+def run_point(
+    system: SystemParams,
+    bath: BathParams,
+    initial: InitialStateSpec,
+    backend: Backend | str,
+    t_max: float,
+    dt_out: float,
+    window: float,
+) -> PointRun:
+    """One trajectory from ``t = 0`` to ``t_max`` and what is read from it.
+
+    A sample whose information measures fail (the Redfield transient can
+    dip below the uncertainty bound) is blanked and recorded in
+    ``measures``, not raised, so the caller can still write it out.
+    """
+    basis, coeffs, gen, state0 = _set_up(system, bath, initial, backend)
+    traj = sample_trajectory(gen, state0, t_max, dt_out)
+    x1, x2, sync = _variance_sync(traj, basis, system, window)
+    measures = information_measures(traj, basis, system)
+    failed = measures.failed_samples()
+    for name in ("mutualInfo", "discord", "logNegativity"):
+        measures.series[name][failed] = np.nan
+    return PointRun(basis, coeffs, gen, traj, x1, x2, sync, measures)
+
+
 @dataclass(frozen=True)
 class _Pending:
     """A set-up cell that still needs its propagated window."""
@@ -159,17 +240,15 @@ def _start_cell(omega1, omega2, lam, bath, initial, metrics):
             status="skipped",
             message="coupling exceeds stability bound |lam| < omega1*omega2",
         )
+    needs_window = bool({"syncAbs", "discord", "mutualInfo"} & set(metrics))
     try:
         sys = SystemParams(omega1=omega1, omega2=omega2, lam=lam)
-        basis = diagonalize(sys)
-        coeffs = dissipation_coefficients(sys, bath, basis)
-        gen = build_generator(basis, coeffs)
+        basis, _, gen, state0 = _set_up(sys, bath, initial if needs_window else None)
         eig_ratio = math.nan
         if "eigRatio" in metrics:
             eig_ratio = dynamical_eigenvalues(gen).ratio
-        if not {"syncAbs", "discord", "mutualInfo"} & set(metrics):
+        if not needs_window:
             return CellResult(omega2=omega2, lam=lam, eig_ratio=eig_ratio)
-        state0 = make_initial(initial, sys, basis)
     except OscSyncError as exc:
         return CellResult(omega2=omega2, lam=lam, status="error", message=str(exc))
     return _Pending(omega2, lam, sys, basis, gen, state0, eig_ratio)
@@ -191,12 +270,7 @@ def _finish_cell(
     out = {"eig_ratio": cell.eig_ratio}
     try:
         if "syncAbs" in metrics:
-            x1, x2 = lab_variance_series(traj, cell.basis, cell.system)
-            result = windowed_correlation(
-                ObservableSeries(traj.times, x1),
-                ObservableSeries(traj.times, x2),
-                window,
-            )
+            _, _, result = _variance_sync(traj, cell.basis, cell.system, window)
             out["sync_abs"] = float(abs(result.C[0]))
         for name, attr in (("discord", "discord"), ("mutualInfo", "mutual_info")):
             if name in metrics:
@@ -333,8 +407,12 @@ def write_sweep_csv(result: SweepResult, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _write_json(path, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_sweep_sidecar(result: SweepResult, path) -> None:
     """JSON provenance snapshot sufficient to reproduce the sweep."""
-    with open(path, "w") as fh:
-        json.dump(result.provenance, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, result.provenance)

@@ -12,7 +12,7 @@ the sign distinguishes in-phase from antiphase locking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.ndimage import gaussian_filter1d
@@ -63,11 +63,13 @@ class ObservableSeries:
 
 @dataclass(frozen=True)
 class SyncResult:
-    """Indicator series C(t) for windows starting at each t."""
+    """Indicator series C(t) for windows starting at each t.  ``span`` is
+    ``window`` rounded to whole sample spacings, the length averaged over."""
 
     times: np.ndarray
     C: np.ndarray
     window: float
+    span: float = math.nan
 
 
 def _window_sums(y: np.ndarray, w: int, dt: float) -> np.ndarray:
@@ -117,7 +119,7 @@ def windowed_correlation(
     c = np.full(mean_f.shape, np.nan)
     ok = (var_f > VAR_FLOOR) & (var_g > VAR_FLOOR)
     c[ok] = cov[ok] / np.sqrt(var_f[ok] * var_g[ok])
-    return SyncResult(times=f.times[: c.size], C=c, window=delta_t)
+    return SyncResult(times=f.times[: c.size], C=c, window=delta_t, span=span)
 
 
 def gaussian_smooth(series, width: float):
@@ -138,7 +140,7 @@ def gaussian_smooth(series, width: float):
         )
     smoothed = gaussian_filter1d(values, sigma=width / dt, mode="reflect")
     if is_sync:
-        return SyncResult(times=series.times, C=smoothed, window=series.window)
+        return replace(series, C=smoothed)
     return ObservableSeries(times=series.times, values=smoothed)
 
 

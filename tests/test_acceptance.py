@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+import oscsync.sweep as sweep_mod
 from oscsync import (
     BathParams,
     InitialStateSpec,
@@ -34,20 +35,17 @@ from oscsync import (
     dynamical_eigenvalues,
     gaussian_discord,
     gaussian_smooth,
-    information_series,
-    lab_variance_series,
     log_negativity,
     make_initial,
     mutual_information,
-    propagate_exact,
     propagate_stepwise,
+    run_point,
     run_sweep,
     rwa_rates,
-    sample_trajectory,
+    sample_moments,
     steady_state,
     symplectic_spectrum,
     to_lab_covariance,
-    windowed_correlation,
 )
 from oscsync.info import CovarianceMatrix
 
@@ -62,37 +60,30 @@ def _report(n, ok, detail):
     print(f"CRITERION {n}: {'PASS' if ok else 'FAIL'} — {detail}")
 
 
-def _variance_sync(traj, basis, sys_p):
-    x1, x2 = lab_variance_series(traj, basis, sys_p)
-    return windowed_correlation(
-        ObservableSeries(traj.times, x1),
-        ObservableSeries(traj.times, x2),
-        WINDOW,
-    )
-
-
-def _single_run(omega2, lam, topology, backend, t_max, swap_rates=False):
+def _single_run(omega2, lam, topology, backend, t_max):
+    # the run behind `oscsync simulate`, from the squeezed start
     sys_p = SystemParams(1.0, omega2, lam)
-    basis = diagonalize(sys_p)
-    coeffs = dissipation_coefficients(
-        sys_p, BathParams(topology=topology), basis
+    run = run_point(
+        sys_p, BathParams(topology=topology), SQ, backend, t_max, DT_OUT, WINDOW
     )
-    if swap_rates:
-        # negative control: each mode damps at the other mode's rate
-        g = coeffs.gamma_tilde.copy()
-        g[0, 0], g[1, 1] = g[1, 1], g[0, 0]
-        coeffs = replace(coeffs, gamma_tilde=g)
-    gen = build_generator(basis, coeffs, backend=backend)
-    state = make_initial(SQ, sys_p, basis)
-    traj = sample_trajectory(gen, state, t_max, DT_OUT)
+    # a sample below the uncertainty bound fails the run
+    assert run.measures.failed_samples() == []
     return {
         "sys": sys_p,
-        "basis": basis,
-        "gen": gen,
-        "traj": traj,
-        "sync": _variance_sync(traj, basis, sys_p),
-        "info": information_series(traj, basis, sys_p),
+        "basis": run.basis,
+        "gen": run.gen,
+        "traj": run.traj,
+        "sync": run.sync,
+        "info": run.measures.series,
     }
+
+
+def _swapped_rates(*args):
+    # negative control: each mode damps at the other mode's rate
+    coeffs = dissipation_coefficients(*args)
+    g = coeffs.gamma_tilde.copy()
+    g[0, 0], g[1, 1] = g[1, 1], g[0, 0]
+    return replace(coeffs, gamma_tilde=g)
 
 
 @pytest.fixture(scope="module")
@@ -269,13 +260,14 @@ def _secular_deviations(full, rwa):
     return sync_dev, discord_dev, t_beat
 
 
-def test_criterion_06_secular_agreement(backend_runs):
+def test_criterion_06_secular_agreement(backend_runs, monkeypatch):
     full = backend_runs["full"]
     sync_dev, discord_dev, t_beat = _secular_deviations(
         full, backend_runs["rwa"]
     )
     elapsed = backend_runs["elapsed"]
-    swapped = _single_run(1.4, 0.7, "common", "rwa", 315.0, swap_rates=True)
+    monkeypatch.setattr(sweep_mod, "dissipation_coefficients", _swapped_rates)
+    swapped = _single_run(1.4, 0.7, "common", "rwa", 315.0)
     _, ctrl_discord, _ = _secular_deviations(full, swapped)
     ok = (
         sync_dev <= 0.05
@@ -312,11 +304,13 @@ def test_criterion_07_propagator_oracle():
         )
         gen = build_generator(basis, coeffs)
         state = make_initial(initial, sys_p, basis)
-        exact = propagate_exact(gen, state, 50.0)
+        # the shipped sampler's 500th step of 0.1 against 50,000 RK4 steps
+        _, second = sample_moments([gen], [state], 0.1, 1, k_start=500)
+        exact = second[0, 0]
         stepped = propagate_stepwise(gen, state, 1e-3, 50000)
         rel = np.max(
-            np.abs(exact.second_moments - stepped.second_moments)
-            / np.maximum(np.abs(exact.second_moments), 1e-12)
+            np.abs(exact - stepped.second_moments)
+            / np.maximum(np.abs(exact), 1e-12)
         )
         worst = max(worst, rel)
     elapsed = time.perf_counter() - t0

@@ -76,6 +76,11 @@ class TestSimulate:
         assert set(doc["eigenvalues"][0]) == {"re", "im"}
         assert doc["files"] == ["trajectory.csv", "info.csv", "sync.csv"]
         assert "simulate" in doc["command"]
+        # the span the indicator used: sync.csv is that many steps shorter
+        _, _, sync_rows = _read_csv(outdir / "sync.csv")
+        assert doc["windowEffective"] == pytest.approx(
+            (301 - len(sync_rows)) * 0.1, rel=1e-12
+        )
 
     def test_rerun_is_byte_identical(self, outdir, tmp_path):
         second = tmp_path / "again"
@@ -269,6 +274,48 @@ class TestCompareRwa:
         assert doc["maxAbsSyncDeviation"] < 0.05
         assert doc["maxRelSecondMomentDeviation"] < 0.05
         assert doc["maxRelDiscordDeviation"] >= 0.0
+        _, _, sync_rows = _read_csv(tmp_path / "sync_full.csv")
+        assert doc["windowEffective"] == pytest.approx(
+            (201 - len(sync_rows)) * 0.1, rel=1e-12
+        )
+        for name in ("full", "rwa"):
+            assert doc["physicality"][name]["violatingSamples"] == 0
+
+    def test_transient_violation_writes_everything_then_exits_3(
+        self, tmp_path, capsys
+    ):
+        # the full backend's Redfield transient dips below the uncertainty
+        # bound for t <= 0.08 at dt_out = 0.01; the rwa backend does not
+        code = _run(
+            ["compare-rwa", "--t-max", 20, "--dt-out", 0.01, "--out", tmp_path]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: symplectic eigenvalue")
+        assert "info_full.csv" in err
+        assert sorted(os.listdir(tmp_path)) == [
+            "compare_rwa.json",
+            "info_full.csv",
+            "info_rwa.csv",
+            "sync_full.csv",
+            "sync_rwa.csv",
+        ]
+        _, _, rows = _read_csv(tmp_path / "info_full.csv")
+        assert len(rows) == 2001
+        empty = [r[0] for r in rows if r[1:4] == ["", "", ""]]
+        assert [float(t) for t in empty] == pytest.approx(
+            [0.01 * k for k in range(1, 9)], rel=1e-12
+        )
+        assert all(r[4] != "" for r in rows)
+        assert all("" not in r for r in rows if r[0] not in empty)
+        _, _, rows = _read_csv(tmp_path / "info_rwa.csv")
+        assert len(rows) == 2001 and all("" not in r for r in rows)
+        doc = json.loads((tmp_path / "compare_rwa.json").read_text())
+        phys = doc["physicality"]
+        assert phys["full"]["violatingSamples"] == 8
+        assert phys["full"]["minNu"] < 1.0 - 1e-6
+        assert phys["rwa"]["violatingSamples"] == 0
+        assert math.isfinite(doc["maxRelDiscordDeviation"])
 
 
 class TestPlumbing:

@@ -197,6 +197,16 @@ class TestPropagation:
             one.second_moments, direct.second_moments, rtol=1e-9, atol=1e-12
         )
 
+    def test_exact_is_one_sampler_step(self):
+        # one expm path: propagate_exact takes one step of sample_moments
+        _, basis, _, gen = make_gen(1.31, 0.62, "separate")
+        state = _vacuum_state(basis)
+        out = propagate_exact(gen, state, 7.3)
+        first, second = sample_moments([gen], [state], 7.3, 1, k_start=1)
+        assert np.array_equal(out.second_moments, second[0, 0])
+        assert np.array_equal(out.first_moments, first[0, 0])
+        assert out.time == 7.3
+
     def test_exact_vs_stepwise(self):
         _, basis, _, gen = make_gen(1.31, 0.62, "separate")
         state = _vacuum_state(basis)

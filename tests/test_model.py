@@ -11,6 +11,7 @@ from oscsync import (
     DomainError,
     SystemParams,
     Topology,
+    build_generator,
     check_appendix_equivalence,
     coth,
     diagonalize,
@@ -143,9 +144,12 @@ class TestBathModel:
         assert ratio == pytest.approx(2.0 * 10.0, rel=1e-2)  # classical limit
 
     def test_no_drive_on_anticommutators(self, fig_system, cb_bath):
+        # no anomalous diffusion: the <{X,P}> slots of N are zero
         basis = diagonalize(fig_system)
         coeffs = dissipation_coefficients(fig_system, cb_bath, basis)
-        assert np.all(coeffs.f_tilde == 0.0)
+        for backend in ("full", "rwa"):
+            gen = build_generator(basis, coeffs, backend=backend)
+            assert np.all(gen.N[6:] == 0.0)
 
     def test_gamma_warning(self):
         with pytest.warns(UserWarning):

@@ -60,6 +60,12 @@ class TestWindowedCorrelation:
         assert res.times.size == T.size - n_win
         assert res.times[0] == T[0]
         assert res.window == 10.0
+        assert res.span == n_win * 0.05
+        # a window between whole spacings is rounded; span records it
+        res = windowed_correlation(f, f, 10.01)
+        assert res.window == 10.01
+        assert res.span == pytest.approx(10.0, rel=1e-12)
+        assert res.times.size == T.size - n_win
 
     def test_bounded_by_one(self):
         rng = np.random.default_rng(7)
