@@ -24,7 +24,8 @@ compare-rwa
 
 All floats are serialized with 17 significant digits, so identical configs
 produce byte-identical outputs.  NaN serializes as an empty CSV field.
-Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 I/O error.
+Exit codes: 0 success, 2 validation error (also settings that need more
+memory than can be allocated), 3 numerical failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -499,6 +500,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        print(f"error: out of memory for these settings: {exc}", file=sys.stderr)
+        return 2
     for path in paths:
         print(path)
     return 0

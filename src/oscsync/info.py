@@ -560,12 +560,13 @@ def lab_variance_series(
     Raw lab second moments are linear in the mode moments:
     ``<x1^2> = c^2 <X-^2> + s^2 <X+^2> + 2cs <X-X+>`` and
     ``<x2^2> = s^2 <X-^2> + c^2 <X+^2> - 2cs <X-X+>``; shot-noise
-    normalization multiplies by ``2 omega_i``.
+    normalization multiplies by ``2 omega_i``.  For a stack of trajectories,
+    second moments ``(cells, n, 10)``, the basis fields are ``(cells, 1)``.
     """
     c, s = basis.c, basis.s
     r = traj.second_moments
-    x1 = c * c * r[:, 0] + s * s * r[:, 1] + 2.0 * c * s * r[:, 2]
-    x2 = s * s * r[:, 0] + c * c * r[:, 1] - 2.0 * c * s * r[:, 2]
+    x1 = c * c * r[..., 0] + s * s * r[..., 1] + 2.0 * c * s * r[..., 2]
+    x2 = s * s * r[..., 0] + c * c * r[..., 1] - 2.0 * c * s * r[..., 2]
     return 2.0 * sys.omega1 * x1, 2.0 * sys.omega2 * x2
 
 

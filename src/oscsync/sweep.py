@@ -7,18 +7,20 @@ A sweep cell reads the indicator over the window ``[t_eval, t_eval + window]``
 and the information measures at ``t_eval``, so only that window is
 propagated.  Each omega2 row is stepped as one stack: the row's per-step
 exponentials are raised to the evaluation step, then stepped through the
-window together (:func:`~oscsync.dynamics.sample_moments`), and the
-information measures of the row's first window samples are one call of
-:func:`~oscsync.info.gaussian_measures`.  Set-up and the indicator stay per
-cell, and a cell that fails is reported with its message while the rest of
-its row goes on.
+window together (:func:`~oscsync.dynamics.sample_moments`).  The indicator
+of the row is one :func:`~oscsync.sync.windowed_correlation` call on the
+stacked lab variances, and the information measures of its first window
+samples are one call of :func:`~oscsync.info.gaussian_measures`.  Set-up
+stays per cell.  A cell that fails is reported with its message while the
+rest of its row goes on; a window too short for the indicator fails the
+sweep.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -53,7 +55,7 @@ from .model import (
     diagonalize,
     dissipation_coefficients,
 )
-from .sync import ObservableSeries, SyncResult, windowed_correlation
+from .sync import _NOT_FINITE, ObservableSeries, SyncResult, windowed_correlation
 
 __all__ = [
     "METRICS",
@@ -69,6 +71,7 @@ __all__ = [
 ]
 
 METRICS = ("syncAbs", "discord", "mutualInfo", "eigRatio")
+_ATTRS = dict(zip(METRICS, ("sync_abs", "discord", "mutual_info", "eig_ratio")))
 
 
 @dataclass(frozen=True)
@@ -117,12 +120,7 @@ class SweepResult:
 
     def metric_map(self, name: str) -> np.ndarray:
         """2-d array of one metric over (omega2, lambda)."""
-        attr = {
-            "syncAbs": "sync_abs",
-            "discord": "discord",
-            "mutualInfo": "mutual_info",
-            "eigRatio": "eig_ratio",
-        }[name]
+        attr = _ATTRS[name]
         shape = (len(self.grid.omega2_values), len(self.grid.lambda_values))
         return np.array([getattr(c, attr) for c in self.cells]).reshape(shape)
 
@@ -144,13 +142,6 @@ def default_grid(
         t_eval=t_eval,
         metrics=tuple(metrics),
     )
-
-
-def _variance_sync(traj: Trajectory, basis, system, window):
-    # The lab variances in shot-noise units and their windowed indicator.
-    x1, x2 = lab_variance_series(traj, basis, system)
-    f, g = ObservableSeries(traj.times, x1), ObservableSeries(traj.times, x2)
-    return x1, x2, windowed_correlation(f, g, window)
 
 
 def _set_up(system, bath, initial, backend=Backend.FULL):
@@ -210,7 +201,9 @@ def run_point(
     """
     basis, coeffs, gen, state0 = _set_up(system, bath, initial, backend)
     traj = sample_trajectory(gen, state0, t_max, dt_out)
-    x1, x2, sync = _variance_sync(traj, basis, system, window)
+    x1, x2 = lab_variance_series(traj, basis, system)
+    f, g = ObservableSeries(traj.times, x1), ObservableSeries(traj.times, x2)
+    sync = windowed_correlation(f, g, window)
     measures = information_measures(traj, basis, system)
     failed = measures.failed_samples()
     for name in ("mutualInfo", "discord", "logNegativity"):
@@ -254,47 +247,59 @@ def _start_cell(omega1, omega2, lam, bath, initial, metrics):
     return _Pending(omega2, lam, sys, basis, gen, state0, eig_ratio)
 
 
-def _finish_cell(
-    cell: _Pending,
-    traj: Trajectory,
-    window: float,
-    metrics,
-    measures: GaussianMeasures | None,
-    k: int,
-):
-    """Metrics of a cell from its window, which starts at the evaluation time.
+def _finish_row(row: list, dt_out: float, w: int, k_eval: int, metrics) -> list:
+    """The row with each _Pending cell finished from its window of ``w``
+    steps, which starts at the evaluation step ``k_eval``.
 
-    ``measures`` holds the information measures of the row's first window
-    samples, the cell's at index ``k``.
+    A cell whose lab variances are not finite throughout its window is left
+    out of the row's indicator and fails as its series would on its own.
     """
-    out = {"eig_ratio": cell.eig_ratio}
-    try:
-        if "syncAbs" in metrics:
-            _, _, result = _variance_sync(traj, cell.basis, cell.system, window)
-            out["sync_abs"] = float(abs(result.C[0]))
-        for name, attr in (("discord", "discord"), ("mutualInfo", "mutual_info")):
-            if name in metrics:
-                error = measures.error(k, (name,))
-                if error is not None:
-                    raise error
-                out[attr] = float(measures.series[name][k])
-    except OscSyncError as exc:
-        return CellResult(
-            omega2=cell.omega2, lam=cell.lam, status="error", message=str(exc)
-        )
-    return CellResult(omega2=cell.omega2, lam=cell.lam, **out)
-
-
-def _first_sample_measures(cells: list, first, second) -> GaussianMeasures:
-    # One kernel call on the first window sample of every cell in a row.
-    frames = [lab_frame(c.basis, c.system) for c in cells]
-    sigma, _ = lab_covariances(
-        first[:, 0],
-        second[:, 0],
-        np.stack([rotation for rotation, _ in frames]),
-        np.stack([scale for _, scale in frames]),
+    cells = [c for c in row if isinstance(c, _Pending)]
+    if not cells:
+        return row
+    first, second = sample_moments(
+        [c.gen for c in cells], [c.state0 for c in cells], dt_out, w + 1, k_start=k_eval
     )
-    return gaussian_measures(sigma)
+    messages = [None] * len(cells)
+    values = {}
+    if "syncAbs" in metrics:
+        times = dt_out * np.arange(k_eval, k_eval + w + 1)
+        # lab_variance_series reads c and s of the basis, here (cells, 1)
+        # columns, and omega1 and omega2, which the row's cells share
+        bases = np.array([astuple(c.basis) for c in cells]).T[..., None]
+        traj = Trajectory(times, first, second)
+        x1, x2 = lab_variance_series(traj, NormalModeBasis(*bases), cells[0].system)
+        finite = np.isfinite(x1).all(axis=1) & np.isfinite(x2).all(axis=1)
+        f = ObservableSeries(times, x1[finite])
+        g = ObservableSeries(times, x2[finite])
+        values["sync_abs"] = np.full(len(cells), np.nan)
+        values["sync_abs"][finite] = abs(windowed_correlation(f, g, w * dt_out).C[:, 0])
+        for j in np.flatnonzero(~finite):
+            messages[j] = _NOT_FINITE  # as the cell's series would raise alone
+    names = [name for name in ("discord", "mutualInfo") if name in metrics]
+    if names:
+        rotations, scales = zip(*(lab_frame(c.basis, c.system) for c in cells))
+        sigma, _ = lab_covariances(
+            first[:, 0], second[:, 0], np.stack(rotations), np.stack(scales)
+        )
+        measures = gaussian_measures(sigma)
+        for j, message in enumerate(messages):
+            error = measures.error(j, names)
+            if message is None and error is not None:
+                messages[j] = str(error)
+        values.update((_ATTRS[name], measures.series[name]) for name in names)
+    done = iter(
+        CellResult(c.omega2, c.lam, status="error", message=messages[j])
+        if messages[j] is not None
+        else CellResult(
+            c.omega2,
+            c.lam,
+            eig_ratio=c.eig_ratio,
+            **{attr: float(v[j]) for attr, v in values.items()},
+        )
+        for j, c in enumerate(cells)
+    )
+    return [next(done) if isinstance(c, _Pending) else c for c in row]
 
 
 def run_sweep(
@@ -320,36 +325,14 @@ def run_sweep(
         bath = replace(bath, topology=Topology(topology))
     k_eval = int(round(grid.t_eval / dt_out))
     w = int(round(window / dt_out))
-    times = dt_out * np.arange(k_eval, k_eval + w + 1)
 
     cells: list = []
     for omega2 in grid.omega2_values:
         row = [
-            _start_cell(
-                grid.system.omega1, omega2, lam, bath, initial, grid.metrics
-            )
+            _start_cell(grid.system.omega1, omega2, lam, bath, initial, grid.metrics)
             for lam in grid.lambda_values
         ]
-        pending = [i for i, c in enumerate(row) if isinstance(c, _Pending)]
-        if pending:
-            first, second = sample_moments(
-                [row[i].gen for i in pending],
-                [row[i].state0 for i in pending],
-                dt_out,
-                w + 1,
-                k_start=k_eval,
-            )
-            measures = None
-            if {"discord", "mutualInfo"} & set(grid.metrics):
-                measures = _first_sample_measures(
-                    [row[i] for i in pending], first, second
-                )
-            for j, i in enumerate(pending):
-                traj = Trajectory(times, first[j], second[j])
-                row[i] = _finish_cell(
-                    row[i], traj, w * dt_out, grid.metrics, measures, j
-                )
-        cells.extend(row)
+        cells.extend(_finish_row(row, dt_out, w, k_eval, grid.metrics))
 
     provenance = {
         "version": __version__,

@@ -7,6 +7,10 @@ The indicator is the sliding-window Pearson correlation
 where the averages run over the window ``[t, t + dt]`` and ``df = f - <f>_w``.
 ``|C| -> 1`` signals that the two series have locked onto a common waveform;
 the sign distinguishes in-phase from antiphase locking.
+
+A series may be a stack on one time grid, values ``(..., n)`` for ``n``
+times; :func:`windowed_correlation` and :func:`gaussian_smooth` work along
+the last axis, and :func:`sync_onset` takes the indicator of one pair.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ __all__ = [
 ]
 
 VAR_FLOOR = 1e-30  # below this a window is treated as constant -> NaN gap
+_NOT_FINITE = "observable values must be finite"
 
 
 def _close(a: np.ndarray, b) -> bool:
@@ -38,7 +43,7 @@ def _close(a: np.ndarray, b) -> bool:
 
 @dataclass(frozen=True)
 class ObservableSeries:
-    """A scalar observable sampled on a uniform time grid."""
+    """A scalar observable, or a stack of them, on a uniform time grid."""
 
     times: np.ndarray
     values: np.ndarray
@@ -46,13 +51,13 @@ class ObservableSeries:
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
         v = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or t.shape != v.shape or t.size < 2:
-            raise DomainError("series needs matching 1-d times/values, length >= 2")
+        if t.ndim != 1 or v.shape[-1:] != t.shape or t.size < 2:
+            raise DomainError("series needs 1-d times matching values, length >= 2")
         steps = np.diff(t)
         if not _close(steps, steps[0]):
             raise DomainError("time grid must be uniformly spaced")
         if not np.all(np.isfinite(v)):
-            raise DomainError("observable values must be finite")
+            raise DomainError(_NOT_FINITE)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
@@ -73,10 +78,12 @@ class SyncResult:
 
 
 def _window_sums(y: np.ndarray, w: int, dt: float) -> np.ndarray:
-    # Trapezoidal integral over every length-w window via cumulative sums.
-    cs = np.cumsum(y)
-    total = cs[w:] - np.concatenate(([0.0], cs[: -(w + 1)]))
-    return (total - 0.5 * (y[:-w] + y[w:])) * dt
+    # Trapezoidal integral over every length-w window of the last axis via
+    # cumulative sums; each series of a stack is summed as on its own.
+    cs = np.cumsum(y, axis=-1)
+    lead = np.zeros(y.shape[:-1] + (1,))
+    total = cs[..., w:] - np.concatenate((lead, cs[..., : -(w + 1)]), axis=-1)
+    return (total - 0.5 * (y[..., :-w] + y[..., w:])) * dt
 
 
 def windowed_correlation(
@@ -84,7 +91,8 @@ def windowed_correlation(
 ) -> SyncResult:
     """Sliding-window Pearson correlation of two observables.
 
-    Window averages use trapezoidal quadrature on the shared uniform grid.
+    Series ``i`` of a stack ``f`` pairs with series ``i`` of ``g``.  Window
+    averages use trapezoidal quadrature on the shared uniform grid.
     Windows in which either signal is constant to within the variance floor
     produce NaN gap markers rather than errors (fully thermalized series
     legitimately have zero variance).
@@ -92,20 +100,21 @@ def windowed_correlation(
     Raises
     ------
     GridMismatch
-        If the two series do not share their time grid.
+        If the two series do not share their time grid and stack shape.
     DomainError
         If the window is shorter than 10 sample spacings.
     """
-    # A series' times are finite and uniform, so one object is one grid.
-    if f.times is not g.times and (
-        f.times.shape != g.times.shape or not _close(f.times, g.times)
+    # A series' times are finite and uniform, so one object is one grid;
+    # equal stack shapes give equal grid lengths.
+    if f.values.shape != g.values.shape or (
+        f.times is not g.times and not _close(f.times, g.times)
     ):
-        raise GridMismatch("observable series must share one time grid")
+        raise GridMismatch("observable series must share one time grid and shape")
     dt = f.dt
     w = int(round(delta_t / dt))
     if w < 10:
         raise DomainError(
-            f"window {delta_t} must span at least 10 sample spacings of {dt}"
+            f"window {delta_t} must span at least 10 sample spacings of {dt:.6g}"
         )
     if w >= f.times.size:
         raise DomainError("window longer than the series")
@@ -119,7 +128,7 @@ def windowed_correlation(
     c = np.full(mean_f.shape, np.nan)
     ok = (var_f > VAR_FLOOR) & (var_g > VAR_FLOOR)
     c[ok] = cov[ok] / np.sqrt(var_f[ok] * var_g[ok])
-    return SyncResult(times=f.times[: c.size], C=c, window=delta_t, span=span)
+    return SyncResult(times=f.times[: c.shape[-1]], C=c, window=delta_t, span=span)
 
 
 def gaussian_smooth(series, width: float):

@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import json
 import math
 import os
@@ -186,6 +188,24 @@ class TestValidation:
         assert doc["parameters"]["omega2"] == 1.3
         assert doc["parameters"]["t_max"] == 40.0
 
+    # Each setting's first large array is larger than the 128 TiB of a
+    # 47-bit user address space, so it fails at allocation on any host
+    # and nothing is touched.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--t-max", 1e12],
+            ["sweep", "--window", 1e11],
+            ["sweep", "--dt-out", 1e-11],
+        ],
+    )
+    def test_out_of_memory_settings_exit_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert _run([*argv, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert not out.exists() or not os.listdir(out)
+
 
 class TestEigen:
     def test_uncoupled_rates(self, tmp_path):
@@ -257,6 +277,19 @@ class TestSweepCommand:
         doc = json.loads((out / "sweep_manifest.json").read_text())
         assert doc["t_eval_effective"] == pytest.approx(0.3, rel=1e-12)
         assert doc["flagged_cells"] == []
+
+    @pytest.mark.parametrize(
+        "flags, spacing", [(["--window", 0.5], "0.1"), (["--dt-out", 2], "2")]
+    )
+    def test_short_window_is_a_settings_error(self, flags, spacing, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("sweep_omega2 = 1.4:1.4:0.1\nsweep_lambda = 0.3:0.7:0.4\n")
+        out = tmp_path / "out"
+        assert _run(["sweep", "--config", cfg, *flags, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: window ")
+        assert err.endswith(f"must span at least 10 sample spacings of {spacing}\n")
+        assert not out.exists()
 
 
 class TestCompareRwa:
@@ -336,6 +369,20 @@ class TestPlumbing:
             cli.main(["--version"])
         assert exc.value.code == 0
         assert "0.1.0" in capsys.readouterr().out
+
+    def test_benchmark_layers_are_exported_functions(self):
+        # every `<layer>.<name>.calls` metric the benchmark declares names a
+        # function that oscsync.<layer> defines and lists in __all__
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "BENCHMARK.json")
+        with open(path) as fh:
+            names = [m["name"] for m in json.load(fh)["per_layer"]]
+        calls = [n.split(".")[:2] for n in names if n.endswith(".calls")]
+        assert calls
+        for layer, name in calls:
+            mod = importlib.import_module(f"oscsync.{layer}")
+            fn = getattr(mod, name, None)
+            assert name in mod.__all__, f"{layer}.{name}"
+            assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, name
 
     def test_out_dir_created(self, tmp_path):
         nested = tmp_path / "a" / "b"

@@ -175,6 +175,69 @@ class TestRunSweep:
         assert res.cells[1].message == str(exc.value)
         assert "uncertainty bound" in res.cells[1].message
 
+    def test_non_finite_window_leaves_its_row_alone(self, monkeypatch):
+        # the middle cell's window holds an infinite moment after its first
+        # sample; it alone is an error, with the message its series would
+        # raise on its own, and its neighbours keep the bits of a row
+        # without it
+        full = run_sweep(_tiny_grid(lam=(0.3, 0.7)), SQ)
+        real = sweep_mod.sample_moments
+
+        def blow_up_middle(gens, initials, *args, **kwargs):
+            first, second = real(gens, initials, *args, **kwargs)
+            second[1, 5, 0] = np.inf
+            return first, second
+
+        monkeypatch.setattr(sweep_mod, "sample_moments", blow_up_middle)
+        res = run_sweep(_tiny_grid(lam=(0.3, 0.5, 0.7)), SQ)
+        assert [c.status for c in res.cells] == ["ok", "error", "ok"]
+        assert res.cells[0] == full.cells[0] and res.cells[2] == full.cells[1]
+        with pytest.raises(DomainError) as exc:
+            ObservableSeries(np.arange(3.0), [0.0, np.inf, 1.0])
+        assert res.cells[1].message == str(exc.value)
+        assert math.isnan(res.cells[1].eig_ratio)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_bath_fails_every_cell(self):
+        with pytest.warns(UserWarning, match="weak-coupling"):
+            grid = _tiny_grid(omega2=(1.1, 1.4), lam=(0.3, 0.7), gamma=1e200)
+        res = run_sweep(grid, SQ)
+        assert [c.status for c in res.cells] == ["error"] * 4
+        assert {c.message for c in res.cells} == {"observable values must be finite"}
+
+    def test_set_up_error_keeps_its_message(self):
+        grid = _tiny_grid(omega2=(1.1,), lam=(0.5, np.nextafter(1.1, 0)))
+        res = run_sweep(grid, SQ)
+        assert [c.status for c in res.cells] == ["ok", "error"]
+        assert res.cells[1].message == "potential not attractive: Omega-^2 = 0.0 <= 0"
+        alone = run_sweep(_tiny_grid(omega2=(1.1,), lam=(0.5,)), SQ)
+        assert res.cells[0] == alone.cells[0]
+
+    def test_one_kernel_call_per_row(self, monkeypatch):
+        calls = {}
+
+        def counted(name):
+            real = getattr(sweep_mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        names = (
+            "sample_moments",
+            "windowed_correlation",
+            "gaussian_measures",
+            "dynamical_eigenvalues",
+        )
+        for name in names:
+            monkeypatch.setattr(sweep_mod, name, counted(name))
+        # 2 rows of 3 cells; lambda = 1.2 is skipped at omega2 = 1.1
+        res = run_sweep(_tiny_grid(omega2=(1.1, 1.4), lam=(0.3, 0.7, 1.2)), SQ)
+        assert [c.status for c in res.cells].count("ok") == 5
+        assert calls == dict(zip(names, (2, 2, 2, 5)))
+
     def test_row_major_cell_order(self):
         grid = _tiny_grid(omega2=(1.1, 1.3), lam=(0.2, 0.5), metrics=("eigRatio",))
         res = run_sweep(grid, SQ)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,6 +120,69 @@ class TestWindowedCorrelation:
             windowed_correlation(f, f, 0.2)  # fewer than 10 spacings
         with pytest.raises(DomainError):
             windowed_correlation(f, f, 200.0)  # longer than the record
+
+
+def _stacks(rng):
+    # (3, n) stacks whose rows hold constant windows (NaN gaps), a rising
+    # trend and noise, and the rows paired with them
+    f = np.stack(
+        [
+            np.where(T < 30.0, 1.0, np.sin(T)),
+            np.sin(0.7 * T) + 0.2 * T + 0.1 * rng.standard_normal(T.size),
+            rng.standard_normal(T.size),
+        ]
+    )
+    g = np.stack(
+        [
+            np.cos(1.1 * T),
+            np.where((T > 40.0) & (T < 60.0), -2.0, np.cos(T)),
+            rng.standard_normal(T.size),
+        ]
+    )
+    return f, g
+
+
+class TestStackedSeries:
+    def test_stack_matches_separate_calls_bitwise(self, rng):
+        f, g = _stacks(rng)
+        for window in (10.0, 7.33):
+            res = windowed_correlation(_series(f), _series(g), window)
+            assert res.C.shape == (3, T.size - int(round(window / 0.05)))
+            for k in range(3):
+                one = windowed_correlation(_series(f[k]), _series(g[k]), window)
+                assert np.array_equal(res.C[k], one.C, equal_nan=True)
+                assert np.array_equal(res.times, one.times)
+                assert res.span == one.span
+            assert np.isnan(res.C[0]).any() and np.isnan(res.C[1]).any()
+            assert np.isfinite(res.C[2]).all()
+
+    def test_smoothing_runs_along_time(self, rng):
+        f, g = _stacks(rng)
+        res = windowed_correlation(_series(f), _series(g), 10.0)
+        out = gaussian_smooth(res, 5.0)
+        assert isinstance(out, SyncResult) and out.C.shape == res.C.shape
+        for k in range(3):
+            one = gaussian_smooth(replace(res, C=res.C[k]), 5.0)
+            assert np.array_equal(out.C[k], one.C, equal_nan=True)
+        smooth = gaussian_smooth(_series(f), 5.0).values
+        assert np.array_equal(smooth[2], gaussian_smooth(_series(f[2]), 5.0).values)
+
+    def test_last_axis_must_match_times(self):
+        with pytest.raises(DomainError):
+            ObservableSeries(T, np.zeros((T.size, 3)))
+        with pytest.raises(DomainError):
+            ObservableSeries(T, np.zeros((3, T.size - 1)))
+        with pytest.raises(DomainError):
+            ObservableSeries(np.stack([T, T]), np.zeros((2, T.size)))
+        stack = ObservableSeries(T, np.zeros((2, 3, T.size)))
+        assert stack.values.shape == (2, 3, T.size)
+
+    def test_stacks_of_different_shapes_mismatch(self):
+        f = _series(np.zeros((3, T.size)) + np.sin(T))
+        with pytest.raises(GridMismatch):
+            windowed_correlation(f, _series(np.zeros((2, T.size)) + np.cos(T)), 10.0)
+        with pytest.raises(GridMismatch):
+            windowed_correlation(f, _series(np.cos(T)), 10.0)
 
 
 class TestSmoothing:
