@@ -178,11 +178,15 @@ def _parse_axis(key: str, text) -> tuple:
             f"config key '{key}' needs 'start:stop:step', got {text!r}"
         )
     start, stop, step = (_as_float(key, p) for p in parts)
-    if step <= 0 or stop < start:
+    if not (np.isfinite([start, stop, step]).all() and step > 0 and stop >= start):
         raise DomainError(
-            f"config key '{key}' needs stop >= start and step > 0, got {text!r}"
+            f"config key '{key}' needs finite stop >= start and step > 0, got {text!r}"
         )
-    return tuple(np.round(np.arange(start, stop + 1e-9 * step, step), 12))
+    try:
+        values = np.arange(start, stop + 1e-9 * step, step)
+    except ValueError as exc:  # too many values to allocate an index for
+        raise DomainError(f"config key '{key}' range {text!r}: {exc}") from exc
+    return tuple(np.round(values, 12))
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:

@@ -17,6 +17,9 @@ Two generator backends exist: the full weak-coupling equations, and a
 rotating-wave (secular) Lindblad form in which each mode dissipates
 independently and mixed-mode moments decay at the average rate with no
 diffusion drive.
+
+A generator or state may describe a stack of systems: its arrays then
+carry a leading stack axis, as built from a stacked ``SystemParams``.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ class MomentState:
     def __post_init__(self) -> None:
         fm = np.asarray(self.first_moments, dtype=float)
         sm = np.asarray(self.second_moments, dtype=float)
-        if fm.shape != (4,) or sm.shape != (10,):
+        if fm.shape[-1:] != (4,) or sm.shape != fm.shape[:-1] + (10,):
             raise DomainError(
                 f"moment state needs 4 first and 10 second moments, got"
                 f" shapes {fm.shape} and {sm.shape}"
@@ -142,74 +145,76 @@ def build_generator(
     ``D[m,m]/(2 Om^2)`` on ``<Xm^2>`` and ``D[m,m]/2`` on ``<Pm^2>``; mixed
     moments keep their Hamiltonian part and decay uniformly at the average
     rate with no drive.  Raises ``ConfigError`` when the implied Lindblad
-    excitation rate ``D[m,m]/Om - G[m,m]`` would be negative.
+    excitation rate ``D[m,m]/Om - G[m,m]`` would be negative, naming the
+    first such point of a stack.
     """
     backend = Backend(backend)
     om2 = basis.frequencies**2
     G = coeffs.gamma_tilde
     D = coeffs.d_tilde
-    M = np.zeros((10, 10))
-    N = np.zeros(10)
+    lead = om2.shape[:-1]
+    M = np.zeros(lead + (10, 10))
+    N = np.zeros(lead + (10,))
 
     if backend is Backend.FULL:
         for i, j in [(0, 0), (1, 1), (0, 1)]:
             row = IDX_XX[i, j]
-            M[row, IDX_XP[i, j]] += 0.5
-            M[row, IDX_XP[j, i]] += 0.5
+            M[..., row, IDX_XP[i, j]] += 0.5
+            M[..., row, IDX_XP[j, i]] += 0.5
         for i, j in [(0, 0), (1, 1), (0, 1)]:
             row = IDX_PP[i, j]
-            M[row, IDX_XP[i, j]] -= 0.5 * om2[i]
-            M[row, IDX_XP[j, i]] -= 0.5 * om2[j]
-            M[row, IDX_PP[i, j]] -= G[i, i] + G[j, j]
-            M[row, IDX_PP[j, 1 - i]] -= G[i, 1 - i]
-            M[row, IDX_PP[i, 1 - j]] -= G[j, 1 - j]
-            N[row] += D[i, j] if i == j else 0.5 * (D[0, 1] + D[1, 0])
+            M[..., row, IDX_XP[i, j]] -= 0.5 * om2[..., i]
+            M[..., row, IDX_XP[j, i]] -= 0.5 * om2[..., j]
+            M[..., row, IDX_PP[i, j]] -= G[..., i, i] + G[..., j, j]
+            M[..., row, IDX_PP[j, 1 - i]] -= G[..., i, 1 - i]
+            M[..., row, IDX_PP[i, 1 - j]] -= G[..., j, 1 - j]
+            N[..., row] += 0.5 * (D[..., i, j] + D[..., j, i])
         for i, j in [(0, 0), (1, 1), (0, 1), (1, 0)]:
             row = IDX_XP[i, j]
-            M[row, IDX_PP[i, j]] += 2.0
-            M[row, IDX_XX[i, j]] -= 2.0 * om2[j]
-            M[row, IDX_XP[i, j]] -= G[j, j]
-            M[row, IDX_XP[i, 1 - j]] -= G[j, 1 - j]
+            M[..., row, IDX_PP[i, j]] += 2.0
+            M[..., row, IDX_XX[i, j]] -= 2.0 * om2[..., j]
+            M[..., row, IDX_XP[i, j]] -= G[..., j, j]
+            M[..., row, IDX_XP[i, 1 - j]] -= G[..., j, 1 - j]
     else:
+        # (points, mode) of D~/Omega and Gamma~
+        ratio = (np.diagonal(D, axis1=-2, axis2=-1) / basis.frequencies).reshape(-1, 2)
+        rate = np.diagonal(G, axis1=-2, axis2=-1).reshape(-1, 2)
+        if np.any(ratio < rate):
+            k, m = np.argwhere(ratio < rate)[0]
+            raise ConfigError(
+                f"RWA backend outside validity: mode {'-+'[m]} has"
+                f" D~/Omega = {ratio[k, m]:.3e} < Gamma~ = {rate[k, m]:.3e}"
+            )
         for m in (0, 1):
-            if D[m, m] / basis.frequencies[m] < G[m, m]:
-                raise ConfigError(
-                    f"RWA backend outside validity: mode {'-+'[m]} has"
-                    f" D~/Omega = {D[m, m] / basis.frequencies[m]:.3e} <"
-                    f" Gamma~ = {G[m, m]:.3e}"
-                )
-            M[IDX_XX[m, m], IDX_XP[m, m]] += 1.0
-            M[IDX_XX[m, m], IDX_XX[m, m]] -= G[m, m]
-            N[IDX_XX[m, m]] += D[m, m] / (2.0 * om2[m])
-            M[IDX_PP[m, m], IDX_XP[m, m]] -= om2[m]
-            M[IDX_PP[m, m], IDX_PP[m, m]] -= G[m, m]
-            N[IDX_PP[m, m]] += 0.5 * D[m, m]
+            M[..., IDX_XX[m, m], IDX_XP[m, m]] += 1.0
+            M[..., IDX_XX[m, m], IDX_XX[m, m]] -= G[..., m, m]
+            N[..., IDX_XX[m, m]] += D[..., m, m] / (2.0 * om2[..., m])
+            M[..., IDX_PP[m, m], IDX_XP[m, m]] -= om2[..., m]
+            M[..., IDX_PP[m, m], IDX_PP[m, m]] -= G[..., m, m]
+            N[..., IDX_PP[m, m]] += 0.5 * D[..., m, m]
             row = IDX_XP[m, m]
-            M[row, IDX_PP[m, m]] += 2.0
-            M[row, IDX_XX[m, m]] -= 2.0 * om2[m]
-            M[row, row] -= G[m, m]
-        avg = 0.5 * (G[0, 0] + G[1, 1])
-        M[IDX_XX[0, 1], IDX_XP[0, 1]] += 0.5
-        M[IDX_XX[0, 1], IDX_XP[1, 0]] += 0.5
-        M[IDX_XX[0, 1], IDX_XX[0, 1]] -= avg
-        M[IDX_PP[0, 1], IDX_XP[0, 1]] -= 0.5 * om2[0]
-        M[IDX_PP[0, 1], IDX_XP[1, 0]] -= 0.5 * om2[1]
-        M[IDX_PP[0, 1], IDX_PP[0, 1]] -= avg
+            M[..., row, IDX_PP[m, m]] += 2.0
+            M[..., row, IDX_XX[m, m]] -= 2.0 * om2[..., m]
+            M[..., row, row] -= G[..., m, m]
+        avg = 0.5 * (G[..., 0, 0] + G[..., 1, 1])
+        M[..., IDX_XX[0, 1], IDX_XP[0, 1]] += 0.5
+        M[..., IDX_XX[0, 1], IDX_XP[1, 0]] += 0.5
+        M[..., IDX_XX[0, 1], IDX_XX[0, 1]] -= avg
+        M[..., IDX_PP[0, 1], IDX_XP[0, 1]] -= 0.5 * om2[..., 0]
+        M[..., IDX_PP[0, 1], IDX_XP[1, 0]] -= 0.5 * om2[..., 1]
+        M[..., IDX_PP[0, 1], IDX_PP[0, 1]] -= avg
         for i, j in [(0, 1), (1, 0)]:
             row = IDX_XP[i, j]
-            M[row, IDX_PP[0, 1]] += 2.0
-            M[row, IDX_XX[0, 1]] -= 2.0 * om2[j]
-            M[row, row] -= avg
+            M[..., row, IDX_PP[0, 1]] += 2.0
+            M[..., row, IDX_XX[0, 1]] -= 2.0 * om2[..., j]
+            M[..., row, row] -= avg
 
     # First-moment drift, ordering (<X->, <P->, <X+>, <P+>).
-    A1 = np.array(
-        [
-            [0.0, 1.0, 0.0, 0.0],
-            [-om2[0], -G[0, 0], 0.0, -G[0, 1]],
-            [0.0, 0.0, 0.0, 1.0],
-            [0.0, -G[1, 0], -om2[1], -G[1, 1]],
-        ]
-    )
+    A1 = np.zeros(lead + (4, 4))
+    A1[..., 0, 1] = A1[..., 2, 3] = 1.0
+    A1[..., 1, 0] = -om2[..., 0]
+    A1[..., 3, 2] = -om2[..., 1]
+    A1[..., 1::2, 1::2] = -G
     return MomentGenerator(M=M, N=N, A1=A1, backend=backend)
 
 
@@ -233,9 +238,9 @@ def dynamical_eigenvalues(gen: MomentGenerator) -> Spectrum:
 
 def _augmented(gen: MomentGenerator) -> np.ndarray:
     # Affine augmentation [[M, N], [0, 0]]: exact for singular M as well.
-    A = np.zeros((11, 11))
-    A[:10, :10] = gen.M
-    A[:10, 10] = gen.N
+    A = np.zeros(gen.M.shape[:-2] + (11, 11))
+    A[..., :10, :10] = gen.M
+    A[..., :10, 10] = gen.N
     return A
 
 
@@ -244,10 +249,10 @@ def propagate_exact(gen: MomentGenerator, state: MomentState, t: float) -> Momen
     dt = t - state.time
     if dt < 0:
         raise DomainError(f"cannot propagate backwards: {t} < {state.time}")
-    first, second = sample_moments([gen], [state], dt, 1, k_start=1)
+    first, second = sample_moments(gen, state, dt, 1, k_start=1)
     if not np.all(np.isfinite(second)):
         raise NumericalError("matrix exponential overflowed")
-    return MomentState(first_moments=first[0, 0], second_moments=second[0, 0], time=t)
+    return MomentState(first_moments=first[0], second_moments=second[0], time=t)
 
 
 def _rk4_step_matrix(A: np.ndarray, h: float) -> np.ndarray:
@@ -304,37 +309,41 @@ def steady_state(gen: MomentGenerator) -> MomentState:
 
 
 def sample_moments(
-    gens: list[MomentGenerator],
-    initials: list[MomentState],
+    gen: MomentGenerator,
+    initial: MomentState,
     dt_out: float,
     n: int,
     k_start: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Moments of a batch of systems at ``k * dt_out`` past their initial states.
+    """Moments at ``k * dt_out`` past the initial state, of one system or a stack.
 
-    Samples ``k = k_start .. k_start + n - 1`` of each pair of generator and
-    initial state, returned as first moments of shape ``(batch, n, 4)`` and
-    second moments of shape ``(batch, n, 10)``.  Consecutive samples are one
-    product with the per-step exponential ``phi = expm(A dt_out)``, and the
-    jump to ``k_start`` is the matrix power ``phi**k_start`` of that same
-    step, so a window agrees with the samples a run from ``k = 0`` produces
-    up to round-off.  Stacked ``expm``, ``matmul`` and ``matrix_power`` give
-    each system the bits it would get on its own.
+    Samples ``k = k_start .. k_start + n - 1``, returned as first moments
+    of shape ``(..., n, 4)`` and second moments of shape ``(..., n, 10)``,
+    where ``...`` is the stack axis the generator and the initial state
+    share, if any.  Consecutive samples are one product with the per-step
+    exponential ``phi = expm(A dt_out)``, and the jump to ``k_start`` is the
+    matrix power ``phi**k_start`` of that same step, so a window agrees
+    with the samples a run from ``k = 0`` produces up to round-off.
+    Stacked ``expm``, ``matmul`` and ``matrix_power`` give each system the
+    bits it would get on its own.  A system that overflows yields
+    non-finite moments without a floating-point warning; callers check.
     """
-    phi = expm(np.stack([_augmented(g) for g in gens]) * dt_out)
-    phi1 = expm(np.stack([g.A1 for g in gens]) * dt_out)
-    v = np.stack([np.append(s.second_moments, 1.0) for s in initials])[..., None]
-    m = np.stack([s.first_moments for s in initials])[..., None]
-    if k_start:
-        v = np.linalg.matrix_power(phi, k_start) @ v
-        m = np.linalg.matrix_power(phi1, k_start) @ m
-    second = np.empty((len(gens), n, 10))
-    first = np.empty((len(gens), n, 4))
-    for k in range(n):
-        second[:, k] = v[:, :10, 0]
-        first[:, k] = m[:, :, 0]
-        v = phi @ v
-        m = phi1 @ m
+    lead = gen.M.shape[:-2]
+    v = np.concatenate([initial.second_moments, np.ones(lead + (1,))], axis=-1)
+    v, m = v[..., None], initial.first_moments[..., None]
+    second = np.empty(lead + (n, 10))
+    first = np.empty(lead + (n, 4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = expm(_augmented(gen) * dt_out)
+        phi1 = expm(gen.A1 * dt_out)
+        if k_start:
+            v = np.linalg.matrix_power(phi, k_start) @ v
+            m = np.linalg.matrix_power(phi1, k_start) @ m
+        for k in range(n):
+            second[..., k, :] = v[..., :10, 0]
+            first[..., k, :] = m[..., 0]
+            v = phi @ v
+            m = phi1 @ m
     return first, second
 
 
@@ -352,6 +361,6 @@ def sample_trajectory(
             f"need t_max >= 0 and dt_out > 0, got {t_max}, {dt_out}"
         )
     n = int(math.floor(t_max / dt_out + 1e-12)) + 1
-    first, second = sample_moments([gen], [initial], dt_out, n)
+    first, second = sample_moments(gen, initial, dt_out, n)
     times = initial.time + dt_out * np.arange(n)
-    return Trajectory(times=times, first_moments=first[0], second_moments=second[0])
+    return Trajectory(times=times, first_moments=first, second_moments=second)

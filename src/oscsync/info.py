@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .dynamics import IDX_PP, IDX_XP, IDX_XX, MomentState, Trajectory
+from .dynamics import MomentState, Trajectory
 from .errors import (
     DegenerateState,
     DomainError,
@@ -141,27 +141,19 @@ class SymplecticSpectrum:
 
 
 def _shot_noise_scale(sys: SystemParams) -> np.ndarray:
-    return np.diag(
-        [
-            math.sqrt(2.0 * sys.omega1),
-            math.sqrt(2.0 / sys.omega1),
-            math.sqrt(2.0 * sys.omega2),
-            math.sqrt(2.0 / sys.omega2),
-        ]
-    )
+    w1, w2 = np.broadcast_arrays(sys.omega1, sys.omega2)
+    diag = np.sqrt(np.stack([2.0 * w1, 2.0 / w1, 2.0 * w2, 2.0 / w2], axis=-1))
+    return diag[..., None] * np.eye(4)
 
 
 def _mode_rotation(basis: NormalModeBasis) -> np.ndarray:
     # Maps (x1, p1, x2, p2) -> (X-, P-, X+, P+); orthogonal.
-    c, s = basis.c, basis.s
-    return np.array(
-        [
-            [c, 0.0, -s, 0.0],
-            [0.0, c, 0.0, -s],
-            [s, 0.0, c, 0.0],
-            [0.0, s, 0.0, c],
-        ]
-    )
+    c, s = np.broadcast_arrays(basis.c, basis.s)
+    rot = np.zeros(c.shape + (4, 4))
+    rot[..., [0, 1, 2, 3], [0, 1, 2, 3]] = c[..., None]
+    rot[..., [2, 3], [0, 1]] = s[..., None]
+    rot[..., [0, 1], [2, 3]] = -s[..., None]
+    return rot
 
 
 def _spec_to_shot_noise_sigma(spec: InitialStateSpec) -> np.ndarray:
@@ -183,38 +175,10 @@ def _spec_to_shot_noise_sigma(spec: InitialStateSpec) -> np.ndarray:
     return sigma
 
 
-def make_initial(
-    spec: InitialStateSpec, sys: SystemParams, basis: NormalModeBasis
-) -> MomentState:
-    """Build the normal-mode moment vector for a named lab-frame Gaussian state.
-
-    The state is specified by its shot-noise-unit lab covariance, converted
-    to physical units, rotated into the mode basis, and packed into the
-    10-vector of raw second moments (first moments zero).
-    """
-    sn = _spec_to_shot_noise_sigma(spec)
-    scale = _shot_noise_scale(sys)
-    inv = np.diag(1.0 / np.diag(scale))
-    sigma_lab = inv @ sn @ inv
-    rot = _mode_rotation(basis)
-    sm = rot @ sigma_lab @ rot.T
-    r = np.empty(10)
-    r[IDX_XX[0, 0]] = sm[0, 0]
-    r[IDX_XX[1, 1]] = sm[2, 2]
-    r[IDX_XX[0, 1]] = sm[0, 2]
-    r[IDX_PP[0, 0]] = sm[1, 1]
-    r[IDX_PP[1, 1]] = sm[3, 3]
-    r[IDX_PP[0, 1]] = sm[1, 3]
-    r[IDX_XP[0, 0]] = 2.0 * sm[0, 1]
-    r[IDX_XP[1, 1]] = 2.0 * sm[2, 3]
-    r[IDX_XP[0, 1]] = 2.0 * sm[0, 3]
-    r[IDX_XP[1, 0]] = 2.0 * sm[2, 1]
-    return MomentState(first_moments=np.zeros(4), second_moments=r, time=0.0)
-
-
-# Slot of each mode-covariance entry over (X-, P-, X+, P+) in the raw
-# second-moment vector (IDX_XX, IDX_PP, IDX_XP), and its weight: the
-# stored <{X, P}> is twice the symmetrised product.
+# The layout of the raw second-moment vector R (IDX_XX, IDX_PP, IDX_XP),
+# which make_initial packs from the upper triangle of the mode covariance
+# and lab_covariances unpacks: the slot of each entry over (X-, P-, X+, P+),
+# and its weight, since the stored <{X, P}> is twice the symmetrised product.
 _MODE_SLOT = np.array(
     [
         [0, 6, 2, 8],
@@ -224,6 +188,28 @@ _MODE_SLOT = np.array(
     ]
 )
 _MODE_WEIGHT = np.where(_MODE_SLOT >= 6, 0.5, 1.0)
+_UPPER = np.triu_indices(4)
+
+
+def make_initial(
+    spec: InitialStateSpec, sys: SystemParams, basis: NormalModeBasis
+) -> MomentState:
+    """Build the normal-mode moment vector for a named lab-frame Gaussian state.
+
+    The state is specified by its shot-noise-unit lab covariance, converted
+    to physical units, rotated into the mode basis, and packed into the
+    10-vector of raw second moments (first moments zero).  A stacked
+    ``sys`` and ``basis`` give a stacked state.
+    """
+    sn = _spec_to_shot_noise_sigma(spec)
+    scale = _shot_noise_scale(sys)
+    inv = (1.0 / np.diagonal(scale, axis1=-2, axis2=-1))[..., None] * np.eye(4)
+    sigma_lab = inv @ sn @ inv
+    rot = _mode_rotation(basis)
+    sm = rot @ sigma_lab @ np.swapaxes(rot, -1, -2)
+    r = np.empty(sm.shape[:-2] + (10,))
+    r[..., _MODE_SLOT[_UPPER]] = sm[(..., *_UPPER)] / _MODE_WEIGHT[_UPPER]
+    return MomentState(first_moments=np.zeros(r.shape[:-1] + (4,)), second_moments=r)
 
 
 def _symmetrised(sigma: np.ndarray) -> np.ndarray:
@@ -244,7 +230,8 @@ def lab_frame(
 
     Returns the orthogonal ``(4, 4)`` map ``(x1, p1, x2, p2) -> (X-, P-,
     X+, P+)`` and the diagonal ``(4, 4)`` shot-noise scale, the two
-    arguments :func:`lab_covariances` takes per sample.
+    arguments :func:`lab_covariances` takes per sample; ``(..., 4, 4)``
+    for a stacked basis and ``sys``.
     """
     return _mode_rotation(basis), _shot_noise_scale(sys)
 
@@ -561,13 +548,16 @@ def lab_variance_series(
     ``<x1^2> = c^2 <X-^2> + s^2 <X+^2> + 2cs <X-X+>`` and
     ``<x2^2> = s^2 <X-^2> + c^2 <X+^2> - 2cs <X-X+>``; shot-noise
     normalization multiplies by ``2 omega_i``.  For a stack of trajectories,
-    second moments ``(cells, n, 10)``, the basis fields are ``(cells, 1)``.
+    second moments ``(..., n, 10)``, the basis and ``sys`` are stacked
+    ``(...)``, and so are the series.
     """
-    c, s = basis.c, basis.s
+    c, s, w1, w2 = (
+        np.asarray(v)[..., None] for v in (basis.c, basis.s, sys.omega1, sys.omega2)
+    )
     r = traj.second_moments
     x1 = c * c * r[..., 0] + s * s * r[..., 1] + 2.0 * c * s * r[..., 2]
     x2 = s * s * r[..., 0] + c * c * r[..., 1] - 2.0 * c * s * r[..., 2]
-    return 2.0 * sys.omega1 * x1, 2.0 * sys.omega2 * x2
+    return 2.0 * w1 * x1, 2.0 * w2 * x2
 
 
 _BLOCK_SAMPLES = 1024  # bounds the kernel's temporaries on long runs

@@ -54,7 +54,8 @@ class SystemParams:
 
     ``lam`` is the bilinear coupling strength (units omega1**2).  The
     potential is attractive, i.e. both eigenfrequencies real and positive,
-    only for ``|lam| < omega1 * omega2``.
+    only for ``|lam| < omega1 * omega2``.  A field may be a 1-d array: the
+    params then describe a stack of points, and every point is checked.
     """
 
     omega1: float = 1.0
@@ -62,12 +63,12 @@ class SystemParams:
     lam: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.omega1 > 0 and self.omega2 > 0):
+        if not (np.all(self.omega1 > 0) and np.all(self.omega2 > 0)):
             raise DomainError(
                 f"oscillator frequencies must be positive, got "
                 f"omega1={self.omega1}, omega2={self.omega2}"
             )
-        if not abs(self.lam) < self.omega1 * self.omega2:
+        if not np.all(np.abs(self.lam) < self.omega1 * self.omega2):
             raise DomainError(
                 f"coupling must satisfy |lambda| < omega1*omega2 ="
                 f" {self.omega1 * self.omega2} (attractive potential), got"
@@ -105,7 +106,7 @@ class BathParams:
             warnings.warn(
                 f"gamma={self.gamma} is outside the weak-coupling regime"
                 " (gamma << omega1); results may not be trustworthy",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 
@@ -129,8 +130,8 @@ class NormalModeBasis:
 
     @property
     def frequencies(self) -> np.ndarray:
-        """Mode frequencies as an array ordered (Omega-, Omega+)."""
-        return np.array([self.omega_minus, self.omega_plus])
+        """Mode frequencies ordered (Omega-, Omega+) along the last axis."""
+        return np.stack([self.omega_minus, self.omega_plus], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -154,17 +155,27 @@ class DecayRates(NamedTuple):
     mixed: float
 
 
-def coth(x: float) -> float:
-    """Hyperbolic cotangent, stable for small arguments.
+def coth(x):
+    """Hyperbolic cotangent of a number or an array, stable for small arguments.
 
     For ``x < 1e-8`` the Laurent series ``1/x + x/3`` is used to avoid
     catastrophic cancellation; otherwise ``1/tanh(x)``.
     """
-    if x < 0:
-        raise DomainError(f"coth argument must be nonnegative here, got {x}")
-    if x < 1e-8:
-        return 1.0 / x + x / 3.0
-    return 1.0 / math.tanh(x)
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise DomainError(f"coth argument must be nonnegative here, got {x.min()}")
+    return np.where(x < 1e-8, 1.0 / x + x / 3.0, 1.0 / np.tanh(x))[()]
+
+
+def _mode_squares(omega1, omega2, lam):
+    # Rotation angle and squared mode frequencies (Omega-^2, Omega+^2).
+    w1sq, w2sq = omega1**2, omega2**2
+    theta = 0.5 * np.arctan2(2.0 * lam, w2sq - w1sq)
+    root = np.hypot(2.0 * lam, w2sq - w1sq)
+    return theta, 0.5 * (w1sq + w2sq - root), 0.5 * (w1sq + w2sq + root)
+
+
+_NOT_ATTRACTIVE = "potential not attractive: Omega-^2 = {} <= 0"
 
 
 def diagonalize(sys: SystemParams) -> NormalModeBasis:
@@ -174,32 +185,28 @@ def diagonalize(sys: SystemParams) -> NormalModeBasis:
     which lies in ``[0, pi/4]`` for ``omega2 >= omega1`` and ``lam >= 0`` and
     fixes the branch so that ``X- -> x1`` as ``lam -> 0``.  Mode frequencies
     are ``Omega+-^2 = (omega1^2 + omega2^2 +- sqrt(4 lam^2 + (omega2^2 -
-    omega1^2)^2)) / 2``.
+    omega1^2)^2)) / 2``.  For a stack of points each field of the basis is
+    an array over the stack.
 
     Raises
     ------
     DomainError
-        If ``|lam| >= omega1*omega2`` (the lower mode frequency would not be
-        real); normally already rejected by ``SystemParams``.
+        If ``Omega-^2 <= 0`` (the lower mode frequency would not be real),
+        with the value at the first such point; ``SystemParams`` already
+        rejects ``|lam| >= omega1*omega2``, which leaves round-off.
     """
-    w1sq = sys.omega1**2
-    w2sq = sys.omega2**2
-    theta = 0.5 * math.atan2(2.0 * sys.lam, w2sq - w1sq)
-    c = math.cos(theta)
-    s = math.sin(theta)
-    root = math.hypot(2.0 * sys.lam, w2sq - w1sq)
-    om_minus_sq = 0.5 * (w1sq + w2sq - root)
-    om_plus_sq = 0.5 * (w1sq + w2sq + root)
-    if om_minus_sq <= 0:
-        raise DomainError(
-            f"potential not attractive: Omega-^2 = {om_minus_sq} <= 0"
-        )
+    theta, om_minus_sq, om_plus_sq = _mode_squares(sys.omega1, sys.omega2, sys.lam)
+    if np.any(om_minus_sq <= 0):
+        bad = np.extract(om_minus_sq <= 0, om_minus_sq)[0]
+        raise DomainError(_NOT_ATTRACTIVE.format(bad))
+    c = np.cos(theta)
+    s = np.sin(theta)
     return NormalModeBasis(
         theta=theta,
         c=c,
         s=s,
-        omega_minus=math.sqrt(om_minus_sq),
-        omega_plus=math.sqrt(om_plus_sq),
+        omega_minus=np.sqrt(om_minus_sq),
+        omega_plus=np.sqrt(om_plus_sq),
         kappa_minus=c - s,
         kappa_plus=c + s,
     )
@@ -246,20 +253,21 @@ def dissipation_coefficients(
     Separate baths: bath 1 couples to ``x1`` with mode weights ``(c, s)`` and
     bath 2 to ``x2`` with ``(-s, c)``; summing ``u[b, m] * u[b, n]`` over
     baths cancels every cross term, leaving ``Gamma~ = diag(gamma_h(Omega-),
-    gamma_h(Omega+))`` and likewise for ``D~``.
+    gamma_h(Omega+))`` and likewise for ``D~``.  A stack of points gives
+    ``(..., 2, 2)`` matrices.
     """
     freqs = basis.frequencies
-    gam = np.array([_damping_kernel(bath, w) for w in freqs])
-    dif = np.array([_diffusion_kernel(bath, w) for w in freqs])
+    gam = _damping_kernel(bath, freqs)
+    dif = _diffusion_kernel(bath, freqs)
     if bath.topology is Topology.COMMON:
-        kappa = np.array([basis.kappa_minus, basis.kappa_plus])
-        weight = np.outer(kappa, kappa)
+        kappa = np.stack([basis.kappa_minus, basis.kappa_plus], axis=-1)
+        weight = kappa[..., :, None] * kappa[..., None, :]
     else:
         # bath 1 couples through (c, s) and bath 2 through (-s, c); the
         # summed weight u^T u is the identity, cross terms cancel exactly
         weight = np.eye(2)
-    gamma_tilde = weight * gam[np.newaxis, :]
-    d_tilde = weight * dif[np.newaxis, :]
+    gamma_tilde = weight * gam[..., None, :]
+    d_tilde = weight * dif[..., None, :]
     return DissipationCoefficients(gamma_tilde=gamma_tilde, d_tilde=d_tilde)
 
 

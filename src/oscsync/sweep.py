@@ -5,22 +5,23 @@ acceptance tests: one trajectory from ``t = 0`` and what is read from it.
 
 A sweep cell reads the indicator over the window ``[t_eval, t_eval + window]``
 and the information measures at ``t_eval``, so only that window is
-propagated.  Each omega2 row is stepped as one stack: the row's per-step
-exponentials are raised to the evaluation step, then stepped through the
-window together (:func:`~oscsync.dynamics.sample_moments`).  The indicator
-of the row is one :func:`~oscsync.sync.windowed_correlation` call on the
-stacked lab variances, and the information measures of its first window
-samples are one call of :func:`~oscsync.info.gaussian_measures`.  Set-up
-stays per cell.  A cell that fails is reported with its message while the
-rest of its row goes on; a window too short for the indicator fails the
-sweep.
+propagated.  Each omega2 row is one stack from set-up to measures: the
+set-up functions take its coupling values as one array, its per-step
+exponentials are raised to the evaluation step and stepped through the
+window together (:func:`~oscsync.dynamics.sample_moments`), and its
+indicator and the information measures of its first window samples are
+one :func:`~oscsync.sync.windowed_correlation` and one
+:func:`~oscsync.info.gaussian_measures` call.  A cell that fails is
+reported with its message while the rest of its row goes on; a set-up
+error shared by the row fails its cells, and a window too short for the
+indicator fails the sweep.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, astuple, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from . import __version__
 from .dynamics import (
     Backend,
     MomentGenerator,
-    MomentState,
     Trajectory,
     build_generator,
     dynamical_eigenvalues,
@@ -52,6 +52,8 @@ from .model import (
     NormalModeBasis,
     SystemParams,
     Topology,
+    _NOT_ATTRACTIVE,
+    _mode_squares,
     diagonalize,
     dissipation_coefficients,
 )
@@ -94,6 +96,8 @@ class SweepGrid:
             raise DomainError(f"unknown sweep metrics: {sorted(unknown)}")
         if self.t_eval <= 0:
             raise DomainError(f"t_eval must be positive, got {self.t_eval}")
+        if not np.all(np.isfinite(self.omega2_values + self.lambda_values)):
+            raise DomainError("sweep axis values must be finite")
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,7 @@ def default_grid(
 
 def _set_up(system, bath, initial, backend=Backend.FULL):
     # Basis, coefficients, generator and, unless `initial` is None, the
-    # initial moments of one parameter point.
+    # initial moments of one parameter point or of a stack of them.
     basis = diagonalize(system)
     coeffs = dissipation_coefficients(system, bath, basis)
     gen = build_generator(basis, coeffs, backend=backend)
@@ -211,95 +215,80 @@ def run_point(
     return PointRun(basis, coeffs, gen, traj, x1, x2, sync, measures)
 
 
-@dataclass(frozen=True)
-class _Pending:
-    """A set-up cell that still needs its propagated window."""
-
-    omega2: float
-    lam: float
-    system: SystemParams
-    basis: NormalModeBasis
-    gen: MomentGenerator
-    state0: MomentState
-    eig_ratio: float
+_SKIPPED = "coupling exceeds stability bound |lam| < omega1*omega2"
 
 
-def _start_cell(omega1, omega2, lam, bath, initial, metrics):
-    """A finished CellResult, or a _Pending cell that needs its window."""
-    if abs(lam) >= omega1 * omega2:
-        return CellResult(
-            omega2=omega2,
-            lam=lam,
-            status="skipped",
-            message="coupling exceeds stability bound |lam| < omega1*omega2",
-        )
-    needs_window = bool({"syncAbs", "discord", "mutualInfo"} & set(metrics))
-    try:
-        sys = SystemParams(omega1=omega1, omega2=omega2, lam=lam)
-        basis, _, gen, state0 = _set_up(sys, bath, initial if needs_window else None)
-        eig_ratio = math.nan
-        if "eigRatio" in metrics:
-            eig_ratio = dynamical_eigenvalues(gen).ratio
-        if not needs_window:
-            return CellResult(omega2=omega2, lam=lam, eig_ratio=eig_ratio)
-    except OscSyncError as exc:
-        return CellResult(omega2=omega2, lam=lam, status="error", message=str(exc))
-    return _Pending(omega2, lam, sys, basis, gen, state0, eig_ratio)
+def _measure_stack(grid, omega2, lams, bath, initial, dt_out, w, k_eval) -> list:
+    """The cells of one row at the coupling values ``lams``, as one stack.
 
-
-def _finish_row(row: list, dt_out: float, w: int, k_eval: int, metrics) -> list:
-    """The row with each _Pending cell finished from its window of ``w``
-    steps, which starts at the evaluation step ``k_eval``.
-
-    A cell whose lab variances are not finite throughout its window is left
-    out of the row's indicator and fails as its series would on its own.
+    Each cell reads its window of ``w`` steps from the evaluation step
+    ``k_eval``.  A set-up error fails every cell.  A cell whose lab
+    variances are not finite throughout its window is left out of the
+    row's indicator and fails as its series would on its own.
     """
-    cells = [c for c in row if isinstance(c, _Pending)]
-    if not cells:
-        return row
-    first, second = sample_moments(
-        [c.gen for c in cells], [c.state0 for c in cells], dt_out, w + 1, k_start=k_eval
-    )
-    messages = [None] * len(cells)
+    needs_window = bool({"syncAbs", "discord", "mutualInfo"} & set(grid.metrics))
+    try:
+        system = replace(grid.system, omega2=omega2, lam=lams)
+        basis, _, gen, state0 = _set_up(system, bath, initial if needs_window else None)
+    except OscSyncError as exc:
+        return [CellResult(omega2, lam, "error", message=str(exc)) for lam in lams]
+    errors = {}  # cell: message of its first failure
     values = {}
-    if "syncAbs" in metrics:
+    if "eigRatio" in grid.metrics:
+        values["eig_ratio"] = np.full(lams.size, np.nan)
+        for j in range(lams.size):
+            cell = MomentGenerator(gen.M[j], gen.N[j], gen.A1[j], gen.backend)
+            try:
+                values["eig_ratio"][j] = dynamical_eigenvalues(cell).ratio
+            except OscSyncError as exc:
+                errors[j] = str(exc)
+    if needs_window:
+        first, second = sample_moments(gen, state0, dt_out, w + 1, k_start=k_eval)
+    if "syncAbs" in grid.metrics:
         times = dt_out * np.arange(k_eval, k_eval + w + 1)
-        # lab_variance_series reads c and s of the basis, here (cells, 1)
-        # columns, and omega1 and omega2, which the row's cells share
-        bases = np.array([astuple(c.basis) for c in cells]).T[..., None]
-        traj = Trajectory(times, first, second)
-        x1, x2 = lab_variance_series(traj, NormalModeBasis(*bases), cells[0].system)
+        x1, x2 = lab_variance_series(Trajectory(times, first, second), basis, system)
         finite = np.isfinite(x1).all(axis=1) & np.isfinite(x2).all(axis=1)
         f = ObservableSeries(times, x1[finite])
         g = ObservableSeries(times, x2[finite])
-        values["sync_abs"] = np.full(len(cells), np.nan)
+        values["sync_abs"] = np.full(lams.size, np.nan)
         values["sync_abs"][finite] = abs(windowed_correlation(f, g, w * dt_out).C[:, 0])
-        for j in np.flatnonzero(~finite):
-            messages[j] = _NOT_FINITE  # as the cell's series would raise alone
-    names = [name for name in ("discord", "mutualInfo") if name in metrics]
+        for j in np.flatnonzero(~finite):  # as the cell's series would raise alone
+            errors.setdefault(j, _NOT_FINITE)
+    names = [name for name in ("discord", "mutualInfo") if name in grid.metrics]
     if names:
-        rotations, scales = zip(*(lab_frame(c.basis, c.system) for c in cells))
-        sigma, _ = lab_covariances(
-            first[:, 0], second[:, 0], np.stack(rotations), np.stack(scales)
-        )
+        sigma, _ = lab_covariances(first[:, 0], second[:, 0], *lab_frame(basis, system))
         measures = gaussian_measures(sigma)
-        for j, message in enumerate(messages):
-            error = measures.error(j, names)
-            if message is None and error is not None:
-                messages[j] = str(error)
+        for j in set().union(*(measures.failures[name] for name in names)):
+            errors.setdefault(j, str(measures.error(j, names)))
         values.update((_ATTRS[name], measures.series[name]) for name in names)
-    done = iter(
-        CellResult(c.omega2, c.lam, status="error", message=messages[j])
-        if messages[j] is not None
-        else CellResult(
-            c.omega2,
-            c.lam,
-            eig_ratio=c.eig_ratio,
-            **{attr: float(v[j]) for attr, v in values.items()},
-        )
-        for j, c in enumerate(cells)
+    return [
+        CellResult(omega2, lam, "error", message=errors[j])
+        if j in errors
+        else CellResult(omega2, lam, **{a: float(v[j]) for a, v in values.items()})
+        for j, lam in enumerate(lams)
+    ]
+
+
+def _run_row(grid, omega2, bath, initial, dt_out, w, k_eval) -> list:
+    """The cells of one omega2 row.  A cell past the stability bound is
+    skipped, and one whose lower mode frequency rounds to zero fails on its
+    own; the rest are one stack (:func:`_measure_stack`)."""
+    lams = np.array(grid.lambda_values, dtype=float)
+    omega1 = grid.system.omega1
+    skipped = np.abs(lams) >= omega1 * omega2
+    _, om_minus_sq, _ = _mode_squares(omega1, omega2, lams)
+    live = ~skipped & (om_minus_sq > 0)
+    stacked = iter(
+        _measure_stack(grid, omega2, lams[live], bath, initial, dt_out, w, k_eval)
     )
-    return [next(done) if isinstance(c, _Pending) else c for c in row]
+    return [
+        CellResult(omega2, lam, "skipped", message=_SKIPPED)
+        if skip
+        else CellResult(omega2, lam, "error", message=_NOT_ATTRACTIVE.format(v))
+        if v <= 0
+        else next(stacked)
+        for lam, skip, v in zip(lams, skipped, om_minus_sq)
+    ]
 
 
 def run_sweep(
@@ -326,13 +315,11 @@ def run_sweep(
     k_eval = int(round(grid.t_eval / dt_out))
     w = int(round(window / dt_out))
 
-    cells: list = []
-    for omega2 in grid.omega2_values:
-        row = [
-            _start_cell(grid.system.omega1, omega2, lam, bath, initial, grid.metrics)
-            for lam in grid.lambda_values
-        ]
-        cells.extend(_finish_row(row, dt_out, w, k_eval, grid.metrics))
+    cells = [
+        cell
+        for omega2 in grid.omega2_values
+        for cell in _run_row(grid, omega2, bath, initial, dt_out, w, k_eval)
+    ]
 
     provenance = {
         "version": __version__,

@@ -305,8 +305,8 @@ def test_criterion_07_propagator_oracle():
         gen = build_generator(basis, coeffs)
         state = make_initial(initial, sys_p, basis)
         # the shipped sampler's 500th step of 0.1 against 50,000 RK4 steps
-        _, second = sample_moments([gen], [state], 0.1, 1, k_start=500)
-        exact = second[0, 0]
+        _, second = sample_moments(gen, state, 0.1, 1, k_start=500)
+        exact = second[0]
         stepped = propagate_stepwise(gen, state, 1e-3, 50000)
         rel = np.max(
             np.abs(exact - stepped.second_moments)

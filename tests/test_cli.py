@@ -188,6 +188,36 @@ class TestValidation:
         assert doc["parameters"]["omega2"] == 1.3
         assert doc["parameters"]["t_max"] == 40.0
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "sweep_lambda = nan:1:0.1",
+            "sweep_omega2 = 1:inf:0.1",
+            "sweep_lambda = 0.1:0.2:1e-300",
+        ],
+    )
+    def test_unrangeable_sweep_axis_exits_2(self, line, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        assert _run(["sweep", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key '{line.split()[0]}'")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_overflowing_propagation_prints_one_line(self, tmp_path, capsys):
+        # a floating-point warning would also fail the test: the pytest
+        # configuration turns RuntimeWarning into an error
+        argv = ["simulate", "--temperature", 1e305, "--t-max", 20]
+        assert _run([*argv, "--out", tmp_path / "sim"]) == 2
+        assert capsys.readouterr().err == "error: observable values must be finite\n"
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("sweep_omega2 = 1.1:1.4:0.3\nsweep_lambda = 0.3:0.7:0.4\n")
+        argv = ["sweep", "--config", cfg, "--temperature", 1e305]
+        assert _run([*argv, "--out", tmp_path / "sweep"]) == 0
+        assert capsys.readouterr().err == ""
+
     # Each setting's first large array is larger than the 128 TiB of a
     # 47-bit user address space, so it fails at allocation on any host
     # and nothing is touched.

@@ -10,12 +10,14 @@ from oscsync import (
     ConfigError,
     DissipationCoefficients,
     DomainError,
+    InitialStateSpec,
     MomentState,
     NoUniqueSteadyState,
     SystemParams,
     build_generator,
     diagonalize,
     dynamical_eigenvalues,
+    make_initial,
     propagate_exact,
     propagate_stepwise,
     sample_moments,
@@ -202,9 +204,9 @@ class TestPropagation:
         _, basis, _, gen = make_gen(1.31, 0.62, "separate")
         state = _vacuum_state(basis)
         out = propagate_exact(gen, state, 7.3)
-        first, second = sample_moments([gen], [state], 7.3, 1, k_start=1)
-        assert np.array_equal(out.second_moments, second[0, 0])
-        assert np.array_equal(out.first_moments, first[0, 0])
+        first, second = sample_moments(gen, state, 7.3, 1, k_start=1)
+        assert np.array_equal(out.second_moments, second[0])
+        assert np.array_equal(out.first_moments, first[0])
         assert out.time == 7.3
 
     def test_exact_vs_stepwise(self):
@@ -254,14 +256,15 @@ class TestPropagation:
         assert np.allclose(out.first_moments, m, rtol=1e-11, atol=1e-14)
 
     def test_window_matches_run_from_zero(self):
-        gens, states = [], []
-        for omega2, lam in ((1.05, 0.3), (1.4, 0.7)):
-            _, basis, _, gen = make_gen(omega2, lam)
-            gens.append(gen)
-            states.append(_vacuum_state(basis))
-        first, second = sample_moments(gens, states, 0.1, 21, k_start=400)
+        points = ((1.05, 0.3), (1.4, 0.7))
+        vacuum = InitialStateSpec.vacuum()
+        sys_s, basis, _, stack = make_gen(*np.transpose(points))
+        states = make_initial(vacuum, sys_s, basis)
+        first, second = sample_moments(stack, states, 0.1, 21, k_start=400)
         assert first.shape == (2, 21, 4) and second.shape == (2, 21, 10)
-        for j, (gen, state) in enumerate(zip(gens, states)):
+        for j, (omega2, lam) in enumerate(points):
+            sys_p, basis, _, gen = make_gen(omega2, lam)
+            state = make_initial(vacuum, sys_p, basis)
             traj = sample_trajectory(gen, state, 42.0, 0.1)
             assert np.allclose(
                 second[j], traj.second_moments[400:], rtol=1e-10, atol=1e-13
@@ -270,9 +273,9 @@ class TestPropagation:
                 first[j], traj.first_moments[400:], rtol=1e-10, atol=1e-13
             )
             # a stacked system gets the bits it would get on its own
-            alone = sample_moments([gen], [state], 0.1, 21, k_start=400)
-            assert np.array_equal(alone[1][0], second[j])
-            assert np.array_equal(alone[0][0], first[j])
+            alone = sample_moments(gen, state, 0.1, 21, k_start=400)
+            assert np.array_equal(alone[1], second[j])
+            assert np.array_equal(alone[0], first[j])
 
     def test_sampling_grid_and_consistency(self):
         _, basis, _, gen = make_gen(1.05, 0.3)

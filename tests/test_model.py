@@ -152,8 +152,9 @@ class TestBathModel:
             assert np.all(gen.N[6:] == 0.0)
 
     def test_gamma_warning(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             BathParams(gamma=0.2)
+        assert record[0].filename == __file__
         with pytest.raises(DomainError):
             BathParams(gamma=-0.01)
         with pytest.raises(DomainError):

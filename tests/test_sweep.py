@@ -1,12 +1,15 @@
 import json
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from oscsync import (
     BathParams,
+    ConfigError,
+    DissipationCoefficients,
     DomainError,
     InitialStateSpec,
     MomentState,
@@ -21,6 +24,7 @@ from oscsync import (
     dynamical_eigenvalues,
     gaussian_discord,
     information_series,
+    lab_frame,
     lab_variance_series,
     make_initial,
     mutual_information,
@@ -73,6 +77,81 @@ class TestGrid:
                 bath=BathParams(),
                 t_eval=0.0,
             )
+
+    @pytest.mark.parametrize(
+        "omega2, lam", [((math.nan,), (0.7,)), ((1.4,), (0.3, math.inf))]
+    )
+    def test_non_finite_axis_rejected(self, omega2, lam):
+        with pytest.raises(DomainError, match="finite"):
+            _tiny_grid(omega2=omega2, lam=lam)
+
+
+def _same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestStackedSetUp:
+    # (omega2, lambda): resonance, no coupling, the default point, strong
+    POINTS = ((1.0, 0.3), (1.2, 0.0), (1.4, 0.7), (1.45, 1.2))
+
+    @pytest.mark.parametrize("topology", ["common", "separate"])
+    @pytest.mark.parametrize("backend", ["full", "rwa"])
+    @pytest.mark.parametrize("initial", ["vacuum", "tms:1.5", "sq:2:4"])
+    def test_stack_equals_each_point_alone(self, topology, backend, initial):
+        bath = BathParams(topology=topology)
+        spec = InitialStateSpec.parse(initial)
+        stack = SystemParams(1.0, *(np.array(v) for v in zip(*self.POINTS)))
+        basis = diagonalize(stack)
+        coeffs = dissipation_coefficients(stack, bath, basis)
+        gen = build_generator(basis, coeffs, backend)
+        state = make_initial(spec, stack, basis)
+        rotation, scale = lab_frame(basis, stack)
+        for j, (omega2, lam) in enumerate(self.POINTS):
+            sys_p = SystemParams(1.0, omega2, lam)
+            alone = diagonalize(sys_p)
+            for name in (f.name for f in fields(alone)):
+                assert _same_bits(getattr(basis, name)[j], getattr(alone, name))
+            c = dissipation_coefficients(sys_p, bath, alone)
+            assert _same_bits(coeffs.gamma_tilde[j], c.gamma_tilde)
+            assert _same_bits(coeffs.d_tilde[j], c.d_tilde)
+            g = build_generator(alone, c, backend)
+            for name in ("M", "N", "A1"):
+                assert _same_bits(getattr(gen, name)[j], getattr(g, name))
+            s0 = make_initial(spec, sys_p, alone)
+            assert _same_bits(state.second_moments[j], s0.second_moments)
+            assert _same_bits(state.first_moments[j], s0.first_moments)
+            frame = lab_frame(alone, sys_p)
+            assert _same_bits(rotation[j], frame[0]) and _same_bits(scale[j], frame[1])
+
+    def test_stacked_rwa_error_names_first_offending_point(self):
+        # point 1 fails on its plus mode and point 2 on its minus mode
+        stack = SystemParams(1.0, np.array([1.1, 1.2, 1.3]), np.array([0.3, 0.4, 0.5]))
+        basis = diagonalize(stack)
+        drive = np.array([[2.0, 2.0], [2.0, 0.5], [0.5, 2.0]]) * 0.01 * basis.frequencies
+        coeffs = DissipationCoefficients(
+            gamma_tilde=np.broadcast_to(0.01 * np.eye(2), (3, 2, 2)),
+            d_tilde=drive[..., None] * np.eye(2),
+        )
+        with pytest.raises(ConfigError) as stacked:
+            build_generator(basis, coeffs, "rwa")
+        alone = diagonalize(SystemParams(1.0, 1.2, 0.4))
+        with pytest.raises(ConfigError) as single:
+            build_generator(
+                alone, DissipationCoefficients(coeffs.gamma_tilde[1], coeffs.d_tilde[1]), "rwa"
+            )
+        assert "mode +" in str(single.value)
+        assert str(stacked.value) == str(single.value)
+
+    def test_stack_with_one_invalid_point_raises(self):
+        with pytest.raises(DomainError, match="coupling"):
+            SystemParams(1.0, np.array([1.2, 1.3]), np.array([0.5, 1.4]))
+        with pytest.raises(DomainError, match="positive"):
+            SystemParams(1.0, np.array([1.2, -1.3]), 0.0)
+        # |lambda| < omega1*omega2 holds, but Omega-^2 rounds to zero
+        stack = SystemParams(1.0, 1.1, np.array([0.5, np.nextafter(1.1, 0)]))
+        with pytest.raises(DomainError) as exc:
+            diagonalize(stack)
+        assert str(exc.value) == "potential not attractive: Omega-^2 = 0.0 <= 0"
 
 
 class TestRunSweep:
@@ -150,8 +229,8 @@ class TestRunSweep:
         full = run_sweep(_tiny_grid(lam=(0.3, 0.7)), SQ)
         real = sweep_mod.sample_moments
 
-        def shrink_middle(gens, initials, *args, **kwargs):
-            first, second = real(gens, initials, *args, **kwargs)
+        def shrink_middle(gen, initial, *args, **kwargs):
+            first, second = real(gen, initial, *args, **kwargs)
             second[1, 0] *= 0.01
             return first, second
 
@@ -164,12 +243,8 @@ class TestRunSweep:
         basis = diagonalize(sys_p)
         coeffs = dissipation_coefficients(sys_p, BathParams(), basis)
         gen = build_generator(basis, coeffs)
-        first, second = real(
-            [gen], [make_initial(SQ, sys_p, basis)], 0.1, 1, k_start=3000
-        )
-        cov = to_lab_covariance(
-            MomentState(first[0, 0], 0.01 * second[0, 0]), basis, sys_p
-        )
+        first, second = real(gen, make_initial(SQ, sys_p, basis), 0.1, 1, k_start=3000)
+        cov = to_lab_covariance(MomentState(first[0], 0.01 * second[0]), basis, sys_p)
         with pytest.raises(OscSyncError) as exc:
             gaussian_discord(cov)
         assert res.cells[1].message == str(exc.value)
@@ -183,8 +258,8 @@ class TestRunSweep:
         full = run_sweep(_tiny_grid(lam=(0.3, 0.7)), SQ)
         real = sweep_mod.sample_moments
 
-        def blow_up_middle(gens, initials, *args, **kwargs):
-            first, second = real(gens, initials, *args, **kwargs)
+        def blow_up_middle(gen, initial, *args, **kwargs):
+            first, second = real(gen, initial, *args, **kwargs)
             second[1, 5, 0] = np.inf
             return first, second
 
@@ -197,7 +272,6 @@ class TestRunSweep:
         assert res.cells[1].message == str(exc.value)
         assert math.isnan(res.cells[1].eig_ratio)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_bath_fails_every_cell(self):
         with pytest.warns(UserWarning, match="weak-coupling"):
             grid = _tiny_grid(omega2=(1.1, 1.4), lam=(0.3, 0.7), gamma=1e200)
@@ -226,6 +300,9 @@ class TestRunSweep:
             return wrapper
 
         names = (
+            "dissipation_coefficients",
+            "build_generator",
+            "make_initial",
             "sample_moments",
             "windowed_correlation",
             "gaussian_measures",
@@ -236,7 +313,7 @@ class TestRunSweep:
         # 2 rows of 3 cells; lambda = 1.2 is skipped at omega2 = 1.1
         res = run_sweep(_tiny_grid(omega2=(1.1, 1.4), lam=(0.3, 0.7, 1.2)), SQ)
         assert [c.status for c in res.cells].count("ok") == 5
-        assert calls == dict(zip(names, (2, 2, 2, 5)))
+        assert calls == dict(zip(names, (2, 2, 2, 2, 2, 2, 5)))
 
     def test_row_major_cell_order(self):
         grid = _tiny_grid(omega2=(1.1, 1.3), lam=(0.2, 0.5), metrics=("eigRatio",))
