@@ -46,7 +46,6 @@ from .dynamics import (
     dynamical_eigenvalues,
     propagate_exact,
     propagate_stepwise,
-    sample_moments,
     sample_trajectory,
     steady_state,
 )
@@ -61,7 +60,6 @@ from .info import (
     information_measures,
     information_series,
     lab_covariances,
-    lab_frame,
     lab_variance_series,
     log_negativity,
     make_initial,
@@ -124,7 +122,6 @@ __all__ = [
     "propagate_exact",
     "propagate_stepwise",
     "steady_state",
-    "sample_moments",
     "sample_trajectory",
     # info
     "CovarianceMatrix",
@@ -132,7 +129,6 @@ __all__ = [
     "InitialStateSpec",
     "SymplecticSpectrum",
     "make_initial",
-    "lab_frame",
     "lab_covariances",
     "to_lab_covariance",
     "gaussian_measures",

@@ -106,8 +106,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         for name in ("t_max", "dt_out", "window", "filter_width"):
             value = getattr(self, name)
-            if value <= 0:
-                raise DomainError(f"{name} must be positive, got {value}")
+            if not 0 < value < math.inf:
+                raise DomainError(f"{name} must be positive and finite, got {value}")
 
     def parameters(self) -> dict:
         """Flat snapshot of every resolved parameter, for manifests."""
@@ -168,6 +168,14 @@ def _as_float(key: str, value) -> float:
         raise DomainError(f"config key '{key}' needs a number, got {value!r}") from exc
 
 
+def _as_choice(key: str, value, kind):
+    try:
+        return kind(str(value).lower())
+    except ValueError:
+        names = " or ".join(repr(member.value) for member in kind)
+        raise DomainError(f"config key '{key}' needs {names}, got {value!r}") from None
+
+
 def _parse_axis(key: str, text) -> tuple:
     """Decode a ``start:stop:step`` range into an inclusive value tuple."""
     if isinstance(text, (tuple, list)):
@@ -200,9 +208,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             merged[key] = value
     for key in _FLOAT_KEYS:
         merged[key] = _as_float(key, merged[key])
-    backend = str(merged["backend"]).lower()
-    if backend not in ("full", "rwa"):
-        raise DomainError(f"backend must be 'full' or 'rwa', got {backend!r}")
     return RunConfig(
         system=SystemParams(
             omega1=merged["omega1"],
@@ -213,14 +218,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             gamma=merged["gamma"],
             cutoff=merged["cutoff"],
             temperature=merged["temperature"],
-            topology=Topology(merged["bath"]),
+            topology=_as_choice("bath", merged["bath"], Topology),
         ),
         initial=InitialStateSpec.parse(str(merged["initial"])),
         t_max=merged["t_max"],
         dt_out=merged["dt_out"],
         window=merged["window"],
         filter_width=merged["filter_width"],
-        backend=Backend(backend),
+        backend=_as_choice("backend", merged["backend"], Backend),
         out_dir=getattr(args, "out", None) or ".",
         t_eval=merged["t_eval"],
         sweep_omega2=_parse_axis("sweep_omega2", merged["sweep_omega2"]),
@@ -382,7 +387,6 @@ def cmd_sweep(cfg: RunConfig) -> list:
     result = run_sweep(
         grid,
         cfg.initial,
-        topology=cfg.bath.topology,
         window=cfg.window,
         dt_out=cfg.dt_out,
     )

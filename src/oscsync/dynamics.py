@@ -48,7 +48,6 @@ __all__ = [
     "propagate_exact",
     "propagate_stepwise",
     "steady_state",
-    "sample_moments",
     "sample_trajectory",
 ]
 
@@ -116,9 +115,9 @@ class Spectrum:
 class Trajectory:
     """Uniformly sampled moment history in the normal-mode basis."""
 
-    times: np.ndarray
-    first_moments: np.ndarray  # shape (n, 4)
-    second_moments: np.ndarray  # shape (n, 10)
+    times: np.ndarray  # shape (n,)
+    first_moments: np.ndarray  # shape (..., n, 4)
+    second_moments: np.ndarray  # shape (..., n, 10)
 
 
 def build_generator(
@@ -245,14 +244,20 @@ def _augmented(gen: MomentGenerator) -> np.ndarray:
 
 
 def propagate_exact(gen: MomentGenerator, state: MomentState, t: float) -> MomentState:
-    """Closed-form propagation to time ``t``: one step of :func:`sample_moments`."""
+    """Closed-form propagation to time ``t``: one step of :func:`sample_trajectory`."""
     dt = t - state.time
     if dt < 0:
         raise DomainError(f"cannot propagate backwards: {t} < {state.time}")
-    first, second = sample_moments(gen, state, dt, 1, k_start=1)
-    if not np.all(np.isfinite(second)):
+    if dt == 0:
+        return state
+    traj = sample_trajectory(gen, state, dt, 1, k_start=1)
+    if not np.all(np.isfinite(traj.second_moments)):
         raise NumericalError("matrix exponential overflowed")
-    return MomentState(first_moments=first[0], second_moments=second[0], time=t)
+    return MomentState(
+        first_moments=traj.first_moments[0],
+        second_moments=traj.second_moments[0],
+        time=t,
+    )
 
 
 def _rk4_step_matrix(A: np.ndarray, h: float) -> np.ndarray:
@@ -308,26 +313,30 @@ def steady_state(gen: MomentGenerator) -> MomentState:
     )
 
 
-def sample_moments(
+def sample_trajectory(
     gen: MomentGenerator,
     initial: MomentState,
     dt_out: float,
     n: int,
     k_start: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> Trajectory:
     """Moments at ``k * dt_out`` past the initial state, of one system or a stack.
 
-    Samples ``k = k_start .. k_start + n - 1``, returned as first moments
-    of shape ``(..., n, 4)`` and second moments of shape ``(..., n, 10)``,
-    where ``...`` is the stack axis the generator and the initial state
-    share, if any.  Consecutive samples are one product with the per-step
-    exponential ``phi = expm(A dt_out)``, and the jump to ``k_start`` is the
-    matrix power ``phi**k_start`` of that same step, so a window agrees
-    with the samples a run from ``k = 0`` produces up to round-off.
-    Stacked ``expm``, ``matmul`` and ``matrix_power`` give each system the
-    bits it would get on its own.  A system that overflows yields
-    non-finite moments without a floating-point warning; callers check.
+    Samples ``k = k_start .. k_start + n - 1``, at the times
+    ``initial.time + k * dt_out``, with first moments of shape ``(..., n,
+    4)`` and second moments of shape ``(..., n, 10)``, where ``...`` is the
+    stack axis the generator and the initial state share, if any.
+    Consecutive samples are one product with the per-step exponential
+    ``phi = expm(A dt_out)``, so propagation is exact and ``dt_out`` sets
+    only the output resolution.  The jump to ``k_start`` is the matrix
+    power ``phi**k_start`` of that same step, so a window agrees with the
+    samples a run from ``k = 0`` produces up to round-off.  Stacked
+    ``expm``, ``matmul`` and ``matrix_power`` give each system the bits it
+    would get on its own.  A system that overflows yields non-finite
+    moments without a floating-point warning; callers check.
     """
+    if not (dt_out > 0 and n >= 1):
+        raise DomainError(f"need dt_out > 0 and n >= 1, got {dt_out}, {n}")
     lead = gen.M.shape[:-2]
     v = np.concatenate([initial.second_moments, np.ones(lead + (1,))], axis=-1)
     v, m = v[..., None], initial.first_moments[..., None]
@@ -344,23 +353,5 @@ def sample_moments(
             first[..., k, :] = m[..., 0]
             v = phi @ v
             m = phi1 @ m
-    return first, second
-
-
-def sample_trajectory(
-    gen: MomentGenerator, initial: MomentState, t_max: float, dt_out: float
-) -> Trajectory:
-    """Uniform sampling via one reused per-step matrix exponential.
-
-    Samples sit at ``initial.time + k * dt_out`` for ``k = 0 .. floor(t_max
-    / dt_out)``; propagation from sample to sample is exact, so ``dt_out``
-    controls only the output resolution, not accuracy.
-    """
-    if t_max < 0 or dt_out <= 0:
-        raise DomainError(
-            f"need t_max >= 0 and dt_out > 0, got {t_max}, {dt_out}"
-        )
-    n = int(math.floor(t_max / dt_out + 1e-12)) + 1
-    first, second = sample_moments(gen, initial, dt_out, n)
-    times = initial.time + dt_out * np.arange(n)
+    times = initial.time + dt_out * np.arange(k_start, k_start + n)
     return Trajectory(times=times, first_moments=first, second_moments=second)

@@ -33,7 +33,6 @@ __all__ = [
     "SymplecticSpectrum",
     "MEASURES",
     "make_initial",
-    "lab_frame",
     "lab_covariances",
     "to_lab_covariance",
     "gaussian_measures",
@@ -223,35 +222,23 @@ def _symmetrised(sigma: np.ndarray) -> np.ndarray:
     return 0.5 * (sigma + sigma_t)
 
 
-def lab_frame(
-    basis: NormalModeBasis, sys: SystemParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mode rotation and shot-noise scale that take mode moments to the lab.
-
-    Returns the orthogonal ``(4, 4)`` map ``(x1, p1, x2, p2) -> (X-, P-,
-    X+, P+)`` and the diagonal ``(4, 4)`` shot-noise scale, the two
-    arguments :func:`lab_covariances` takes per sample; ``(..., 4, 4)``
-    for a stacked basis and ``sys``.
-    """
-    return _mode_rotation(basis), _shot_noise_scale(sys)
-
-
 def lab_covariances(
     first: np.ndarray,
     second: np.ndarray,
-    rotation: np.ndarray,
-    scale: np.ndarray,
+    basis: NormalModeBasis,
+    sys: SystemParams,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lab-frame covariances and means, in shot-noise units, of many samples.
 
     ``first`` (``(n, 4)``) and ``second`` (``(n, 10)``) are raw mode
-    moments.  ``rotation`` and ``scale`` come from :func:`lab_frame`, as
-    one ``(4, 4)`` pair for every sample or stacked ``(n, 4, 4)`` per
-    sample.  Returns the ``(n, 4, 4)`` covariances, checked symmetric to
-    1e-12 relative and symmetrised, and the ``(n, 4)`` means.
+    moments.  ``basis`` and ``sys`` are one point for every sample, or
+    stacked ``(n,)`` with one point per sample.  Returns the ``(n, 4, 4)``
+    covariances, checked symmetric to 1e-12 relative and symmetrised, and
+    the ``(n, 4)`` means.
     """
     first = np.asarray(first, dtype=float)
     second = np.asarray(second, dtype=float)
+    rotation, scale = _mode_rotation(basis), _shot_noise_scale(sys)
     cov = _MODE_WEIGHT * second[:, _MODE_SLOT] - first[:, :, None] * first[:, None, :]
     rot_t = np.swapaxes(rotation, -1, -2)
     sigma = scale @ (rot_t @ cov @ rotation) @ scale
@@ -264,7 +251,7 @@ def to_lab_covariance(
 ) -> CovarianceMatrix:
     """Rotate mode moments back to the lab frame, in shot-noise units."""
     sigma, means = lab_covariances(
-        state.first_moments[None], state.second_moments[None], *lab_frame(basis, sys)
+        state.first_moments[None], state.second_moments[None], basis, sys
     )
     return CovarianceMatrix(sigma=sigma[0], means=means[0])
 
@@ -571,13 +558,12 @@ def information_measures(
     Samples go through :func:`gaussian_measures` in blocks of
     ``_BLOCK_SAMPLES``; a sample's values do not depend on its block.
     """
-    frame = lab_frame(basis, sys)
     starts = range(0, len(traj.times), _BLOCK_SAMPLES)
     parts = []
     for start in starts:
         block = slice(start, start + _BLOCK_SAMPLES)
         sigma, _ = lab_covariances(
-            traj.first_moments[block], traj.second_moments[block], *frame
+            traj.first_moments[block], traj.second_moments[block], basis, sys
         )
         parts.append(gaussian_measures(sigma))
     return GaussianMeasures(

@@ -63,9 +63,10 @@ class SystemParams:
     lam: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (np.all(self.omega1 > 0) and np.all(self.omega2 > 0)):
+        omegas = np.append(self.omega1, self.omega2)
+        if not (np.all(omegas > 0) and np.all(np.isfinite(omegas))):
             raise DomainError(
-                f"oscillator frequencies must be positive, got "
+                f"oscillator frequencies must be positive and finite, got "
                 f"omega1={self.omega1}, omega2={self.omega2}"
             )
         if not np.all(np.abs(self.lam) < self.omega1 * self.omega2):
@@ -92,14 +93,10 @@ class BathParams:
     topology: Topology = Topology.COMMON
 
     def __post_init__(self) -> None:
-        if not self.gamma > 0:
-            raise DomainError(f"gamma must be positive, got {self.gamma}")
-        if not self.cutoff > 0:
-            raise DomainError(f"cutoff must be positive, got {self.cutoff}")
-        if not self.temperature > 0:
-            raise DomainError(
-                f"temperature must be positive, got {self.temperature}"
-            )
+        for name in ("gamma", "cutoff", "temperature"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise DomainError(f"{name} must be positive and finite, got {value}")
         # permit plain strings for convenience
         object.__setattr__(self, "topology", Topology(self.topology))
         if self.gamma > 0.1:

@@ -8,7 +8,7 @@ and the information measures at ``t_eval``, so only that window is
 propagated.  Each omega2 row is one stack from set-up to measures: the
 set-up functions take its coupling values as one array, its per-step
 exponentials are raised to the evaluation step and stepped through the
-window together (:func:`~oscsync.dynamics.sample_moments`), and its
+window together (:func:`~oscsync.dynamics.sample_trajectory`), and its
 indicator and the information measures of its first window samples are
 one :func:`~oscsync.sync.windowed_correlation` and one
 :func:`~oscsync.info.gaussian_measures` call.  A cell that fails is
@@ -32,7 +32,6 @@ from .dynamics import (
     Trajectory,
     build_generator,
     dynamical_eigenvalues,
-    sample_moments,
     sample_trajectory,
 )
 from .errors import DomainError, OscSyncError
@@ -42,7 +41,6 @@ from .info import (
     gaussian_measures,
     information_measures,
     lab_covariances,
-    lab_frame,
     lab_variance_series,
     make_initial,
 )
@@ -51,13 +49,18 @@ from .model import (
     DissipationCoefficients,
     NormalModeBasis,
     SystemParams,
-    Topology,
     _NOT_ATTRACTIVE,
     _mode_squares,
     diagonalize,
     dissipation_coefficients,
 )
-from .sync import _NOT_FINITE, ObservableSeries, SyncResult, windowed_correlation
+from .sync import (
+    _NOT_FINITE,
+    ObservableSeries,
+    SyncResult,
+    _window_steps,
+    windowed_correlation,
+)
 
 __all__ = [
     "METRICS",
@@ -94,8 +97,8 @@ class SweepGrid:
         unknown = set(self.metrics) - set(METRICS)
         if unknown:
             raise DomainError(f"unknown sweep metrics: {sorted(unknown)}")
-        if self.t_eval <= 0:
-            raise DomainError(f"t_eval must be positive, got {self.t_eval}")
+        if not 0 < self.t_eval < math.inf:
+            raise DomainError(f"t_eval must be positive and finite, got {self.t_eval}")
         if not np.all(np.isfinite(self.omega2_values + self.lambda_values)):
             raise DomainError("sweep axis values must be finite")
 
@@ -203,8 +206,13 @@ def run_point(
     dip below the uncertainty bound) is blanked and recorded in
     ``measures``, not raised, so the caller can still write it out.
     """
+    if not (t_max >= 0 and dt_out > 0):
+        raise DomainError(
+            f"need t_max >= 0 and dt_out > 0, got {t_max}, {dt_out}"
+        )
+    n = int(math.floor(t_max / dt_out + 1e-12)) + 1
     basis, coeffs, gen, state0 = _set_up(system, bath, initial, backend)
-    traj = sample_trajectory(gen, state0, t_max, dt_out)
+    traj = sample_trajectory(gen, state0, dt_out, n)
     x1, x2 = lab_variance_series(traj, basis, system)
     f, g = ObservableSeries(traj.times, x1), ObservableSeries(traj.times, x2)
     sync = windowed_correlation(f, g, window)
@@ -218,7 +226,7 @@ def run_point(
 _SKIPPED = "coupling exceeds stability bound |lam| < omega1*omega2"
 
 
-def _measure_stack(grid, omega2, lams, bath, initial, dt_out, w, k_eval) -> list:
+def _measure_stack(grid, omega2, lams, initial, dt_out, w, k_eval) -> list:
     """The cells of one row at the coupling values ``lams``, as one stack.
 
     Each cell reads its window of ``w`` steps from the evaluation step
@@ -229,7 +237,9 @@ def _measure_stack(grid, omega2, lams, bath, initial, dt_out, w, k_eval) -> list
     needs_window = bool({"syncAbs", "discord", "mutualInfo"} & set(grid.metrics))
     try:
         system = replace(grid.system, omega2=omega2, lam=lams)
-        basis, _, gen, state0 = _set_up(system, bath, initial if needs_window else None)
+        basis, _, gen, state0 = _set_up(
+            system, grid.bath, initial if needs_window else None
+        )
     except OscSyncError as exc:
         return [CellResult(omega2, lam, "error", message=str(exc)) for lam in lams]
     errors = {}  # cell: message of its first failure
@@ -243,20 +253,21 @@ def _measure_stack(grid, omega2, lams, bath, initial, dt_out, w, k_eval) -> list
             except OscSyncError as exc:
                 errors[j] = str(exc)
     if needs_window:
-        first, second = sample_moments(gen, state0, dt_out, w + 1, k_start=k_eval)
+        traj = sample_trajectory(gen, state0, dt_out, w + 1, k_start=k_eval)
     if "syncAbs" in grid.metrics:
-        times = dt_out * np.arange(k_eval, k_eval + w + 1)
-        x1, x2 = lab_variance_series(Trajectory(times, first, second), basis, system)
+        x1, x2 = lab_variance_series(traj, basis, system)
         finite = np.isfinite(x1).all(axis=1) & np.isfinite(x2).all(axis=1)
-        f = ObservableSeries(times, x1[finite])
-        g = ObservableSeries(times, x2[finite])
+        f = ObservableSeries(traj.times, x1[finite])
+        g = ObservableSeries(traj.times, x2[finite])
         values["sync_abs"] = np.full(lams.size, np.nan)
         values["sync_abs"][finite] = abs(windowed_correlation(f, g, w * dt_out).C[:, 0])
         for j in np.flatnonzero(~finite):  # as the cell's series would raise alone
             errors.setdefault(j, _NOT_FINITE)
     names = [name for name in ("discord", "mutualInfo") if name in grid.metrics]
     if names:
-        sigma, _ = lab_covariances(first[:, 0], second[:, 0], *lab_frame(basis, system))
+        sigma, _ = lab_covariances(
+            traj.first_moments[:, 0], traj.second_moments[:, 0], basis, system
+        )
         measures = gaussian_measures(sigma)
         for j in set().union(*(measures.failures[name] for name in names)):
             errors.setdefault(j, str(measures.error(j, names)))
@@ -269,7 +280,7 @@ def _measure_stack(grid, omega2, lams, bath, initial, dt_out, w, k_eval) -> list
     ]
 
 
-def _run_row(grid, omega2, bath, initial, dt_out, w, k_eval) -> list:
+def _run_row(grid, omega2, initial, dt_out, w, k_eval) -> list:
     """The cells of one omega2 row.  A cell past the stability bound is
     skipped, and one whose lower mode frequency rounds to zero fails on its
     own; the rest are one stack (:func:`_measure_stack`)."""
@@ -279,7 +290,7 @@ def _run_row(grid, omega2, bath, initial, dt_out, w, k_eval) -> list:
     _, om_minus_sq, _ = _mode_squares(omega1, omega2, lams)
     live = ~skipped & (om_minus_sq > 0)
     stacked = iter(
-        _measure_stack(grid, omega2, lams[live], bath, initial, dt_out, w, k_eval)
+        _measure_stack(grid, omega2, lams[live], initial, dt_out, w, k_eval)
     )
     return [
         CellResult(omega2, lam, "skipped", message=_SKIPPED)
@@ -294,7 +305,6 @@ def _run_row(grid, omega2, bath, initial, dt_out, w, k_eval) -> list:
 def run_sweep(
     grid: SweepGrid,
     initial: InitialStateSpec,
-    topology: Topology | str | None = None,
     window: float = 15.0,
     dt_out: float = 0.1,
 ) -> SweepResult:
@@ -303,22 +313,23 @@ def run_sweep(
     ``t_eval`` and ``window`` are rounded to whole steps of ``dt_out``;
     the provenance records the effective values (``t_eval_effective``,
     ``window_effective``) and every cell that is not ``ok``, with its
-    message (``flagged_cells``).
+    message (``flagged_cells``).  A window too short for the indicator
+    fails the sweep when ``syncAbs`` is among its metrics.
     """
-    if dt_out <= 0 or window <= 0:
+    if not (0 < dt_out < math.inf and 0 < window < math.inf):
         raise DomainError(
-            f"need dt_out > 0 and window > 0, got {dt_out}, {window}"
+            f"need finite dt_out > 0 and window > 0, got {dt_out}, {window}"
         )
-    bath = grid.bath
-    if topology is not None:
-        bath = replace(bath, topology=Topology(topology))
     k_eval = int(round(grid.t_eval / dt_out))
-    w = int(round(window / dt_out))
+    if "syncAbs" in grid.metrics:
+        w = _window_steps(window, dt_out)
+    else:
+        w = int(round(window / dt_out))
 
     cells = [
         cell
         for omega2 in grid.omega2_values
-        for cell in _run_row(grid, omega2, bath, initial, dt_out, w, k_eval)
+        for cell in _run_row(grid, omega2, initial, dt_out, w, k_eval)
     ]
 
     provenance = {
@@ -326,10 +337,10 @@ def run_sweep(
         "omega2_values": list(grid.omega2_values),
         "lambda_values": list(grid.lambda_values),
         "omega1": grid.system.omega1,
-        "gamma": bath.gamma,
-        "cutoff": bath.cutoff,
-        "temperature": bath.temperature,
-        "bath": bath.topology.value,
+        "gamma": grid.bath.gamma,
+        "cutoff": grid.bath.cutoff,
+        "temperature": grid.bath.temperature,
+        "bath": grid.bath.topology.value,
         "initial": asdict(initial),
         "t_eval": grid.t_eval,
         "t_eval_effective": k_eval * dt_out,

@@ -56,6 +56,8 @@ class ObservableSeries:
         steps = np.diff(t)
         if not _close(steps, steps[0]):
             raise DomainError("time grid must be uniformly spaced")
+        if not steps[0] > 0:
+            raise DomainError("time grid must increase")
         if not np.all(np.isfinite(v)):
             raise DomainError(_NOT_FINITE)
         object.__setattr__(self, "times", t)
@@ -86,6 +88,16 @@ def _window_sums(y: np.ndarray, w: int, dt: float) -> np.ndarray:
     return (total - 0.5 * (y[..., :-w] + y[..., w:])) * dt
 
 
+def _window_steps(delta_t: float, dt: float) -> int:
+    # The window in whole sample spacings, of which it needs at least 10.
+    w = int(round(delta_t / dt))
+    if w < 10:
+        raise DomainError(
+            f"window {delta_t} must span at least 10 sample spacings of {dt:.6g}"
+        )
+    return w
+
+
 def windowed_correlation(
     f: ObservableSeries, g: ObservableSeries, delta_t: float
 ) -> SyncResult:
@@ -111,11 +123,7 @@ def windowed_correlation(
     ):
         raise GridMismatch("observable series must share one time grid and shape")
     dt = f.dt
-    w = int(round(delta_t / dt))
-    if w < 10:
-        raise DomainError(
-            f"window {delta_t} must span at least 10 sample spacings of {dt:.6g}"
-        )
+    w = _window_steps(delta_t, dt)
     if w >= f.times.size:
         raise DomainError("window longer than the series")
     span = w * dt

@@ -42,7 +42,7 @@ from oscsync import (
     run_point,
     run_sweep,
     rwa_rates,
-    sample_moments,
+    sample_trajectory,
     steady_state,
     symplectic_spectrum,
     to_lab_covariance,
@@ -165,8 +165,8 @@ def test_criterion_02_rate_separation():
 
 def test_criterion_03_separate_bath_no_separation():
     t0 = time.perf_counter()
-    grid = default_grid(metrics=("eigRatio",))
-    res = run_sweep(grid, SQ, topology="separate")
+    grid = default_grid(bath=BathParams(topology="separate"), metrics=("eigRatio",))
+    res = run_sweep(grid, SQ)
     ratios = res.metric_map("eigRatio")
     elapsed = time.perf_counter() - t0
     ok = bool(np.all(ratios >= 0.8)) and elapsed < 30.0
@@ -305,8 +305,7 @@ def test_criterion_07_propagator_oracle():
         gen = build_generator(basis, coeffs)
         state = make_initial(initial, sys_p, basis)
         # the shipped sampler's 500th step of 0.1 against 50,000 RK4 steps
-        _, second = sample_moments(gen, state, 0.1, 1, k_start=500)
-        exact = second[0]
+        exact = sample_trajectory(gen, state, 0.1, 1, k_start=500).second_moments[0]
         stepped = propagate_stepwise(gen, state, 1e-3, 50000)
         rel = np.max(
             np.abs(exact - stepped.second_moments)
@@ -437,7 +436,7 @@ def test_criterion_11_sweep_structure():
     t0 = time.perf_counter()
     maps = {}
     for topo in ("common", "separate"):
-        res = run_sweep(default_grid(), SQ, topology=topo)
+        res = run_sweep(default_grid(bath=BathParams(topology=topo)), SQ)
         assert all(c.status == "ok" for c in res.cells)
         maps[topo] = res
     cb_sync = maps["common"].metric_map("syncAbs")

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +207,41 @@ class TestValidation:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, config, name",
+        [
+            (["simulate", "--window", "nan"], "", "window"),
+            (["simulate", "--t-max", "nan"], "", "t_max"),
+            (["simulate", "--dt-out", "nan"], "", "dt_out"),
+            (["sweep", "--window", "nan"], "", "window"),
+            (["sweep"], "t_eval = nan\n", "t_eval"),
+            (["compare-rwa", "--window", "inf"], "", "window"),
+            (["eigen", "--gamma", "inf"], "", "gamma"),
+            (["eigen", "--omega2", "inf"], "", "oscillator frequencies"),
+            (["eigen", "--temperature", "inf"], "", "temperature"),
+        ],
+    )
+    def test_non_finite_setting_exits_2(self, argv, config, name, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _run([*argv, "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be positive and finite, got ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_bad_bath_in_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bath = foo\n")
+        assert _run(["simulate", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == (
+            "error: config key 'bath' needs 'common' or 'separate', got 'foo'\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_overflowing_propagation_prints_one_line(self, tmp_path, capsys):
         # a floating-point warning would also fail the test: the pytest
         # configuration turns RuntimeWarning into an error
@@ -312,14 +348,29 @@ class TestSweepCommand:
         "flags, spacing", [(["--window", 0.5], "0.1"), (["--dt-out", 2], "2")]
     )
     def test_short_window_is_a_settings_error(self, flags, spacing, tmp_path, capsys):
+        # the message names the window that was set, not the rounded one
+        window = flags[1] if flags[0] == "--window" else 15.0
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("sweep_omega2 = 1.4:1.4:0.1\nsweep_lambda = 0.3:0.7:0.4\n")
         out = tmp_path / "out"
         assert _run(["sweep", "--config", cfg, *flags, "--out", out]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: window ")
-        assert err.endswith(f"must span at least 10 sample spacings of {spacing}\n")
+        assert capsys.readouterr().err == (
+            f"error: window {window} must span at least 10 sample spacings"
+            f" of {spacing}\n"
+        )
         assert not out.exists()
+
+    def test_short_window_without_sync_is_accepted(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "sweep_omega2 = 1.4:1.4:0.1\nsweep_lambda = 0.3:0.7:0.4\n"
+            "metrics = discord,eigRatio\n"
+        )
+        out = tmp_path / "out"
+        assert _run(["sweep", "--config", cfg, "--dt-out", 2, "--out", out]) == 0
+        doc = json.loads((out / "sweep_manifest.json").read_text())
+        assert doc["window_effective"] == 16.0
+        assert doc["flagged_cells"] == []
 
 
 class TestCompareRwa:

@@ -20,7 +20,6 @@ from oscsync import (
     make_initial,
     propagate_exact,
     propagate_stepwise,
-    sample_moments,
     sample_trajectory,
     steady_state,
 )
@@ -200,13 +199,13 @@ class TestPropagation:
         )
 
     def test_exact_is_one_sampler_step(self):
-        # one expm path: propagate_exact takes one step of sample_moments
+        # one expm path: propagate_exact takes one step of sample_trajectory
         _, basis, _, gen = make_gen(1.31, 0.62, "separate")
         state = _vacuum_state(basis)
         out = propagate_exact(gen, state, 7.3)
-        first, second = sample_moments(gen, state, 7.3, 1, k_start=1)
-        assert np.array_equal(out.second_moments, second[0])
-        assert np.array_equal(out.first_moments, first[0])
+        step = sample_trajectory(gen, state, 7.3, 1, k_start=1)
+        assert np.array_equal(out.second_moments, step.second_moments[0])
+        assert np.array_equal(out.first_moments, step.first_moments[0])
         assert out.time == 7.3
 
     def test_exact_vs_stepwise(self):
@@ -260,12 +259,14 @@ class TestPropagation:
         vacuum = InitialStateSpec.vacuum()
         sys_s, basis, _, stack = make_gen(*np.transpose(points))
         states = make_initial(vacuum, sys_s, basis)
-        first, second = sample_moments(stack, states, 0.1, 21, k_start=400)
+        window = sample_trajectory(stack, states, 0.1, 21, k_start=400)
+        first, second = window.first_moments, window.second_moments
         assert first.shape == (2, 21, 4) and second.shape == (2, 21, 10)
         for j, (omega2, lam) in enumerate(points):
             sys_p, basis, _, gen = make_gen(omega2, lam)
             state = make_initial(vacuum, sys_p, basis)
-            traj = sample_trajectory(gen, state, 42.0, 0.1)
+            traj = sample_trajectory(gen, state, 0.1, 421)
+            assert np.array_equal(window.times, traj.times[400:])
             assert np.allclose(
                 second[j], traj.second_moments[400:], rtol=1e-10, atol=1e-13
             )
@@ -273,14 +274,14 @@ class TestPropagation:
                 first[j], traj.first_moments[400:], rtol=1e-10, atol=1e-13
             )
             # a stacked system gets the bits it would get on its own
-            alone = sample_moments(gen, state, 0.1, 21, k_start=400)
-            assert np.array_equal(alone[1], second[j])
-            assert np.array_equal(alone[0], first[j])
+            alone = sample_trajectory(gen, state, 0.1, 21, k_start=400)
+            assert np.array_equal(alone.second_moments, second[j])
+            assert np.array_equal(alone.first_moments, first[j])
 
     def test_sampling_grid_and_consistency(self):
         _, basis, _, gen = make_gen(1.05, 0.3)
         state = _vacuum_state(basis)
-        traj = sample_trajectory(gen, state, 12.0, 0.1)
+        traj = sample_trajectory(gen, state, 0.1, 121)
         assert len(traj.times) == 121
         assert np.allclose(np.diff(traj.times), 0.1, rtol=1e-12)
         assert np.array_equal(traj.second_moments[0], state.second_moments)
@@ -288,8 +289,14 @@ class TestPropagation:
         assert np.allclose(
             traj.second_moments[70], direct.second_moments, rtol=1e-9, atol=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "dt_out, n", [(0.0, 101), (-0.1, 101), (math.nan, 101), (0.1, 0), (0.1, -3)]
+    )
+    def test_sampling_domain(self, dt_out, n):
+        _, basis, _, gen = make_gen(1.05, 0.3)
         with pytest.raises(DomainError):
-            sample_trajectory(gen, state, 10.0, 0.0)
+            sample_trajectory(gen, _vacuum_state(basis), dt_out, n)
 
 
 class TestSteadyState:
@@ -353,7 +360,7 @@ class TestLateTimeDynamics:
         state = make_initial(
             InitialStateSpec.separable_squeezed(2.0, 4.0), sys_p, basis
         )
-        traj = sample_trajectory(gen, state, 400.0, 0.1)
+        traj = sample_trajectory(gen, state, 0.1, 4001)
         x1, _ = lab_variance_series(traj, basis, sys_p)
         sel = traj.times >= 200.0
         y = x1[sel] - np.mean(x1[sel])

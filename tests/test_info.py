@@ -27,7 +27,6 @@ from oscsync import (
     gaussian_measures,
     information_measures,
     lab_covariances,
-    lab_frame,
     make_initial,
     min_symplectic_eigenvalue,
     mutual_information,
@@ -271,7 +270,7 @@ class TestTrajectoryMeasures:
         state = make_initial(
             InitialStateSpec.separable_squeezed(2.0, 4.0), fig_system, basis
         )
-        traj = sample_trajectory(gen, state, 1.0, 0.1)
+        traj = sample_trajectory(gen, state, 0.1, 11)
         x1, x2 = lab_variance_series(traj, basis, fig_system)
         assert x1[0] == pytest.approx(math.exp(-4.0), rel=1e-10)
         assert x2[0] == pytest.approx(math.exp(-8.0), rel=1e-10)
@@ -281,7 +280,7 @@ class TestTrajectoryMeasures:
         coeffs = dissipation_coefficients(fig_system, BathParams(), basis)
         gen = build_generator(basis, coeffs)
         state = make_initial(InitialStateSpec.vacuum(), fig_system, basis)
-        traj = sample_trajectory(gen, state, 5.0, 0.5)
+        traj = sample_trajectory(gen, state, 0.5, 11)
         info = information_series(traj, basis, fig_system)
         assert set(info) == {"mutualInfo", "discord", "logNegativity", "nuMin"}
         for v in info.values():
@@ -301,7 +300,7 @@ class TestTrajectoryMeasures:
         state = make_initial(
             InitialStateSpec.separable_squeezed(2.0, 4.0), fig_system, basis
         )
-        traj = sample_trajectory(gen, state, 6.0, 0.02)
+        traj = sample_trajectory(gen, state, 0.02, 301)
         with pytest.raises(UnphysicalState):
             information_series(traj, basis, fig_system)
 
@@ -402,7 +401,8 @@ def _squeezed_run(omega2, lam, topology, backend, t_max, dt_out):
     coeffs = dissipation_coefficients(sys_p, BathParams(topology=topology), basis)
     gen = build_generator(basis, coeffs, backend=backend)
     state = make_initial(InitialStateSpec.separable_squeezed(2.0, 4.0), sys_p, basis)
-    return sys_p, basis, sample_trajectory(gen, state, t_max, dt_out)
+    n = int(round(t_max / dt_out)) + 1
+    return sys_p, basis, sample_trajectory(gen, state, dt_out, n)
 
 
 class TestBatchedKernel:
@@ -515,20 +515,17 @@ class TestBatchedKernel:
     def test_stacked_builder_matches_reference(self, fig_system):
         sys_p, basis, traj = _squeezed_run(1.4, 0.7, "common", "full", 20.0, 0.5)
         sigma, _ = lab_covariances(
-            traj.first_moments, traj.second_moments, *lab_frame(basis, fig_system)
+            traj.first_moments, traj.second_moments, basis, fig_system
         )
         for k in range(len(traj.times)):
             want = _reference_sigma(
                 traj.first_moments[k], traj.second_moments[k], basis, sys_p
             )
             assert np.allclose(sigma[k], want, rtol=1e-14, atol=0.0)
-        rotation, scale = lab_frame(basis, fig_system)
         n = len(traj.times)
+        stack = SystemParams(1.0, np.full(n, 1.4), np.full(n, 0.7))
         per_sample, _ = lab_covariances(
-            traj.first_moments,
-            traj.second_moments,
-            np.broadcast_to(rotation, (n, 4, 4)),
-            np.broadcast_to(scale, (n, 4, 4)),
+            traj.first_moments, traj.second_moments, diagonalize(stack), stack
         )
         assert np.array_equal(per_sample, sigma)
 
@@ -599,6 +596,6 @@ class TestKernelProperties:
         coeffs = dissipation_coefficients(sys_p, BathParams(topology=topology), basis)
         gen = build_generator(basis, coeffs, backend="rwa")
         state = make_initial(InitialStateSpec.parse(initial), sys_p, basis)
-        traj = sample_trajectory(gen, state, 8.0, 0.02)
+        traj = sample_trajectory(gen, state, 0.02, 401)
         info = information_series(traj, basis, sys_p)
         assert np.min(info["nuMin"]) >= 1.0 - 1e-9

@@ -115,6 +115,19 @@ class TestDiagonalize:
         with pytest.raises(DomainError):
             SystemParams(0.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "omega1, omega2",
+        [
+            (math.inf, 1.4),
+            (1.0, math.inf),
+            (math.nan, 1.4),
+            (1.0, np.array([1.2, math.inf])),
+        ],
+    )
+    def test_rejects_non_finite_frequency(self, omega1, omega2):
+        with pytest.raises(DomainError, match="positive and finite"):
+            SystemParams(omega1, omega2, 0.0)
+
 
 class TestBathModel:
     def test_spectral_density_shape(self, cb_bath):
@@ -159,6 +172,12 @@ class TestBathModel:
             BathParams(gamma=-0.01)
         with pytest.raises(DomainError):
             BathParams(temperature=0.0)
+
+    @pytest.mark.parametrize("name", ["gamma", "cutoff", "temperature"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite_bath(self, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
+            BathParams(**{name: value})
 
     def test_topology_coercion(self):
         assert BathParams(topology="separate").topology is Topology.SEPARATE

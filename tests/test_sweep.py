@@ -24,10 +24,11 @@ from oscsync import (
     dynamical_eigenvalues,
     gaussian_discord,
     information_series,
-    lab_frame,
+    lab_covariances,
     lab_variance_series,
     make_initial,
     mutual_information,
+    run_point,
     run_sweep,
     sample_trajectory,
     to_lab_covariance,
@@ -69,14 +70,15 @@ class TestGrid:
     def test_metric_validation(self):
         with pytest.raises(DomainError):
             _tiny_grid(metrics=("syncAbs", "bogus"))
-        with pytest.raises(DomainError):
-            SweepGrid(
-                omega2_values=(1.4,),
-                lambda_values=(0.7,),
-                system=SystemParams(),
-                bath=BathParams(),
-                t_eval=0.0,
-            )
+        for t_eval in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="t_eval must be positive"):
+                SweepGrid(
+                    omega2_values=(1.4,),
+                    lambda_values=(0.7,),
+                    system=SystemParams(),
+                    bath=BathParams(),
+                    t_eval=t_eval,
+                )
 
     @pytest.mark.parametrize(
         "omega2, lam", [((math.nan,), (0.7,)), ((1.4,), (0.3, math.inf))]
@@ -105,7 +107,9 @@ class TestStackedSetUp:
         coeffs = dissipation_coefficients(stack, bath, basis)
         gen = build_generator(basis, coeffs, backend)
         state = make_initial(spec, stack, basis)
-        rotation, scale = lab_frame(basis, stack)
+        sigma, means = lab_covariances(
+            state.first_moments, state.second_moments, basis, stack
+        )
         for j, (omega2, lam) in enumerate(self.POINTS):
             sys_p = SystemParams(1.0, omega2, lam)
             alone = diagonalize(sys_p)
@@ -120,8 +124,8 @@ class TestStackedSetUp:
             s0 = make_initial(spec, sys_p, alone)
             assert _same_bits(state.second_moments[j], s0.second_moments)
             assert _same_bits(state.first_moments[j], s0.first_moments)
-            frame = lab_frame(alone, sys_p)
-            assert _same_bits(rotation[j], frame[0]) and _same_bits(scale[j], frame[1])
+            cov = to_lab_covariance(s0, alone, sys_p)
+            assert _same_bits(sigma[j], cov.sigma) and _same_bits(means[j], cov.means)
 
     def test_stacked_rwa_error_names_first_offending_point(self):
         # point 1 fails on its plus mode and point 2 on its minus mode
@@ -167,7 +171,7 @@ class TestRunSweep:
         coeffs = dissipation_coefficients(sys_p, BathParams(), basis)
         gen = build_generator(basis, coeffs)
         state = make_initial(SQ, sys_p, basis)
-        traj = sample_trajectory(gen, state, 315.0, 0.1)
+        traj = sample_trajectory(gen, state, 0.1, 3151)
         x1, x2 = lab_variance_series(traj, basis, sys_p)
         sync = windowed_correlation(
             ObservableSeries(traj.times, x1),
@@ -198,7 +202,7 @@ class TestRunSweep:
             coeffs = dissipation_coefficients(sys_p, grid.bath, basis)
             gen = build_generator(basis, coeffs)
             state = make_initial(SQ, sys_p, basis)
-            traj = sample_trajectory(gen, state, grid.t_eval + 15.0, 0.1)
+            traj = sample_trajectory(gen, state, 0.1, k + 151)
             x1, x2 = lab_variance_series(traj, basis, sys_p)
             sync = windowed_correlation(
                 ObservableSeries(traj.times, x1),
@@ -227,14 +231,14 @@ class TestRunSweep:
         # the middle cell's first window sample is made unphysical; it alone
         # is an error, and its neighbours keep the bits of a row without it
         full = run_sweep(_tiny_grid(lam=(0.3, 0.7)), SQ)
-        real = sweep_mod.sample_moments
+        real = sweep_mod.sample_trajectory
 
         def shrink_middle(gen, initial, *args, **kwargs):
-            first, second = real(gen, initial, *args, **kwargs)
-            second[1, 0] *= 0.01
-            return first, second
+            traj = real(gen, initial, *args, **kwargs)
+            traj.second_moments[1, 0] *= 0.01
+            return traj
 
-        monkeypatch.setattr(sweep_mod, "sample_moments", shrink_middle)
+        monkeypatch.setattr(sweep_mod, "sample_trajectory", shrink_middle)
         res = run_sweep(_tiny_grid(lam=(0.3, 0.5, 0.7)), SQ)
         assert [c.status for c in res.cells] == ["ok", "error", "ok"]
         assert res.cells[0] == full.cells[0] and res.cells[2] == full.cells[1]
@@ -243,8 +247,10 @@ class TestRunSweep:
         basis = diagonalize(sys_p)
         coeffs = dissipation_coefficients(sys_p, BathParams(), basis)
         gen = build_generator(basis, coeffs)
-        first, second = real(gen, make_initial(SQ, sys_p, basis), 0.1, 1, k_start=3000)
-        cov = to_lab_covariance(MomentState(first[0], 0.01 * second[0]), basis, sys_p)
+        at = real(gen, make_initial(SQ, sys_p, basis), 0.1, 1, k_start=3000)
+        cov = to_lab_covariance(
+            MomentState(at.first_moments[0], 0.01 * at.second_moments[0]), basis, sys_p
+        )
         with pytest.raises(OscSyncError) as exc:
             gaussian_discord(cov)
         assert res.cells[1].message == str(exc.value)
@@ -256,14 +262,14 @@ class TestRunSweep:
         # raise on its own, and its neighbours keep the bits of a row
         # without it
         full = run_sweep(_tiny_grid(lam=(0.3, 0.7)), SQ)
-        real = sweep_mod.sample_moments
+        real = sweep_mod.sample_trajectory
 
         def blow_up_middle(gen, initial, *args, **kwargs):
-            first, second = real(gen, initial, *args, **kwargs)
-            second[1, 5, 0] = np.inf
-            return first, second
+            traj = real(gen, initial, *args, **kwargs)
+            traj.second_moments[1, 5, 0] = np.inf
+            return traj
 
-        monkeypatch.setattr(sweep_mod, "sample_moments", blow_up_middle)
+        monkeypatch.setattr(sweep_mod, "sample_trajectory", blow_up_middle)
         res = run_sweep(_tiny_grid(lam=(0.3, 0.5, 0.7)), SQ)
         assert [c.status for c in res.cells] == ["ok", "error", "ok"]
         assert res.cells[0] == full.cells[0] and res.cells[2] == full.cells[1]
@@ -303,8 +309,9 @@ class TestRunSweep:
             "dissipation_coefficients",
             "build_generator",
             "make_initial",
-            "sample_moments",
+            "sample_trajectory",
             "windowed_correlation",
+            "lab_covariances",
             "gaussian_measures",
             "dynamical_eigenvalues",
         )
@@ -313,7 +320,7 @@ class TestRunSweep:
         # 2 rows of 3 cells; lambda = 1.2 is skipped at omega2 = 1.1
         res = run_sweep(_tiny_grid(omega2=(1.1, 1.4), lam=(0.3, 0.7, 1.2)), SQ)
         assert [c.status for c in res.cells].count("ok") == 5
-        assert calls == dict(zip(names, (2, 2, 2, 2, 2, 2, 5)))
+        assert calls == dict(zip(names, (2, 2, 2, 2, 2, 2, 2, 5)))
 
     def test_row_major_cell_order(self):
         grid = _tiny_grid(omega2=(1.1, 1.3), lam=(0.2, 0.5), metrics=("eigRatio",))
@@ -345,7 +352,7 @@ class TestRunSweep:
     def test_topology_override_changes_result(self):
         grid = _tiny_grid(metrics=("eigRatio",))
         common = run_sweep(grid, SQ)
-        separate = run_sweep(grid, SQ, topology="separate")
+        separate = run_sweep(_tiny_grid(metrics=("eigRatio",), topology="separate"), SQ)
         assert separate.cells[0].eig_ratio > common.cells[0].eig_ratio
         assert separate.provenance["bath"] == "separate"
         assert common.provenance["bath"] == "common"
@@ -356,6 +363,18 @@ class TestRunSweep:
             run_sweep(grid, SQ, dt_out=0.0)
         with pytest.raises(DomainError):
             run_sweep(grid, SQ, window=-1.0)
+        with pytest.raises(DomainError):
+            run_sweep(grid, SQ, window=math.nan)
+        with pytest.raises(DomainError):
+            run_sweep(grid, SQ, dt_out=math.inf)
+
+    @pytest.mark.parametrize(
+        "t_max, dt_out", [(math.nan, 0.1), (-1.0, 0.1), (10.0, 0.0), (10.0, math.nan)]
+    )
+    def test_run_point_step_validation(self, t_max, dt_out):
+        with pytest.raises(DomainError, match="need t_max >= 0 and dt_out > 0"):
+            run_point(SystemParams(1.0, 1.4, 0.7), BathParams(), SQ, "full",
+                      t_max, dt_out, 15.0)
 
     def test_cell_error_is_captured(self, monkeypatch):
         def boom(*args, **kwargs):

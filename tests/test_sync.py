@@ -114,6 +114,11 @@ class TestWindowedCorrelation:
         with pytest.raises(GridMismatch):
             windowed_correlation(f, short, 10.0)
 
+    @pytest.mark.parametrize("times", [np.zeros(20), -np.arange(20.0)])
+    def test_time_grid_must_increase(self, times):
+        with pytest.raises(DomainError, match="increase"):
+            ObservableSeries(times, np.sin(np.arange(20.0)))
+
     def test_window_domain(self):
         f = _series(np.sin(T))
         with pytest.raises(DomainError):
@@ -259,7 +264,7 @@ class TestPhysicalSync:
         state = make_initial(
             InitialStateSpec.separable_squeezed(2.0, 4.0), sys_p, basis
         )
-        traj = sample_trajectory(gen, state, 400.0, 0.1)
+        traj = sample_trajectory(gen, state, 0.1, 4001)
         x1, x2 = lab_variance_series(traj, basis, sys_p)
         sync = windowed_correlation(
             ObservableSeries(traj.times, x1),
@@ -281,7 +286,7 @@ class TestPhysicalSync:
             st0.second_moments,
             0.0,
         )
-        traj = sample_trajectory(gen, kicked, 300.0, 0.1)
+        traj = sample_trajectory(gen, kicked, 0.1, 3001)
         fm = traj.first_moments
         mx1 = basis.c * fm[:, 0] + basis.s * fm[:, 2]
         mx2 = -basis.s * fm[:, 0] + basis.c * fm[:, 2]
