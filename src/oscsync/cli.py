@@ -176,11 +176,9 @@ def _as_choice(key: str, value, kind):
         raise DomainError(f"config key '{key}' needs {names}, got {value!r}") from None
 
 
-def _parse_axis(key: str, text) -> tuple:
+def _parse_axis(key: str, text: str) -> tuple:
     """Decode a ``start:stop:step`` range into an inclusive value tuple."""
-    if isinstance(text, (tuple, list)):
-        return tuple(float(v) for v in text)
-    parts = str(text).split(":")
+    parts = text.split(":")
     if len(parts) != 3:
         raise DomainError(
             f"config key '{key}' needs 'start:stop:step', got {text!r}"

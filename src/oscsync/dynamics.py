@@ -1,22 +1,23 @@
 """Moment-space generators and propagation.
 
 Gaussian states of the two-mode system are fully described by four first
-moments and ten second moments.  In the normal-mode basis the master
-equation closes on these, giving a linear time-invariant system
-``dR/dt = M R + N`` for the second-moment vector ``R`` and ``dm/dt = A1 m``
-for the means.  The fixed component ordering of ``R`` is::
+moments and ten second moments.  The master equation is quadratic, so in the
+normal-mode basis the means obey ``dm/dt = A1 m`` and the symmetrised second
+moments ``S`` over ``(X-, P-, X+, P+)`` obey ``dS/dt = A S + S A^T + D``.
+Stored as the vector ``R`` of raw second moments, laid out by
+:data:`MODE_SLOT`, this is the linear system ``dR/dt = M R + N``::
 
     0 <X-^2>   1 <X+^2>   2 <X-X+>
     3 <P-^2>   4 <P+^2>   5 <P-P+>
     6 <{X-,P-}>  7 <{X+,P+}>  8 <{X-,P+}>  9 <{X+,P-}>
 
-and first moments are ordered ``(<X->, <P->, <X+>, <P+>)``.  Mode index 0
-is the minus mode throughout.
+First moments are ordered ``(<X->, <P->, <X+>, <P+>)``.  Mode index 0 is
+the minus mode throughout.
 
-Two generator backends exist: the full weak-coupling equations, and a
-rotating-wave (secular) Lindblad form in which each mode dissipates
-independently and mixed-mode moments decay at the average rate with no
-diffusion drive.
+Two generator backends exist, each one drift and diffusion pair ``(A, D)``:
+the full weak-coupling equations, and a rotating-wave (secular) Lindblad
+form in which each mode dissipates independently and mixed-mode moments
+decay at the average rate with no diffusion drive.
 
 A generator or state may describe a stack of systems: its arrays then
 carry a leading stack axis, as built from a stacked ``SystemParams``.
@@ -43,6 +44,8 @@ __all__ = [
     "IDX_XX",
     "IDX_PP",
     "IDX_XP",
+    "MODE_SLOT",
+    "MODE_WEIGHT",
     "build_generator",
     "dynamical_eigenvalues",
     "propagate_exact",
@@ -51,12 +54,44 @@ __all__ = [
     "sample_trajectory",
 ]
 
-# Index maps from mode pairs (i, j) into the R vector.  The XX and PP
-# sectors are symmetric so both orderings of a mixed pair share a slot;
-# the anticommutator sector keeps <{X_i, P_j}> and <{X_j, P_i}> separate.
-IDX_XX = {(0, 0): 0, (1, 1): 1, (0, 1): 2, (1, 0): 2}
-IDX_PP = {(0, 0): 3, (1, 1): 4, (0, 1): 5, (1, 0): 5}
-IDX_XP = {(0, 0): 6, (1, 1): 7, (0, 1): 8, (1, 0): 9}
+# The layout of R, written only here: the slot of each symmetrised second
+# moment over (X-, P-, X+, P+), and its weight, since the stored <{X, P}> is
+# twice the symmetrised product.  The anticommutator sector keeps
+# <{X_i, P_j}> and <{X_j, P_i}> in separate slots.
+MODE_SLOT = np.array([[0, 6, 2, 8], [6, 3, 9, 5], [2, 9, 1, 7], [8, 5, 7, 4]])
+MODE_WEIGHT = np.where(MODE_SLOT >= 6, 0.5, 1.0)
+_UPPER = np.triu_indices(4)
+_DIAG = np.arange(4)
+
+# The same layout by mode pair (i, j), 0 = minus mode.
+_PAIRS = [(0, 0), (1, 1), (0, 1), (1, 0)]
+IDX_XX = {(i, j): int(MODE_SLOT[2 * i, 2 * j]) for i, j in _PAIRS}
+IDX_PP = {(i, j): int(MODE_SLOT[2 * i + 1, 2 * j + 1]) for i, j in _PAIRS}
+IDX_XP = {(i, j): int(MODE_SLOT[2 * i, 2 * j + 1]) for i, j in _PAIRS}
+
+
+def _lyapunov_terms() -> tuple[np.ndarray, np.ndarray]:
+    # dS/dt = A S + S A^T with S[a, b] = MODE_WEIGHT[a, b] R[MODE_SLOT[a, b]]
+    # adds A[a, k] to M[MODE_SLOT[a, b], MODE_SLOT[k, b]] and A[b, k] to
+    # M[MODE_SLOT[a, b], MODE_SLOT[a, k]], each times a weight ratio.  The
+    # columns of MODE_SLOT are permutations, so an entry of M has at most two
+    # terms, each an exact product by 0.5, 1 or 2.  Returns each entry's two
+    # flat indices into A, 16 (a zero appended to A) for a missing term, and
+    # their factors.
+    factor = np.zeros((10, 10, 17))
+    for a, b in zip(*_UPPER):
+        row, w = MODE_SLOT[a, b], MODE_WEIGHT[a, b]
+        for k in range(4):
+            factor[row, MODE_SLOT[k, b], 4 * a + k] += MODE_WEIGHT[k, b] / w
+            factor[row, MODE_SLOT[a, k], 4 * b + k] += MODE_WEIGHT[a, k] / w
+    term = np.full((10, 10, 2), 16)
+    for row, col in np.ndindex(10, 10):
+        nonzero = np.flatnonzero(factor[row, col])
+        term[row, col, : nonzero.size] = nonzero
+    return term, np.take_along_axis(factor, term, axis=-1)
+
+
+_M_TERM, _M_FACTOR = _lyapunov_terms()
 
 
 class Backend(str, Enum):
@@ -127,93 +162,62 @@ def build_generator(
 ) -> MomentGenerator:
     """Assemble the 10x10 drift matrix M, inhomogeneity N, and 4x4 A1.
 
-    Full backend, for modes i, j (0 = minus, 1 = plus)::
+    Each backend is a drift ``A`` and a diffusion ``D`` over ``(X-, P-, X+,
+    P+)`` in ``dS/dt = A S + S A^T + D``; one constant map, built at import
+    from :data:`MODE_SLOT`, turns them into ``M`` and ``N``.  Both backends
+    share the first-moment drift ``A1`` of the full equations, ``dXm/dt =
+    Pm`` and ``dPm/dt = -Om^2 Xm - sum_n G~[m,n] Pn``.
 
-        d<XiXj>    = (<{Xi,Pj}> + <{Xj,Pi}>) / 2
-        d<PiPj>    = -(Oi^2 <{Xi,Pj}> + Oj^2 <{Xj,Pi}>) / 2
-                     - (G[i,i] + G[j,j]) <PiPj>
-                     - G[i,-i] <Pj P-i> - G[j,-j] <Pi P-j>  + D[i,j]
-        d<{Xi,Pj}> = 2 <PiPj> - 2 Oj^2 <XiXj>
-                     - G[j,j] <{Xi,Pj}> - G[j,-j] <{Xi,P-j}>
+    Full backend: ``A = A1``, and ``D`` holds ``(D~ + D~^T) / 2`` in its
+    momentum block.  The symmetrised drive is needed because ``<P-P+>``
+    carries a single slot of R while the coefficient matrix samples each
+    column at its own frequency.
 
-    The mixed-moment diffusion drive uses the symmetrized
-    ``(D[0,1] + D[1,0]) / 2`` because ``<P-P+>`` carries a single slot of R
-    while the coefficient matrix samples each column at its own frequency.
-
-    RWA backend: each mode is an independent damped oscillator with drive
-    ``D[m,m]/(2 Om^2)`` on ``<Xm^2>`` and ``D[m,m]/2`` on ``<Pm^2>``; mixed
-    moments keep their Hamiltonian part and decay uniformly at the average
-    rate with no drive.  Raises ``ConfigError`` when the implied Lindblad
-    excitation rate ``D[m,m]/Om - G[m,m]`` would be negative, naming the
-    first such point of a stack.
+    RWA backend: each mode is an independent damped oscillator.  ``A`` is
+    block-diagonal with one block ``[[-G~mm/2, 1], [-Om^2, -G~mm/2]]`` per
+    mode and ``D = diag(D~mm/(2 Om^2), D~mm/2)`` per mode, so mixed moments
+    keep their Hamiltonian part and decay at the average rate with no
+    drive.  Raises ``ConfigError`` when the implied Lindblad excitation rate
+    ``D~mm/Om - G~mm`` would be negative, naming the first such point of a
+    stack.
     """
     backend = Backend(backend)
     om2 = basis.frequencies**2
-    G = coeffs.gamma_tilde
-    D = coeffs.d_tilde
+    G, D_tilde = coeffs.gamma_tilde, coeffs.d_tilde
     lead = om2.shape[:-1]
-    M = np.zeros(lead + (10, 10))
-    N = np.zeros(lead + (10,))
-
+    A1 = np.zeros(lead + (4, 4))
+    A1[..., 0, 1] = A1[..., 2, 3] = 1.0
+    A1[..., 1, 0] = -om2[..., 0]
+    A1[..., 3, 2] = -om2[..., 1]
+    A1[..., 1::2, 1::2] = -G
+    D = np.zeros(lead + (4, 4))
     if backend is Backend.FULL:
-        for i, j in [(0, 0), (1, 1), (0, 1)]:
-            row = IDX_XX[i, j]
-            M[..., row, IDX_XP[i, j]] += 0.5
-            M[..., row, IDX_XP[j, i]] += 0.5
-        for i, j in [(0, 0), (1, 1), (0, 1)]:
-            row = IDX_PP[i, j]
-            M[..., row, IDX_XP[i, j]] -= 0.5 * om2[..., i]
-            M[..., row, IDX_XP[j, i]] -= 0.5 * om2[..., j]
-            M[..., row, IDX_PP[i, j]] -= G[..., i, i] + G[..., j, j]
-            M[..., row, IDX_PP[j, 1 - i]] -= G[..., i, 1 - i]
-            M[..., row, IDX_PP[i, 1 - j]] -= G[..., j, 1 - j]
-            N[..., row] += 0.5 * (D[..., i, j] + D[..., j, i])
-        for i, j in [(0, 0), (1, 1), (0, 1), (1, 0)]:
-            row = IDX_XP[i, j]
-            M[..., row, IDX_PP[i, j]] += 2.0
-            M[..., row, IDX_XX[i, j]] -= 2.0 * om2[..., j]
-            M[..., row, IDX_XP[i, j]] -= G[..., j, j]
-            M[..., row, IDX_XP[i, 1 - j]] -= G[..., j, 1 - j]
+        A = A1
+        D[..., 1::2, 1::2] = 0.5 * (D_tilde + np.swapaxes(D_tilde, -1, -2))
     else:
+        d_mm = np.diagonal(D_tilde, axis1=-2, axis2=-1)
+        g_mm = np.diagonal(G, axis1=-2, axis2=-1)
         # (points, mode) of D~/Omega and Gamma~
-        ratio = (np.diagonal(D, axis1=-2, axis2=-1) / basis.frequencies).reshape(-1, 2)
-        rate = np.diagonal(G, axis1=-2, axis2=-1).reshape(-1, 2)
+        ratio = (d_mm / basis.frequencies).reshape(-1, 2)
+        rate = g_mm.reshape(-1, 2)
         if np.any(ratio < rate):
             k, m = np.argwhere(ratio < rate)[0]
             raise ConfigError(
                 f"RWA backend outside validity: mode {'-+'[m]} has"
                 f" D~/Omega = {ratio[k, m]:.3e} < Gamma~ = {rate[k, m]:.3e}"
             )
-        for m in (0, 1):
-            M[..., IDX_XX[m, m], IDX_XP[m, m]] += 1.0
-            M[..., IDX_XX[m, m], IDX_XX[m, m]] -= G[..., m, m]
-            N[..., IDX_XX[m, m]] += D[..., m, m] / (2.0 * om2[..., m])
-            M[..., IDX_PP[m, m], IDX_XP[m, m]] -= om2[..., m]
-            M[..., IDX_PP[m, m], IDX_PP[m, m]] -= G[..., m, m]
-            N[..., IDX_PP[m, m]] += 0.5 * D[..., m, m]
-            row = IDX_XP[m, m]
-            M[..., row, IDX_PP[m, m]] += 2.0
-            M[..., row, IDX_XX[m, m]] -= 2.0 * om2[..., m]
-            M[..., row, row] -= G[..., m, m]
-        avg = 0.5 * (G[..., 0, 0] + G[..., 1, 1])
-        M[..., IDX_XX[0, 1], IDX_XP[0, 1]] += 0.5
-        M[..., IDX_XX[0, 1], IDX_XP[1, 0]] += 0.5
-        M[..., IDX_XX[0, 1], IDX_XX[0, 1]] -= avg
-        M[..., IDX_PP[0, 1], IDX_XP[0, 1]] -= 0.5 * om2[..., 0]
-        M[..., IDX_PP[0, 1], IDX_XP[1, 0]] -= 0.5 * om2[..., 1]
-        M[..., IDX_PP[0, 1], IDX_PP[0, 1]] -= avg
-        for i, j in [(0, 1), (1, 0)]:
-            row = IDX_XP[i, j]
-            M[..., row, IDX_PP[0, 1]] += 2.0
-            M[..., row, IDX_XX[0, 1]] -= 2.0 * om2[..., j]
-            M[..., row, row] -= avg
-
-    # First-moment drift, ordering (<X->, <P->, <X+>, <P+>).
-    A1 = np.zeros(lead + (4, 4))
-    A1[..., 0, 1] = A1[..., 2, 3] = 1.0
-    A1[..., 1, 0] = -om2[..., 0]
-    A1[..., 3, 2] = -om2[..., 1]
-    A1[..., 1::2, 1::2] = -G
+        A = A1.copy()
+        A[..., 1, 3] = A[..., 3, 1] = 0.0
+        A[..., _DIAG, _DIAG] = np.repeat(-0.5 * g_mm, 2, axis=-1)
+        D[..., _DIAG, _DIAG] = np.stack(
+            [d_mm / (2.0 * om2), 0.5 * d_mm], axis=-1
+        ).reshape(lead + (4,))
+    # Both sums start from +0, so an entry without drift or drive reads +0,
+    # never -0, whatever the signs of the zero coefficients.
+    a = np.concatenate([A.reshape(lead + (16,)), np.zeros(lead + (1,))], axis=-1)
+    M = np.sum(_M_FACTOR * a[..., _M_TERM], axis=-1, initial=0.0)
+    N = np.empty(lead + (10,))
+    N[..., MODE_SLOT[_UPPER]] = 0.0 + D[(..., *_UPPER)] / MODE_WEIGHT[_UPPER]
     return MomentGenerator(M=M, N=N, A1=A1, backend=backend)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .dynamics import MomentState, Trajectory
+from .dynamics import IDX_XX, MODE_SLOT, MODE_WEIGHT, MomentState, Trajectory
 from .errors import (
     DegenerateState,
     DomainError,
@@ -174,19 +174,6 @@ def _spec_to_shot_noise_sigma(spec: InitialStateSpec) -> np.ndarray:
     return sigma
 
 
-# The layout of the raw second-moment vector R (IDX_XX, IDX_PP, IDX_XP),
-# which make_initial packs from the upper triangle of the mode covariance
-# and lab_covariances unpacks: the slot of each entry over (X-, P-, X+, P+),
-# and its weight, since the stored <{X, P}> is twice the symmetrised product.
-_MODE_SLOT = np.array(
-    [
-        [0, 6, 2, 8],
-        [6, 3, 9, 5],
-        [2, 9, 1, 7],
-        [8, 5, 7, 4],
-    ]
-)
-_MODE_WEIGHT = np.where(_MODE_SLOT >= 6, 0.5, 1.0)
 _UPPER = np.triu_indices(4)
 
 
@@ -207,7 +194,7 @@ def make_initial(
     rot = _mode_rotation(basis)
     sm = rot @ sigma_lab @ np.swapaxes(rot, -1, -2)
     r = np.empty(sm.shape[:-2] + (10,))
-    r[..., _MODE_SLOT[_UPPER]] = sm[(..., *_UPPER)] / _MODE_WEIGHT[_UPPER]
+    r[..., MODE_SLOT[_UPPER]] = sm[(..., *_UPPER)] / MODE_WEIGHT[_UPPER]
     return MomentState(first_moments=np.zeros(r.shape[:-1] + (4,)), second_moments=r)
 
 
@@ -239,7 +226,7 @@ def lab_covariances(
     first = np.asarray(first, dtype=float)
     second = np.asarray(second, dtype=float)
     rotation, scale = _mode_rotation(basis), _shot_noise_scale(sys)
-    cov = _MODE_WEIGHT * second[:, _MODE_SLOT] - first[:, :, None] * first[:, None, :]
+    cov = MODE_WEIGHT * second[:, MODE_SLOT] - first[:, :, None] * first[:, None, :]
     rot_t = np.swapaxes(rotation, -1, -2)
     sigma = scale @ (rot_t @ cov @ rotation) @ scale
     means = np.diagonal(scale, axis1=-2, axis2=-1) * (rot_t @ first[..., None])[..., 0]
@@ -542,8 +529,9 @@ def lab_variance_series(
         np.asarray(v)[..., None] for v in (basis.c, basis.s, sys.omega1, sys.omega2)
     )
     r = traj.second_moments
-    x1 = c * c * r[..., 0] + s * s * r[..., 1] + 2.0 * c * s * r[..., 2]
-    x2 = s * s * r[..., 0] + c * c * r[..., 1] - 2.0 * c * s * r[..., 2]
+    xx_m, xx_p, xx_mp = (r[..., IDX_XX[ij]] for ij in [(0, 0), (1, 1), (0, 1)])
+    x1 = c * c * xx_m + s * s * xx_p + 2.0 * c * s * xx_mp
+    x2 = s * s * xx_m + c * c * xx_p - 2.0 * c * s * xx_mp
     return 2.0 * w1 * x1, 2.0 * w2 * x2
 
 

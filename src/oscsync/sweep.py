@@ -206,9 +206,9 @@ def run_point(
     dip below the uncertainty bound) is blanked and recorded in
     ``measures``, not raised, so the caller can still write it out.
     """
-    if not (t_max >= 0 and dt_out > 0):
+    if not (t_max >= 0 and dt_out > 0 and math.isfinite(t_max / dt_out)):
         raise DomainError(
-            f"need t_max >= 0 and dt_out > 0, got {t_max}, {dt_out}"
+            f"need t_max >= 0 and dt_out > 0 with a finite ratio, got {t_max}, {dt_out}"
         )
     n = int(math.floor(t_max / dt_out + 1e-12)) + 1
     basis, coeffs, gen, state0 = _set_up(system, bath, initial, backend)

@@ -90,7 +90,13 @@ def _window_sums(y: np.ndarray, w: int, dt: float) -> np.ndarray:
 
 def _window_steps(delta_t: float, dt: float) -> int:
     # The window in whole sample spacings, of which it needs at least 10.
-    w = int(round(delta_t / dt))
+    steps = delta_t / dt
+    if not math.isfinite(steps):
+        raise DomainError(
+            f"window {delta_t} must span a finite number of sample spacings"
+            f" of {dt:.6g}"
+        )
+    w = int(round(steps))
     if w < 10:
         raise DomainError(
             f"window {delta_t} must span at least 10 sample spacings of {dt:.6g}"
@@ -114,7 +120,7 @@ def windowed_correlation(
     GridMismatch
         If the two series do not share their time grid and stack shape.
     DomainError
-        If the window is shorter than 10 sample spacings.
+        If the window is shorter than 10 sample spacings or not finite.
     """
     # A series' times are finite and uniform, so one object is one grid;
     # equal stack shapes give equal grid lengths.

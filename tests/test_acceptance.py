@@ -446,12 +446,22 @@ def test_criterion_11_sweep_structure():
     reversed_control = _lock_runs_end_at_max_lambda(cb_sync[:, ::-1])
     sb_max = sb_sync.max()
     rho = spearmanr(cb_sync.ravel(), cb_disc.ravel()).correlation
+    # Disparate decay rates: a common bath locks where the slowest and
+    # fastest dynamical rates differ most (small eigRatio); separate baths
+    # keep every rate near gamma (eigRatio ~ 1) and lock nowhere.
+    cb_eig = maps["common"].metric_map("eigRatio")
+    rho_eig = spearmanr(cb_sync.ravel(), cb_eig.ravel()).correlation
+    rho_eig_control = spearmanr(cb_sync.ravel(), cb_eig[:, ::-1].ravel()).correlation
+    sb_eig_min = maps["separate"].metric_map("eigRatio").min()
     elapsed = time.perf_counter() - t0
     ok = (
         lock_region
         and not reversed_control
         and sb_max < LOCK
         and rho > 0.7
+        and rho_eig < -0.5
+        and not rho_eig_control < -0.5
+        and sb_eig_min > 0.99
         and elapsed < 240.0
     )
     _report(
@@ -461,10 +471,15 @@ def test_criterion_11_sweep_structure():
         f"largest lambda: {lock_region} ({int((cb_sync >= LOCK).sum())} "
         f"cells; reversed-lambda control: {reversed_control}); SB max|C|="
         f"{sb_max:.4f} (<0.90, no cell locks); Spearman(|C|, discord)="
-        f"{rho:.4f} (>0.7), {elapsed:.1f}s",
+        f"{rho:.4f} (>0.7); CB Spearman(|C|, eigRatio)={rho_eig:.4f} (<-0.5; "
+        f"reversed-lambda control {rho_eig_control:.4f}); SB min eigRatio="
+        f"{sb_eig_min:.5f} (>0.99), {elapsed:.1f}s",
     )
     assert lock_region
     assert not reversed_control
     assert sb_max < LOCK
     assert rho > 0.7
+    assert rho_eig < -0.5
+    assert not rho_eig_control < -0.5
+    assert sb_eig_min > 0.99
     assert elapsed < 240.0

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from oscsync import cli
+from oscsync.sweep import default_grid
 
 
 def _run(argv):
@@ -306,6 +307,15 @@ class TestEigen:
 
 
 class TestSweepCommand:
+    def test_default_axes_are_the_default_grid(self):
+        # the CLI's range strings and default_grid's arange calls are two
+        # spellings of one map
+        cfg = cli.resolve_config(cli.build_parser().parse_args(["sweep"]))
+        grid = default_grid()
+        assert cfg.sweep_omega2 == grid.omega2_values
+        assert cfg.sweep_lambda == grid.lambda_values
+        assert len(grid.omega2_values) == 21 and len(grid.lambda_values) == 35
+
     def test_tiny_sweep(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(
@@ -452,14 +462,17 @@ class TestPlumbing:
         assert "0.1.0" in capsys.readouterr().out
 
     def test_benchmark_layers_are_exported_functions(self):
-        # every `<layer>.<name>.calls` metric the benchmark declares names a
-        # function that oscsync.<layer> defines and lists in __all__
+        # every `<layer>.<name>.calls` or `.self_s` metric the benchmark
+        # declares names a function that oscsync.<layer> defines and lists
+        # in __all__
         path = os.path.join(os.path.dirname(__file__), os.pardir, "BENCHMARK.json")
         with open(path) as fh:
             names = [m["name"] for m in json.load(fh)["per_layer"]]
-        calls = [n.split(".")[:2] for n in names if n.endswith(".calls")]
-        assert calls
-        for layer, name in calls:
+        traced = {
+            tuple(n.split(".")[:2]) for n in names if n.endswith((".calls", ".self_s"))
+        }
+        assert traced
+        for layer, name in sorted(traced):
             mod = importlib.import_module(f"oscsync.{layer}")
             fn = getattr(mod, name, None)
             assert name in mod.__all__, f"{layer}.{name}"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oscsync import (
     Backend,
+    BathParams,
     ConfigError,
     DissipationCoefficients,
     DomainError,
@@ -16,6 +17,7 @@ from oscsync import (
     SystemParams,
     build_generator,
     diagonalize,
+    dissipation_coefficients,
     dynamical_eigenvalues,
     make_initial,
     propagate_exact,
@@ -43,6 +45,153 @@ def _vacuum_state(basis):
         r[IDX_XX[m, m]] = 1.0 / (2.0 * om)
         r[IDX_PP[m, m]] = om / 2.0
     return MomentState(first_moments=np.zeros(4), second_moments=r, time=0.0)
+
+
+def _reference_generator(basis, coeffs, backend):
+    """The moment equations written slot by slot, as (M, N, A1).
+
+    Full backend, for modes i, j (0 = minus, 1 = plus)::
+
+        d<XiXj>    = (<{Xi,Pj}> + <{Xj,Pi}>) / 2
+        d<PiPj>    = -(Oi^2 <{Xi,Pj}> + Oj^2 <{Xj,Pi}>) / 2
+                     - (G[i,i] + G[j,j]) <PiPj>
+                     - G[i,-i] <Pj P-i> - G[j,-j] <Pi P-j>  + D[i,j]
+        d<{Xi,Pj}> = 2 <PiPj> - 2 Oj^2 <XiXj>
+                     - G[j,j] <{Xi,Pj}> - G[j,-j] <{Xi,P-j}>
+
+    with the symmetrised ``(D[0,1] + D[1,0]) / 2`` on ``<P-P+>``.  RWA
+    backend: each mode is a damped oscillator with drive ``D[m,m]/(2 Om^2)``
+    on ``<Xm^2>`` and ``D[m,m]/2`` on ``<Pm^2>``; mixed moments keep their
+    Hamiltonian part and decay at the average rate with no drive.
+    """
+    om2 = basis.frequencies**2
+    G = coeffs.gamma_tilde
+    D = coeffs.d_tilde
+    lead = om2.shape[:-1]
+    M = np.zeros(lead + (10, 10))
+    N = np.zeros(lead + (10,))
+    if Backend(backend) is Backend.FULL:
+        for i, j in [(0, 0), (1, 1), (0, 1)]:
+            row = IDX_XX[i, j]
+            M[..., row, IDX_XP[i, j]] += 0.5
+            M[..., row, IDX_XP[j, i]] += 0.5
+        for i, j in [(0, 0), (1, 1), (0, 1)]:
+            row = IDX_PP[i, j]
+            M[..., row, IDX_XP[i, j]] -= 0.5 * om2[..., i]
+            M[..., row, IDX_XP[j, i]] -= 0.5 * om2[..., j]
+            M[..., row, IDX_PP[i, j]] -= G[..., i, i] + G[..., j, j]
+            M[..., row, IDX_PP[j, 1 - i]] -= G[..., i, 1 - i]
+            M[..., row, IDX_PP[i, 1 - j]] -= G[..., j, 1 - j]
+            N[..., row] += 0.5 * (D[..., i, j] + D[..., j, i])
+        for i, j in [(0, 0), (1, 1), (0, 1), (1, 0)]:
+            row = IDX_XP[i, j]
+            M[..., row, IDX_PP[i, j]] += 2.0
+            M[..., row, IDX_XX[i, j]] -= 2.0 * om2[..., j]
+            M[..., row, IDX_XP[i, j]] -= G[..., j, j]
+            M[..., row, IDX_XP[i, 1 - j]] -= G[..., j, 1 - j]
+    else:
+        ratio = (np.diagonal(D, axis1=-2, axis2=-1) / basis.frequencies).reshape(-1, 2)
+        rate = np.diagonal(G, axis1=-2, axis2=-1).reshape(-1, 2)
+        if np.any(ratio < rate):
+            k, m = np.argwhere(ratio < rate)[0]
+            raise ConfigError(
+                f"RWA backend outside validity: mode {'-+'[m]} has"
+                f" D~/Omega = {ratio[k, m]:.3e} < Gamma~ = {rate[k, m]:.3e}"
+            )
+        for m in (0, 1):
+            M[..., IDX_XX[m, m], IDX_XP[m, m]] += 1.0
+            M[..., IDX_XX[m, m], IDX_XX[m, m]] -= G[..., m, m]
+            N[..., IDX_XX[m, m]] += D[..., m, m] / (2.0 * om2[..., m])
+            M[..., IDX_PP[m, m], IDX_XP[m, m]] -= om2[..., m]
+            M[..., IDX_PP[m, m], IDX_PP[m, m]] -= G[..., m, m]
+            N[..., IDX_PP[m, m]] += 0.5 * D[..., m, m]
+            row = IDX_XP[m, m]
+            M[..., row, IDX_PP[m, m]] += 2.0
+            M[..., row, IDX_XX[m, m]] -= 2.0 * om2[..., m]
+            M[..., row, row] -= G[..., m, m]
+        avg = 0.5 * (G[..., 0, 0] + G[..., 1, 1])
+        M[..., IDX_XX[0, 1], IDX_XP[0, 1]] += 0.5
+        M[..., IDX_XX[0, 1], IDX_XP[1, 0]] += 0.5
+        M[..., IDX_XX[0, 1], IDX_XX[0, 1]] -= avg
+        M[..., IDX_PP[0, 1], IDX_XP[0, 1]] -= 0.5 * om2[..., 0]
+        M[..., IDX_PP[0, 1], IDX_XP[1, 0]] -= 0.5 * om2[..., 1]
+        M[..., IDX_PP[0, 1], IDX_PP[0, 1]] -= avg
+        for i, j in [(0, 1), (1, 0)]:
+            row = IDX_XP[i, j]
+            M[..., row, IDX_PP[0, 1]] += 2.0
+            M[..., row, IDX_XX[0, 1]] -= 2.0 * om2[..., j]
+            M[..., row, row] -= avg
+    A1 = np.zeros(lead + (4, 4))
+    A1[..., 0, 1] = A1[..., 2, 3] = 1.0
+    A1[..., 1, 0] = -om2[..., 0]
+    A1[..., 3, 2] = -om2[..., 1]
+    A1[..., 1::2, 1::2] = -G
+    return M, N, A1
+
+
+class TestReferenceEquations:
+    """build_generator against the slot-by-slot equations, bit for bit
+    (``tobytes``, so the sign of a zero counts)."""
+
+    @staticmethod
+    def _assert_matches(basis, coeffs, backend):
+        gen = build_generator(basis, coeffs, backend)
+        want = _reference_generator(basis, coeffs, backend)
+        for got, ref in zip((gen.M, gen.N, gen.A1), want):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    @staticmethod
+    def _random_stack(rng, k=5):
+        omega2 = rng.uniform(0.5, 2.0, k)
+        lam = rng.uniform(-0.95, 0.95, k) * omega2
+        lam[rng.integers(k)] = 0.0  # decoupled modes: kappa and G~ cross terms 0
+        return SystemParams(1.0, omega2, lam)
+
+    @pytest.mark.parametrize("topology", ["common", "separate"])
+    @pytest.mark.parametrize("backend", ["full", "rwa"])
+    def test_random_stacks_match_bitwise(self, rng, topology, backend):
+        for _ in range(60):
+            sys_p = self._random_stack(rng)
+            bath = BathParams(
+                topology=topology,
+                gamma=rng.uniform(1e-3, 0.05),
+                cutoff=rng.uniform(1.0, 50.0),
+                temperature=rng.uniform(0.01, 20.0),
+            )
+            basis = diagonalize(sys_p)
+            coeffs = dissipation_coefficients(sys_p, bath, basis)
+            self._assert_matches(basis, coeffs, backend)
+
+    @pytest.mark.parametrize("backend", ["full", "rwa"])
+    def test_signed_zero_coefficients_match_bitwise(self, rng, backend):
+        # hand-made coefficients with zeros of either sign, RWA-valid
+        for _ in range(40):
+            sys_p = self._random_stack(rng, k=3)
+            basis = diagonalize(sys_p)
+            g = rng.uniform(0.0, 0.05, (3, 2, 2)) * rng.integers(0, 2, (3, 2, 2))
+            d = rng.uniform(1.0, 2.0, (3, 2, 2)) * rng.integers(0, 2, (3, 2, 2))
+            g[..., [0, 1], [1, 0]] *= -1.0
+            d[..., [0, 1], [1, 0]] *= -1.0
+            d[..., [0, 1], [0, 1]] += 3.0 * g[..., [0, 1], [0, 1]] * basis.frequencies
+            self._assert_matches(basis, DissipationCoefficients(g, d), backend)
+            one = diagonalize(SystemParams(1.0, sys_p.omega2[0], sys_p.lam[0]))
+            self._assert_matches(one, DissipationCoefficients(g[0], d[0]), backend)
+
+    def test_rwa_error_message_matches(self):
+        # point 1 fails on its plus mode and point 2 on its minus mode
+        stack = SystemParams(1.0, np.array([1.1, 1.2, 1.3]), np.array([0.3, 0.4, 0.5]))
+        basis = diagonalize(stack)
+        drive = np.array([[2.0, 2.0], [2.0, 0.5], [0.5, 2.0]]) * basis.frequencies
+        coeffs = DissipationCoefficients(
+            gamma_tilde=np.broadcast_to(0.01 * np.eye(2), (3, 2, 2)).copy(),
+            d_tilde=0.01 * drive[..., None] * np.eye(2),
+        )
+        with pytest.raises(ConfigError) as want:
+            _reference_generator(basis, coeffs, "rwa")
+        with pytest.raises(ConfigError) as got:
+            build_generator(basis, coeffs, "rwa")
+        assert str(got.value) == str(want.value)
+        assert "mode +" in str(got.value)
 
 
 class TestDriftAssembly:

@@ -369,12 +369,20 @@ class TestRunSweep:
             run_sweep(grid, SQ, dt_out=math.inf)
 
     @pytest.mark.parametrize(
-        "t_max, dt_out", [(math.nan, 0.1), (-1.0, 0.1), (10.0, 0.0), (10.0, math.nan)]
+        "t_max, dt_out",
+        [(math.nan, 0.1), (-1.0, 0.1), (10.0, 0.0), (10.0, math.nan),
+         (math.inf, 0.1), (1e308, 1e-300)],
     )
     def test_run_point_step_validation(self, t_max, dt_out):
         with pytest.raises(DomainError, match="need t_max >= 0 and dt_out > 0"):
             run_point(SystemParams(1.0, 1.4, 0.7), BathParams(), SQ, "full",
                       t_max, dt_out, 15.0)
+
+    @pytest.mark.parametrize("window", [math.nan, math.inf])
+    def test_run_point_non_finite_window(self, window):
+        with pytest.raises(DomainError, match="finite number of sample spacings"):
+            run_point(SystemParams(1.0, 1.4, 0.7), BathParams(), SQ, "full",
+                      20.0, 0.1, window)
 
     def test_cell_error_is_captured(self, monkeypatch):
         def boom(*args, **kwargs):

@@ -125,6 +125,10 @@ class TestWindowedCorrelation:
             windowed_correlation(f, f, 0.2)  # fewer than 10 spacings
         with pytest.raises(DomainError):
             windowed_correlation(f, f, 200.0)  # longer than the record
+        # 1e308 / 0.05 overflows to an infinite number of spacings
+        for window in (math.nan, math.inf, -math.inf, 1e308):
+            with pytest.raises(DomainError, match="finite number of sample spacings"):
+                windowed_correlation(f, f, window)
 
 
 def _stacks(rng):
