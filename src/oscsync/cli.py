@@ -47,8 +47,8 @@ from .sweep import (
     METRICS,
     PointRun,
     SweepGrid,
-    _fmt_column,
     _set_up,
+    _write_csv,
     _write_json,
     run_point,
     run_sweep,
@@ -232,18 +232,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             m.strip() for m in str(merged["metrics"]).split(",") if m.strip()
         ),
     )
-
-
-_CSV_BLOCK_ROWS = 1024
-
-
-def _write_csv(path: str, comment: str, header: list, columns: list) -> None:
-    # Formats a block of rows at a time, column by column, to bound memory.
-    with open(path, "w") as fh:
-        fh.write("# " + comment + "\n" + ",".join(header) + "\n")
-        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            block = [_fmt_column(c[start : start + _CSV_BLOCK_ROWS]) for c in columns]
-            fh.writelines(",".join(row) + "\n" for row in zip(*block))
 
 
 def _complex_list(mu: np.ndarray) -> list:

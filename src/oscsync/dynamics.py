@@ -342,6 +342,12 @@ def sample_trajectory(
     if not (dt_out > 0 and n >= 1):
         raise DomainError(f"need dt_out > 0 and n >= 1, got {dt_out}, {n}")
     lead = gen.M.shape[:-2]
+    # numpy refuses larger arrays with a bare ValueError, not a MemoryError
+    if math.prod(lead) * n * 10 * 8 > np.iinfo(np.intp).max:
+        raise DomainError(
+            f"{n:.3g} samples of spacing dt_out = {dt_out:.6g} are more than"
+            " one array can hold"
+        )
     v = np.concatenate([initial.second_moments, np.ones(lead + (1,))], axis=-1)
     v, m = v[..., None], initial.first_moments[..., None]
     second = np.empty(lead + (n, 10))

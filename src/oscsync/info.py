@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .dynamics import IDX_XX, MODE_SLOT, MODE_WEIGHT, MomentState, Trajectory
 from .errors import (
@@ -333,7 +332,8 @@ def _entropies(nu: np.ndarray) -> np.ndarray:
     nu = np.maximum(nu, 1.0)
     up = 0.5 * (nu + 1.0)
     dn = 0.5 * (nu - 1.0)
-    return xlogy(up, up) - xlogy(dn, dn)
+    # dn * log(dn) is 0 at dn = 0, where the log of the 1.0 put in is 0
+    return up * np.log(up) - dn * np.log(np.where(dn == 0.0, 1.0, dn))
 
 
 def _below_bound(nu: np.ndarray):

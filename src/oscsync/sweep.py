@@ -19,6 +19,7 @@ indicator fails the sweep.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -362,30 +363,38 @@ def run_sweep(
     return SweepResult(grid=grid, cells=tuple(cells), provenance=provenance)
 
 
-def _fmt_column(values) -> list:
-    """Each value with 17 significant digits; NaN becomes an empty field."""
-    return [
-        "" if v != v else format(v, ".17g")
-        for v in np.asarray(values, dtype=float).tolist()
-    ]
+_CSV_BLOCK_ROWS = 1024
+
+
+def _write_csv(path, comment: str, header: list, columns: list) -> None:
+    """A ``# comment`` line, the header, and one row per index of the columns.
+
+    Numbers print with 17 significant digits and NaN as an empty field; a
+    column of str prints as it is and must not contain "nan".  Rows are
+    formatted a block at a time, one template per block, to bound memory.
+    """
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%s" if c.dtype.kind == "U" else "%.17g" for c in columns) + "\n"
+    with open(path, "w") as fh:
+        fh.write("# " + comment + "\n" + ",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = [c[start : start + _CSV_BLOCK_ROWS].tolist() for c in columns]
+            values = tuple(itertools.chain.from_iterable(zip(*block)))
+            # Python prints every NaN as "nan", and %.17g prints no other
+            # number with those letters
+            fh.write(((row * len(block[0])) % values).replace("nan", ""))
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
     """CSV per cell; empty fields mark metrics that were not computed."""
-    cells = result.cells
-    columns = [
-        _fmt_column([getattr(c, attr) for c in cells])
-        for attr in ("omega2", "lam", "sync_abs", "discord", "mutual_info", "eig_ratio")
-    ]
-    columns.append([c.status for c in cells])
-    lines = [
-        "# omega2 [omega1], lambda [omega1^2], syncAbs [-], discord [nats],"
+    attrs = ("omega2", "lam", "sync_abs", "discord", "mutual_info", "eig_ratio")
+    _write_csv(
+        path,
+        "omega2 [omega1], lambda [omega1^2], syncAbs [-], discord [nats],"
         " mutualInfo [nats], eigRatio [-], status",
-        "omega2,lambda,syncAbs,discord,mutualInfo,eigRatio,status",
-    ]
-    lines.extend(",".join(row) for row in zip(*columns))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        ["omega2", "lambda", "syncAbs", "discord", "mutualInfo", "eigRatio", "status"],
+        [[getattr(c, attr) for c in result.cells] for attr in (*attrs, "status")],
+    )
 
 
 def _write_json(path, payload: dict) -> None:

@@ -3,12 +3,15 @@ import inspect
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from oscsync import cli
+from oscsync import sweep as sweep_mod
 from oscsync.sweep import default_grid
 
 
@@ -273,6 +276,25 @@ class TestValidation:
         assert err.startswith("error: out of memory") and err.count("\n") == 1
         assert not out.exists() or not os.listdir(out)
 
+    # Each step count is too large for numpy to shape an array at all, which
+    # it reports with a ValueError rather than a MemoryError.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--t-max", 1e300],
+            ["compare-rwa", "--t-max", 1e300],
+            ["sweep", "--window", 1e300],
+            ["sweep", "--dt-out", 1e-300],
+        ],
+    )
+    def test_unshapeable_step_counts_exit_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert _run([*argv, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "more than one array can hold" in err
+        assert not out.exists() or not os.listdir(out)
+
 
 class TestEigen:
     def test_uncoupled_rates(self, tmp_path):
@@ -444,16 +466,49 @@ class TestCompareRwa:
 
 class TestPlumbing:
     def test_nan_serializes_to_blank(self, tmp_path):
-        assert cli._fmt_column([float("nan"), 1.0]) == ["", "1"]
         path = tmp_path / "t.csv"
         cli._write_csv(
             str(path),
             "units",
-            ["a", "b"],
-            [np.array([1.0, np.nan]), np.array([np.nan, 2.0])],
+            ["a", "b", "c"],
+            [np.array([1.0, np.nan]), np.array([np.nan, -np.inf]), ["ok", "x"]],
         )
-        _, header, rows = _read_csv(path)
-        assert rows == [["1", ""], ["", "2"]]
+        assert path.read_text() == "# units\na,b,c\n1,,ok\n,-inf,x\n"
+
+    def test_csv_rows_match_per_value_format(self, tmp_path, monkeypatch):
+        # the per-block template prints each value as format(v, ".17g")
+        # does, across block boundaries
+        monkeypatch.setattr(sweep_mod, "_CSV_BLOCK_ROWS", 7)
+        rng = np.random.default_rng(5)
+        columns = [
+            rng.standard_normal(30) * 10.0 ** rng.integers(-300, 300, 30)
+            for _ in range(3)
+        ]
+        columns[1][[0, 7, 29]] = np.nan
+        columns[2][[3, 4]] = [0.0, -0.0]
+        path = tmp_path / "t.csv"
+        cli._write_csv(str(path), "units", ["a", "b", "c"], columns)
+        expected = "".join(
+            ",".join("" if v != v else format(v, ".17g") for v in row) + "\n"
+            for row in zip(*(c.tolist() for c in columns))
+        )
+        assert path.read_text() == "# units\na,b,c\n" + expected
+
+    def test_import_leaves_out_scipy_special_and_ndimage(self):
+        # scipy.linalg (expm) is the only part of scipy the package loads
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = (
+            "import sys, oscsync.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('scipy.special', 'scipy.ndimage'))))"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        assert done.stdout == "[]\n"
+        assert done.stderr == ""
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -124,6 +124,23 @@ class TestEntropyFunction:
         assert all(np.isfinite(vals))
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    def test_kernel_matches_xlogy(self, rng):
+        # the numpy kernel against scipy's xlogy form, from nu = 1 exactly
+        # (dn = 0) through the clamp window to large eigenvalues
+        nu = np.concatenate(
+            [
+                [1.0, 1.0 - 1e-7, 1.0 + 1e-15, 1.0 + 1e-9, COSH_2, 1e6],
+                1.0 + rng.exponential(1e-6, 1000),
+                1.0 + rng.exponential(5.0, 5000),
+            ]
+        )
+        up = 0.5 * (np.maximum(nu, 1.0) + 1.0)
+        dn = 0.5 * (np.maximum(nu, 1.0) - 1.0)
+        expected = xlogy(up, up) - xlogy(dn, dn)
+        got = info_mod._entropies(nu)
+        assert got[0] == 0.0 and got[1] == 0.0
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
+
     def test_clamp_window_and_guard(self):
         assert entropy(1.0 - 1e-7) == 0.0
         assert entropy(1.0 - 9e-7) == 0.0

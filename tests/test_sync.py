@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import gaussian_filter1d
 
 from oscsync import (
     BathParams,
@@ -215,6 +216,39 @@ class TestSmoothing:
         assert isinstance(out, SyncResult)
         assert out.window == res.window
         assert np.nanmax(np.abs(out.C)) <= np.nanmax(np.abs(res.C)) + 1e-12
+
+    @pytest.mark.parametrize(
+        "case", ["series", "stack", "nan_gaps", "constant", "shorter_than_radius"]
+    )
+    def test_matches_scipy_reflect_filter(self, case, rng):
+        # scipy's gaussian_filter1d (truncate 4, mode "reflect") is the
+        # oracle; the numpy kernel sums in another order
+        width = 3.0
+        if case == "series":
+            values = np.sin(T) + 0.3 * rng.standard_normal(T.size)
+        elif case == "stack":
+            values = np.cos(np.outer([0.5, 1.0, 2.0], T)) + np.arange(3)[:, None]
+        elif case == "nan_gaps":
+            values = rng.standard_normal((2, T.size))
+            values[0, [40, 41, 900]] = np.nan
+            values[1, -3:] = np.nan
+        elif case == "constant":
+            values = np.full((2, T.size), -1.75)
+        else:
+            # 9 samples against a radius of 4 * 60 = 240: the edges
+            # reflect many times over
+            values = rng.standard_normal(9)
+        times = T[: values.shape[-1]]
+        res = SyncResult(times=times, C=values, window=1.0)
+        got = gaussian_smooth(res, width).C
+        expected = gaussian_filter1d(values, width / 0.05, mode="reflect")
+        assert got.shape == values.shape
+        assert np.array_equal(np.isnan(got), np.isnan(expected))
+        ok = ~np.isnan(expected)
+        scale = np.max(np.abs(values[~np.isnan(values)]))
+        assert np.all(np.abs(got[ok] - expected[ok]) <= 1e-13 * scale)
+        if case == "nan_gaps":
+            assert np.isnan(got).any() and ok.any()
 
     def test_width_domain(self):
         s = _series(np.sin(T))
