@@ -275,7 +275,7 @@ def cmd_simulate(cfg: RunConfig) -> list:
     manifest_path = os.path.join(out, "manifest.json")
 
     r = traj.second_moments
-    m = traj.first_moments
+    zero = np.zeros(len(traj.times))  # the means of a zero-mean state
     _write_csv(
         traj_path,
         "t [1/omega1]; mode moments <Xi Xj>, <Pi Pj>, <{Xi,Pj}> and means"
@@ -283,7 +283,7 @@ def cmd_simulate(cfg: RunConfig) -> list:
         " position variances in shot-noise units",
         _TRAJ_HEADER,
         [traj.times] + [r[:, k] for k in range(10)]
-        + [m[:, k] for k in range(4)] + [run.x1, run.x2],
+        + [zero] * 4 + [run.x1, run.x2],
     )
     _write_csv(
         info_path,

@@ -1,9 +1,9 @@
 """Moment-space generators and propagation.
 
-Gaussian states of the two-mode system are fully described by four first
-moments and ten second moments.  The master equation is quadratic, so in the
-normal-mode basis the means obey ``dm/dt = A1 m`` and the symmetrised second
-moments ``S`` over ``(X-, P-, X+, P+)`` obey ``dS/dt = A S + S A^T + D``.
+Every supported state of the two-mode system is a zero-mean Gaussian state,
+and the mean motion is homogeneous, so the means stay zero and are not
+propagated.  In the normal-mode basis the symmetrised second moments ``S``
+over ``(X-, P-, X+, P+)`` obey ``dS/dt = A S + S A^T + D``.
 Stored as the vector ``R`` of raw second moments, laid out by
 :data:`MODE_SLOT`, this is the linear system ``dR/dt = M R + N``::
 
@@ -11,8 +11,7 @@ Stored as the vector ``R`` of raw second moments, laid out by
     3 <P-^2>   4 <P+^2>   5 <P-P+>
     6 <{X-,P-}>  7 <{X+,P+}>  8 <{X-,P+}>  9 <{X+,P-}>
 
-First moments are ordered ``(<X->, <P->, <X+>, <P+>)``.  Mode index 0 is
-the minus mode throughout.
+Mode index 0 is the minus mode throughout.
 
 Two generator backends exist, each one drift and diffusion pair ``(A, D)``:
 the full weak-coupling equations, and a rotating-wave (secular) Lindblad
@@ -101,33 +100,28 @@ class Backend(str, Enum):
 
 @dataclass(frozen=True)
 class MomentState:
-    """First and second moments (raw, not mean-subtracted) at one time."""
+    """The ten second moments of a zero-mean state at one time."""
 
-    first_moments: np.ndarray
     second_moments: np.ndarray
     time: float = 0.0
 
     def __post_init__(self) -> None:
-        fm = np.asarray(self.first_moments, dtype=float)
         sm = np.asarray(self.second_moments, dtype=float)
-        if fm.shape[-1:] != (4,) or sm.shape != fm.shape[:-1] + (10,):
+        if sm.shape[-1:] != (10,):
             raise DomainError(
-                f"moment state needs 4 first and 10 second moments, got"
-                f" shapes {fm.shape} and {sm.shape}"
+                f"moment state needs 10 second moments, got shape {sm.shape}"
             )
-        if not (np.all(np.isfinite(fm)) and np.all(np.isfinite(sm))):
+        if not np.all(np.isfinite(sm)):
             raise DomainError("moments must be finite")
-        object.__setattr__(self, "first_moments", fm)
         object.__setattr__(self, "second_moments", sm)
 
 
 @dataclass(frozen=True)
 class MomentGenerator:
-    """Drift matrix, inhomogeneity, and first-moment generator."""
+    """Drift matrix and inhomogeneity of the second moments."""
 
     M: np.ndarray
     N: np.ndarray
-    A1: np.ndarray
     backend: Backend
 
 
@@ -151,7 +145,6 @@ class Trajectory:
     """Uniformly sampled moment history in the normal-mode basis."""
 
     times: np.ndarray  # shape (n,)
-    first_moments: np.ndarray  # shape (..., n, 4)
     second_moments: np.ndarray  # shape (..., n, 10)
 
 
@@ -160,18 +153,17 @@ def build_generator(
     coeffs: DissipationCoefficients,
     backend: Backend | str = Backend.FULL,
 ) -> MomentGenerator:
-    """Assemble the 10x10 drift matrix M, inhomogeneity N, and 4x4 A1.
+    """Assemble the 10x10 drift matrix M and the inhomogeneity N.
 
     Each backend is a drift ``A`` and a diffusion ``D`` over ``(X-, P-, X+,
     P+)`` in ``dS/dt = A S + S A^T + D``; one constant map, built at import
-    from :data:`MODE_SLOT`, turns them into ``M`` and ``N``.  Both backends
-    share the first-moment drift ``A1`` of the full equations, ``dXm/dt =
-    Pm`` and ``dPm/dt = -Om^2 Xm - sum_n G~[m,n] Pn``.
+    from :data:`MODE_SLOT`, turns them into ``M`` and ``N``.
 
-    Full backend: ``A = A1``, and ``D`` holds ``(D~ + D~^T) / 2`` in its
-    momentum block.  The symmetrised drive is needed because ``<P-P+>``
-    carries a single slot of R while the coefficient matrix samples each
-    column at its own frequency.
+    Full backend: ``A`` is the drift of the mode equations of motion,
+    ``dXm/dt = Pm`` and ``dPm/dt = -Om^2 Xm - sum_n G~[m,n] Pn``, and ``D``
+    holds ``(D~ + D~^T) / 2`` in its momentum block.  The symmetrised drive
+    is needed because ``<P-P+>`` carries a single slot of R while the
+    coefficient matrix samples each column at its own frequency.
 
     RWA backend: each mode is an independent damped oscillator.  ``A`` is
     block-diagonal with one block ``[[-G~mm/2, 1], [-Om^2, -G~mm/2]]`` per
@@ -185,14 +177,13 @@ def build_generator(
     om2 = basis.frequencies**2
     G, D_tilde = coeffs.gamma_tilde, coeffs.d_tilde
     lead = om2.shape[:-1]
-    A1 = np.zeros(lead + (4, 4))
-    A1[..., 0, 1] = A1[..., 2, 3] = 1.0
-    A1[..., 1, 0] = -om2[..., 0]
-    A1[..., 3, 2] = -om2[..., 1]
-    A1[..., 1::2, 1::2] = -G
+    A = np.zeros(lead + (4, 4))
+    A[..., 0, 1] = A[..., 2, 3] = 1.0
+    A[..., 1, 0] = -om2[..., 0]
+    A[..., 3, 2] = -om2[..., 1]
+    A[..., 1::2, 1::2] = -G
     D = np.zeros(lead + (4, 4))
     if backend is Backend.FULL:
-        A = A1
         D[..., 1::2, 1::2] = 0.5 * (D_tilde + np.swapaxes(D_tilde, -1, -2))
     else:
         d_mm = np.diagonal(D_tilde, axis1=-2, axis2=-1)
@@ -206,7 +197,6 @@ def build_generator(
                 f"RWA backend outside validity: mode {'-+'[m]} has"
                 f" D~/Omega = {ratio[k, m]:.3e} < Gamma~ = {rate[k, m]:.3e}"
             )
-        A = A1.copy()
         A[..., 1, 3] = A[..., 3, 1] = 0.0
         A[..., _DIAG, _DIAG] = np.repeat(-0.5 * g_mm, 2, axis=-1)
         D[..., _DIAG, _DIAG] = np.stack(
@@ -218,7 +208,7 @@ def build_generator(
     M = np.sum(_M_FACTOR * a[..., _M_TERM], axis=-1, initial=0.0)
     N = np.empty(lead + (10,))
     N[..., MODE_SLOT[_UPPER]] = 0.0 + D[(..., *_UPPER)] / MODE_WEIGHT[_UPPER]
-    return MomentGenerator(M=M, N=N, A1=A1, backend=backend)
+    return MomentGenerator(M=M, N=N, backend=backend)
 
 
 def dynamical_eigenvalues(gen: MomentGenerator) -> Spectrum:
@@ -257,11 +247,7 @@ def propagate_exact(gen: MomentGenerator, state: MomentState, t: float) -> Momen
     traj = sample_trajectory(gen, state, dt, 1, k_start=1)
     if not np.all(np.isfinite(traj.second_moments)):
         raise NumericalError("matrix exponential overflowed")
-    return MomentState(
-        first_moments=traj.first_moments[0],
-        second_moments=traj.second_moments[0],
-        time=t,
-    )
+    return MomentState(second_moments=traj.second_moments[0], time=t)
 
 
 def _rk4_step_matrix(A: np.ndarray, h: float) -> np.ndarray:
@@ -287,19 +273,14 @@ def propagate_stepwise(
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")
     T = _rk4_step_matrix(_augmented(gen), dt)
-    T1 = _rk4_step_matrix(gen.A1, dt)
     v = np.append(state.second_moments, 1.0)
-    m = state.first_moments
     for _ in range(n_steps):
         v = T @ v
-        m = T1 @ m
-    return MomentState(
-        first_moments=m, second_moments=v[:10], time=state.time + n_steps * dt
-    )
+    return MomentState(second_moments=v[:10], time=state.time + n_steps * dt)
 
 
 def steady_state(gen: MomentGenerator) -> MomentState:
-    """Unique fixed point ``R_inf = -M^{-1} N`` (zero means).
+    """Unique fixed point ``R_inf = -M^{-1} N``.
 
     Raises ``NoUniqueSteadyState`` when the drift matrix has an eigenvalue
     with real part above ``-1e-12`` (e.g. the decoherence-free mode of
@@ -312,9 +293,7 @@ def steady_state(gen: MomentGenerator) -> MomentState:
             f" (max Re = {np.max(mu.real):.3e}); no unique steady state"
         )
     r_inf = np.linalg.solve(gen.M, -gen.N)
-    return MomentState(
-        first_moments=np.zeros(4), second_moments=r_inf, time=math.inf
-    )
+    return MomentState(second_moments=r_inf, time=math.inf)
 
 
 def sample_trajectory(
@@ -327,9 +306,9 @@ def sample_trajectory(
     """Moments at ``k * dt_out`` past the initial state, of one system or a stack.
 
     Samples ``k = k_start .. k_start + n - 1``, at the times
-    ``initial.time + k * dt_out``, with first moments of shape ``(..., n,
-    4)`` and second moments of shape ``(..., n, 10)``, where ``...`` is the
-    stack axis the generator and the initial state share, if any.
+    ``initial.time + k * dt_out``, with second moments of shape ``(..., n,
+    10)``, where ``...`` is the stack axis the generator and the initial
+    state share, if any.
     Consecutive samples are one product with the per-step exponential
     ``phi = expm(A dt_out)``, so propagation is exact and ``dt_out`` sets
     only the output resolution.  The jump to ``k_start`` is the matrix
@@ -349,19 +328,14 @@ def sample_trajectory(
             " one array can hold"
         )
     v = np.concatenate([initial.second_moments, np.ones(lead + (1,))], axis=-1)
-    v, m = v[..., None], initial.first_moments[..., None]
+    v = v[..., None]
     second = np.empty(lead + (n, 10))
-    first = np.empty(lead + (n, 4))
     with np.errstate(over="ignore", invalid="ignore"):
         phi = expm(_augmented(gen) * dt_out)
-        phi1 = expm(gen.A1 * dt_out)
         if k_start:
             v = np.linalg.matrix_power(phi, k_start) @ v
-            m = np.linalg.matrix_power(phi1, k_start) @ m
         for k in range(n):
             second[..., k, :] = v[..., :10, 0]
-            first[..., k, :] = m[..., 0]
             v = phi @ v
-            m = phi1 @ m
     times = initial.time + dt_out * np.arange(k_start, k_start + n)
-    return Trajectory(times=times, first_moments=first, second_moments=second)
+    return Trajectory(times=times, second_moments=second)

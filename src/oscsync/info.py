@@ -3,10 +3,11 @@
 All information formulas work on the 4x4 covariance matrix over
 ``(q1, p1, q2, p2)`` in shot-noise units, where ``q_i = sqrt(2 omega_i) x_i``
 and ``p_i = sqrt(2 / omega_i) p_i`` so the two-oscillator vacuum is the
-identity matrix.  Conversion from the normal-mode moment vector (physical
-units) is owned by :func:`lab_covariances`; everything downstream is
-dimensionless.  :func:`gaussian_measures` computes every measure of a
-stack of covariances at once; the scalar functions call it with one.
+identity matrix.  Conversion from the normal-mode second moments of a
+zero-mean state (physical units) is owned by :func:`lab_covariances`;
+everything downstream is dimensionless.  :func:`gaussian_measures`
+computes every measure of a stack of covariances at once; the scalar
+functions call it with one.
 """
 
 from __future__ import annotations
@@ -59,18 +60,15 @@ OMEGA_SYMP = np.array(
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """4x4 lab-frame covariance and means, shot-noise units (vacuum = identity)."""
+    """4x4 lab-frame covariance, shot-noise units (vacuum = identity)."""
 
     sigma: np.ndarray
-    means: np.ndarray
 
     def __post_init__(self) -> None:
         sigma = np.asarray(self.sigma, dtype=float)
-        means = np.asarray(self.means, dtype=float)
-        if sigma.shape != (4, 4) or means.shape != (4,):
-            raise DomainError("covariance must be 4x4 with a 4-vector of means")
+        if sigma.shape != (4, 4):
+            raise DomainError("covariance must be 4x4")
         object.__setattr__(self, "sigma", _symmetrised(sigma))
-        object.__setattr__(self, "means", means)
 
 
 @dataclass(frozen=True)
@@ -183,8 +181,8 @@ def make_initial(
 
     The state is specified by its shot-noise-unit lab covariance, converted
     to physical units, rotated into the mode basis, and packed into the
-    10-vector of raw second moments (first moments zero).  A stacked
-    ``sys`` and ``basis`` give a stacked state.
+    10-vector of second moments; every supported state has zero means.  A
+    stacked ``sys`` and ``basis`` give a stacked state.
     """
     sn = _spec_to_shot_noise_sigma(spec)
     scale = _shot_noise_scale(sys)
@@ -194,7 +192,7 @@ def make_initial(
     sm = rot @ sigma_lab @ np.swapaxes(rot, -1, -2)
     r = np.empty(sm.shape[:-2] + (10,))
     r[..., MODE_SLOT[_UPPER]] = sm[(..., *_UPPER)] / MODE_WEIGHT[_UPPER]
-    return MomentState(first_moments=np.zeros(r.shape[:-1] + (4,)), second_moments=r)
+    return MomentState(second_moments=r)
 
 
 def _symmetrised(sigma: np.ndarray) -> np.ndarray:
@@ -209,37 +207,30 @@ def _symmetrised(sigma: np.ndarray) -> np.ndarray:
 
 
 def lab_covariances(
-    first: np.ndarray,
-    second: np.ndarray,
-    basis: NormalModeBasis,
-    sys: SystemParams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lab-frame covariances and means, in shot-noise units, of many samples.
+    second: np.ndarray, basis: NormalModeBasis, sys: SystemParams
+) -> np.ndarray:
+    """Lab-frame covariances, in shot-noise units, of many samples.
 
-    ``first`` (``(n, 4)``) and ``second`` (``(n, 10)``) are raw mode
-    moments.  ``basis`` and ``sys`` are one point for every sample, or
-    stacked ``(n,)`` with one point per sample.  Returns the ``(n, 4, 4)``
-    covariances, checked symmetric to 1e-12 relative and symmetrised, and
-    the ``(n, 4)`` means.
+    ``second`` (``(n, 10)``) holds the mode second moments of zero-mean
+    states, which are their covariances.  ``basis`` and ``sys`` are one
+    point for every sample, or stacked ``(n,)`` with one point per sample.
+    Returns the ``(n, 4, 4)`` covariances, checked symmetric to 1e-12
+    relative and symmetrised.
     """
-    first = np.asarray(first, dtype=float)
     second = np.asarray(second, dtype=float)
     rotation, scale = _mode_rotation(basis), _shot_noise_scale(sys)
-    cov = MODE_WEIGHT * second[:, MODE_SLOT] - first[:, :, None] * first[:, None, :]
-    rot_t = np.swapaxes(rotation, -1, -2)
-    sigma = scale @ (rot_t @ cov @ rotation) @ scale
-    means = np.diagonal(scale, axis1=-2, axis2=-1) * (rot_t @ first[..., None])[..., 0]
-    return _symmetrised(sigma), means
+    cov = MODE_WEIGHT * second[:, MODE_SLOT]
+    sigma = scale @ (np.swapaxes(rotation, -1, -2) @ cov @ rotation) @ scale
+    return _symmetrised(sigma)
 
 
 def to_lab_covariance(
     state: MomentState, basis: NormalModeBasis, sys: SystemParams
 ) -> CovarianceMatrix:
     """Rotate mode moments back to the lab frame, in shot-noise units."""
-    sigma, means = lab_covariances(
-        state.first_moments[None], state.second_moments[None], basis, sys
+    return CovarianceMatrix(
+        sigma=lab_covariances(state.second_moments[None], basis, sys)[0]
     )
-    return CovarianceMatrix(sigma=sigma[0], means=means[0])
 
 
 # The partial transpose F sigma F = (F L)(F L)^T, so i L^T (F Omega F) L
@@ -550,9 +541,7 @@ def information_measures(
     parts = []
     for start in starts:
         block = slice(start, start + _BLOCK_SAMPLES)
-        sigma, _ = lab_covariances(
-            traj.first_moments[block], traj.second_moments[block], basis, sys
-        )
+        sigma = lab_covariances(traj.second_moments[block], basis, sys)
         parts.append(gaussian_measures(sigma))
     return GaussianMeasures(
         nu=np.concatenate([p.nu for p in parts]),

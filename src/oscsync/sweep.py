@@ -248,7 +248,7 @@ def _measure_stack(grid, omega2, lams, initial, dt_out, w, k_eval) -> list:
     if "eigRatio" in grid.metrics:
         values["eig_ratio"] = np.full(lams.size, np.nan)
         for j in range(lams.size):
-            cell = MomentGenerator(gen.M[j], gen.N[j], gen.A1[j], gen.backend)
+            cell = MomentGenerator(gen.M[j], gen.N[j], gen.backend)
             try:
                 values["eig_ratio"][j] = dynamical_eigenvalues(cell).ratio
             except OscSyncError as exc:
@@ -266,9 +266,7 @@ def _measure_stack(grid, omega2, lams, initial, dt_out, w, k_eval) -> list:
             errors.setdefault(j, _NOT_FINITE)
     names = [name for name in ("discord", "mutualInfo") if name in grid.metrics]
     if names:
-        sigma, _ = lab_covariances(
-            traj.first_moments[:, 0], traj.second_moments[:, 0], basis, system
-        )
+        sigma = lab_covariances(traj.second_moments[:, 0], basis, system)
         measures = gaussian_measures(sigma)
         for j in set().union(*(measures.failures[name] for name in names)):
             errors.setdefault(j, str(measures.error(j, names)))
@@ -314,18 +312,27 @@ def run_sweep(
     ``t_eval`` and ``window`` are rounded to whole steps of ``dt_out``;
     the provenance records the effective values (``t_eval_effective``,
     ``window_effective``) and every cell that is not ``ok``, with its
-    message (``flagged_cells``).  A window too short for the indicator
-    fails the sweep when ``syncAbs`` is among its metrics.
+    message (``flagged_cells``).  A window too short for the indicator, or
+    a ``t_eval`` at which floats cannot resolve steps of ``dt_out``, fails
+    the sweep when ``syncAbs`` is among its metrics.
     """
     if not (0 < dt_out < math.inf and 0 < window < math.inf):
         raise DomainError(
             f"need finite dt_out > 0 and window > 0, got {dt_out}, {window}"
         )
-    k_eval = int(round(grid.t_eval / dt_out))
     if "syncAbs" in grid.metrics:
         w = _window_steps(window, dt_out)
+        # the indicator reads the window's sample times; a window too long
+        # to resolve on its own is left to the sampler's step-count check
+        t_end = grid.t_eval + w * dt_out
+        if np.spacing(w * dt_out) <= dt_out and not np.spacing(t_end) <= dt_out:
+            raise DomainError(
+                f"t_eval = {grid.t_eval:g} is too large: floats near t ="
+                f" {t_end:.6g} cannot resolve steps of dt_out = {dt_out:g}"
+            )
     else:
         w = int(round(window / dt_out))
+    k_eval = int(round(grid.t_eval / dt_out))
 
     cells = [
         cell

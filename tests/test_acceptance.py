@@ -369,7 +369,7 @@ def test_criterion_09_analytic_identities():
             [sh * np.diag([1.0, -1.0]), ch * np.eye(2)],
         ]
     )
-    cov = CovarianceMatrix(sigma=sigma, means=np.zeros(4))
+    cov = CovarianceMatrix(sigma=sigma)
     spec = symplectic_spectrum(cov)
     f_ch = mutual_information(cov) / 2.0
     tms_ok = (

@@ -55,6 +55,23 @@ class TestSimulate:
         assert float(first["x1sq_sn"]) == pytest.approx(math.exp(-4), rel=1e-12)
         assert float(first["x2sq_sn"]) == pytest.approx(math.exp(-8), rel=1e-12)
 
+    @pytest.mark.parametrize("initial", ["tms:1.5", "sq:2:4"])
+    def test_mean_columns_are_written_zeros(self, initial, tmp_path):
+        # every supported state has zero means, which are not propagated
+        argv = ["simulate", "--t-max", 30, "--initial", initial, "--out", tmp_path]
+        assert _run(argv) == 0
+        _, header, rows = _read_csv(tmp_path / "trajectory.csv")
+        assert header == [
+            "t",
+            "xx_mm", "xx_pp", "xx_mp",
+            "pp_mm", "pp_pp", "pp_mp",
+            "xp_mm", "xp_pp", "xp_mp", "xp_pm",
+            "mean_xm", "mean_pm", "mean_xp", "mean_pp",
+            "x1sq_sn", "x2sq_sn",
+        ]
+        assert len(rows) == 301
+        assert all(row[11:15] == ["0"] * 4 for row in rows)
+
     def test_info_and_sync_layout(self, outdir):
         _, header, rows = _read_csv(outdir / "info.csv")
         assert header == ["t", "mutualInfo", "discord", "logNegativity", "nuMin"]
@@ -403,6 +420,27 @@ class TestSweepCommand:
         doc = json.loads((out / "sweep_manifest.json").read_text())
         assert doc["window_effective"] == 16.0
         assert doc["flagged_cells"] == []
+
+
+    @pytest.mark.parametrize("t_eval", ["1e300", "1e17"])
+    def test_unresolvable_t_eval_exits_2(self, t_eval, tmp_path, capsys):
+        # floats near t_eval are coarser than dt_out, so the indicator's
+        # window has no time grid; an eigRatio-only sweep reads no window
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "sweep_omega2 = 1.4:1.4:0.1\nsweep_lambda = 0.3:0.7:0.4\n"
+            f"t_eval = {t_eval}\n"
+        )
+        out = tmp_path / "out"
+        assert _run(["sweep", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: t_eval = {float(t_eval):g} is too large")
+        assert err.count("\n") == 1 and "dt_out = 0.1" in err
+        assert not out.exists()
+        cfg.write_text(cfg.read_text() + "metrics = eigRatio\n")
+        assert _run(["sweep", "--config", cfg, "--out", out]) == 0
+        _, _, rows = _read_csv(out / "sweep.csv")
+        assert [r[-1] for r in rows] == ["ok", "ok"]
 
 
 class TestCompareRwa:

@@ -27,7 +27,7 @@ from oscsync import (
 )
 from oscsync.dynamics import IDX_PP, IDX_XP, IDX_XX
 
-from conftest import make_gen
+from conftest import make_gen, mean_drift, mean_trajectory
 
 COTH_005 = 20.016663889550099248  # = 2 <X^2> of a thermal mode at omega=1, T=10
 TWO_OMEGA_MINUS_131_09 = 1.248107133869219397
@@ -44,11 +44,11 @@ def _vacuum_state(basis):
     for m, om in enumerate(basis.frequencies):
         r[IDX_XX[m, m]] = 1.0 / (2.0 * om)
         r[IDX_PP[m, m]] = om / 2.0
-    return MomentState(first_moments=np.zeros(4), second_moments=r, time=0.0)
+    return MomentState(second_moments=r, time=0.0)
 
 
 def _reference_generator(basis, coeffs, backend):
-    """The moment equations written slot by slot, as (M, N, A1).
+    """The moment equations written slot by slot, as (M, N).
 
     Full backend, for modes i, j (0 = minus, 1 = plus)::
 
@@ -121,12 +121,7 @@ def _reference_generator(basis, coeffs, backend):
             M[..., row, IDX_PP[0, 1]] += 2.0
             M[..., row, IDX_XX[0, 1]] -= 2.0 * om2[..., j]
             M[..., row, row] -= avg
-    A1 = np.zeros(lead + (4, 4))
-    A1[..., 0, 1] = A1[..., 2, 3] = 1.0
-    A1[..., 1, 0] = -om2[..., 0]
-    A1[..., 3, 2] = -om2[..., 1]
-    A1[..., 1::2, 1::2] = -G
-    return M, N, A1
+    return M, N
 
 
 class TestReferenceEquations:
@@ -137,7 +132,7 @@ class TestReferenceEquations:
     def _assert_matches(basis, coeffs, backend):
         gen = build_generator(basis, coeffs, backend)
         want = _reference_generator(basis, coeffs, backend)
-        for got, ref in zip((gen.M, gen.N, gen.A1), want):
+        for got, ref in zip((gen.M, gen.N), want):
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
     @staticmethod
@@ -256,13 +251,11 @@ class TestDriftAssembly:
         rwa = build_generator(basis, zero, backend="rwa")
         assert np.array_equal(full.M, rwa.M)
         assert np.array_equal(full.N, rwa.N)
-        assert np.array_equal(full.A1, rwa.A1)
 
     def test_rwa_shares_trace_and_first_moments(self):
         _, _, _, full = make_gen(1.4, 0.7)
         _, _, _, rwa = make_gen(1.4, 0.7, backend="rwa")
         assert np.trace(rwa.M) == pytest.approx(np.trace(full.M), rel=1e-12)
-        assert np.array_equal(full.A1, rwa.A1)
 
     def test_rwa_validity_guard(self, fig_system):
         basis = diagonalize(fig_system)
@@ -294,7 +287,7 @@ class TestClosedSystem:
         state = _vacuum_state(basis)
         r = state.second_moments.copy()
         r[IDX_XX[0, 1]] = 0.1  # stir in some cross correlation
-        state = MomentState(np.zeros(4), r, 0.0)
+        state = MomentState(r, 0.0)
         om2 = basis.frequencies**2
 
         def energy(st):
@@ -312,21 +305,16 @@ class TestClosedSystem:
 
     def test_first_moments_harmonic(self, fig_system):
         basis = diagonalize(fig_system)
-        gen = build_generator(basis, _zero_coeffs())
-        state = MomentState(
-            np.array([1.0, 0.0, 0.0, 0.0]),
-            _vacuum_state(basis).second_moments,
-            0.0,
-        )
+        m0 = np.array([1.0, 0.0, 0.0, 0.0])
         for t in (0.7, 3.1, 12.0):
-            out = propagate_exact(gen, state, t)
-            assert out.first_moments[0] == pytest.approx(
+            out = mean_trajectory(basis, _zero_coeffs(), m0, t, 2)[1]
+            assert out[0] == pytest.approx(
                 math.cos(basis.omega_minus * t), abs=1e-9
             )
-            assert out.first_moments[1] == pytest.approx(
+            assert out[1] == pytest.approx(
                 -basis.omega_minus * math.sin(basis.omega_minus * t), abs=1e-9
             )
-            assert abs(out.first_moments[2]) < 1e-12
+            assert abs(out[2]) < 1e-12
 
 
 class TestPropagation:
@@ -354,7 +342,6 @@ class TestPropagation:
         out = propagate_exact(gen, state, 7.3)
         step = sample_trajectory(gen, state, 7.3, 1, k_start=1)
         assert np.array_equal(out.second_moments, step.second_moments[0])
-        assert np.array_equal(out.first_moments, step.first_moments[0])
         assert out.time == 7.3
 
     def test_exact_vs_stepwise(self):
@@ -381,27 +368,33 @@ class TestPropagation:
     def test_stepwise_matches_four_stage_update(self):
         # the four-stage RK4 update, kept as the reference for the
         # step-matrix form; only the round-off order differs
-        _, basis, _, gen = make_gen(1.31, 0.62, "separate")
+        _, basis, coeffs, gen = make_gen(1.31, 0.62, "separate")
         state = _vacuum_state(basis)
-        state = MomentState(np.array([0.3, -0.1, 0.2, 0.4]), state.second_moments)
         dt, n = 1e-2, 2000
-        M, N, A1 = gen.M, gen.N, gen.A1
-        r, m = state.second_moments.copy(), state.first_moments.copy()
+        M, N = gen.M, gen.N
+        r = state.second_moments.copy()
         for _ in range(n):
             k1 = M @ r + N
             k2 = M @ (r + 0.5 * dt * k1) + N
             k3 = M @ (r + 0.5 * dt * k2) + N
             k4 = M @ (r + dt * k3) + N
             r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            l1 = A1 @ m
-            l2 = A1 @ (m + 0.5 * dt * l1)
-            l3 = A1 @ (m + 0.5 * dt * l2)
-            l4 = A1 @ (m + dt * l3)
-            m = m + (dt / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
         out = propagate_stepwise(gen, state, dt, n)
         assert out.time == pytest.approx(n * dt)
         assert np.allclose(out.second_moments, r, rtol=1e-11, atol=1e-14)
-        assert np.allclose(out.first_moments, m, rtol=1e-11, atol=1e-14)
+        # The same update of a kicked state's means against their exact
+        # motion over the same time.  RK4's truncation error at dt = 1e-2
+        # is 2e-8 relative here, so the means take steps of dt / 10.
+        A1, m0 = mean_drift(basis, coeffs), np.array([0.3, -0.1, 0.2, 0.4])
+        h, m = dt / 10, m0
+        for _ in range(10 * n):
+            l1 = A1 @ m
+            l2 = A1 @ (m + 0.5 * h * l1)
+            l3 = A1 @ (m + 0.5 * h * l2)
+            l4 = A1 @ (m + h * l3)
+            m = m + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+        exact = mean_trajectory(basis, coeffs, m0, h, 10 * n + 1)[-1]
+        assert np.allclose(m, exact, rtol=1e-11, atol=1e-14)
 
     def test_window_matches_run_from_zero(self):
         points = ((1.05, 0.3), (1.4, 0.7))
@@ -409,8 +402,8 @@ class TestPropagation:
         sys_s, basis, _, stack = make_gen(*np.transpose(points))
         states = make_initial(vacuum, sys_s, basis)
         window = sample_trajectory(stack, states, 0.1, 21, k_start=400)
-        first, second = window.first_moments, window.second_moments
-        assert first.shape == (2, 21, 4) and second.shape == (2, 21, 10)
+        second = window.second_moments
+        assert second.shape == (2, 21, 10)
         for j, (omega2, lam) in enumerate(points):
             sys_p, basis, _, gen = make_gen(omega2, lam)
             state = make_initial(vacuum, sys_p, basis)
@@ -419,13 +412,9 @@ class TestPropagation:
             assert np.allclose(
                 second[j], traj.second_moments[400:], rtol=1e-10, atol=1e-13
             )
-            assert np.allclose(
-                first[j], traj.first_moments[400:], rtol=1e-10, atol=1e-13
-            )
             # a stacked system gets the bits it would get on its own
             alone = sample_trajectory(gen, state, 0.1, 21, k_start=400)
             assert np.array_equal(alone.second_moments, second[j])
-            assert np.array_equal(alone.first_moments, first[j])
 
     def test_sampling_grid_and_consistency(self):
         _, basis, _, gen = make_gen(1.05, 0.3)
@@ -462,7 +451,7 @@ class TestSteadyState:
     def test_fixed_point_invariant(self):
         _, _, _, gen = make_gen(1.4, 0.7)
         ss = steady_state(gen)
-        probe = MomentState(ss.first_moments, ss.second_moments, 0.0)
+        probe = MomentState(ss.second_moments, 0.0)
         out = propagate_exact(gen, probe, 25.0)
         assert np.allclose(
             out.second_moments, ss.second_moments, rtol=1e-10, atol=1e-12

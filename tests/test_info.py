@@ -54,7 +54,7 @@ def _tms_sigma(r):
             [sh * np.diag([1.0, -1.0]), ch * np.eye(2)],
         ]
     )
-    return CovarianceMatrix(sigma=sigma, means=np.zeros(4))
+    return CovarianceMatrix(sigma=sigma)
 
 
 class TestInitialStates:
@@ -183,7 +183,7 @@ class TestTwoModeSqueezed:
 
 class TestDiscord:
     def test_thermal_product_zero(self):
-        cov = CovarianceMatrix(sigma=COTH_005 * np.eye(4), means=np.zeros(4))
+        cov = CovarianceMatrix(sigma=COTH_005 * np.eye(4))
         nu = symplectic_spectrum(cov).nu
         assert nu[0] == pytest.approx(COTH_005, rel=1e-12)
         assert mutual_information(cov) == pytest.approx(0.0, abs=1e-10)
@@ -193,12 +193,12 @@ class TestDiscord:
         sigma = np.eye(4)
         sigma[0, 2] = sigma[2, 0] = 0.1
         sigma[1, 3] = sigma[3, 1] = -0.1
-        cov = CovarianceMatrix(sigma=sigma, means=np.zeros(4))
+        cov = CovarianceMatrix(sigma=sigma)
         with pytest.raises(DegenerateState):
             gaussian_discord(cov)
         # vacuum x vacuum (B pure, no correlations) is fine and has none
         assert gaussian_discord(
-            CovarianceMatrix(sigma=np.eye(4), means=np.zeros(4))
+            CovarianceMatrix(sigma=np.eye(4))
         ) == 0.0
 
     def test_asymmetric_state_party_dependence(self):
@@ -206,7 +206,7 @@ class TestDiscord:
         noisy = cov.sigma.copy()
         noisy[0, 0] += 0.8
         noisy[1, 1] += 0.8
-        cov2 = CovarianceMatrix(sigma=noisy, means=np.zeros(4))
+        cov2 = CovarianceMatrix(sigma=noisy)
         d1 = gaussian_discord(cov2, measured=1)
         d2 = gaussian_discord(cov2, measured=2)
         assert d1 >= 0.0 and d2 >= 0.0
@@ -219,7 +219,7 @@ class TestDiscord:
         vals = np.array(
             [
                 gaussian_discord(
-                    CovarianceMatrix(sigma=base + x * np.eye(4), means=np.zeros(4))
+                    CovarianceMatrix(sigma=base + x * np.eye(4))
                 )
                 for x in xs
             ]
@@ -242,8 +242,8 @@ class TestDiscord:
             ]
         )
         base = _tms_sigma(1.2).sigma + 0.3 * np.eye(4)
-        cov0 = CovarianceMatrix(sigma=base, means=np.zeros(4))
-        cov1 = CovarianceMatrix(sigma=s @ base @ s.T, means=np.zeros(4))
+        cov0 = CovarianceMatrix(sigma=base)
+        cov1 = CovarianceMatrix(sigma=s @ base @ s.T)
         assert mutual_information(cov1) == pytest.approx(
             mutual_information(cov0), rel=1e-9, abs=1e-11
         )
@@ -264,15 +264,13 @@ class TestDiscord:
                 sigma = np.zeros((4, 4))
                 sigma[:2, :2] = squeezer @ squeezer.T
                 sigma[2:, 2:] = nu * np.eye(2)
-                cov = CovarianceMatrix(sigma=sigma, means=np.zeros(4))
+                cov = CovarianceMatrix(sigma=sigma)
                 discord = gaussian_discord(cov, measured=1)
                 assert discord == pytest.approx(0.0, abs=1e-12)
                 assert mutual_information(cov) == pytest.approx(0.0, abs=1e-12)
 
     def test_mutual_info_bounds_discord(self):
-        cov = CovarianceMatrix(
-            sigma=_tms_sigma(1.0).sigma + 0.5 * np.eye(4), means=np.zeros(4)
-        )
+        cov = CovarianceMatrix(sigma=_tms_sigma(1.0).sigma + 0.5 * np.eye(4))
         i = mutual_information(cov)
         d = gaussian_discord(cov)
         assert i >= d >= 0.0
@@ -342,14 +340,14 @@ def _reference_entropy(nu):
     return float(xlogy(up, up) - xlogy(dn, dn))
 
 
-def _reference_sigma(first, second, basis, sys_p):
+def _reference_sigma(second, basis, sys_p):
     cov = np.empty((4, 4))
     x, p = (0, 2), (1, 3)
     for i in (0, 1):
         for j in (0, 1):
-            cov[x[i], x[j]] = second[IDX_XX[i, j]] - first[x[i]] * first[x[j]]
-            cov[p[i], p[j]] = second[IDX_PP[i, j]] - first[p[i]] * first[p[j]]
-            cov[x[i], p[j]] = 0.5 * second[IDX_XP[i, j]] - first[x[i]] * first[p[j]]
+            cov[x[i], x[j]] = second[IDX_XX[i, j]]
+            cov[p[i], p[j]] = second[IDX_PP[i, j]]
+            cov[x[i], p[j]] = 0.5 * second[IDX_XP[i, j]]
             cov[p[j], x[i]] = cov[x[i], p[j]]
     rot = info_mod._mode_rotation(basis)
     scale = info_mod._shot_noise_scale(sys_p)
@@ -401,11 +399,7 @@ def _reference_measures(sigma):
 
 def _reference_series(traj, basis, sys_p, samples):
     rows = [
-        _reference_measures(
-            _reference_sigma(
-                traj.first_moments[k], traj.second_moments[k], basis, sys_p
-            )
-        )
+        _reference_measures(_reference_sigma(traj.second_moments[k], basis, sys_p))
         for k in samples
     ]
     names = ("mutualInfo", "discord", "logNegativity", "nuMin")
@@ -441,9 +435,7 @@ class TestBatchedKernel:
         for k in range(len(traj.times)):
             try:
                 _reference_measures(
-                    _reference_sigma(
-                        traj.first_moments[k], traj.second_moments[k], basis, sys_p
-                    )
+                    _reference_sigma(traj.second_moments[k], basis, sys_p)
                 )
             except OscSyncError as exc:
                 want = exc
@@ -498,14 +490,14 @@ class TestBatchedKernel:
         # nu_a > 1.  Log-negativity and nu_min check no entropy argument.
         shrunk = 0.5 * _tms_sigma(1.0).sigma
         for sigma in (shrunk, shrunk + np.diag([0.4, 0.4, 0.0, 0.0])):
-            cov = CovarianceMatrix(sigma=sigma, means=np.zeros(4))
+            cov = CovarianceMatrix(sigma=sigma)
             assert min_symplectic_eigenvalue(cov) < 0.5 * COSH_1
             for func in (mutual_information, gaussian_discord):
                 with pytest.raises(UnphysicalState) as exc:
                     func(cov)
                 (nu,) = re.findall(r"\d\.\d+", str(exc.value))
                 assert float(nu) == pytest.approx(0.5 * COSH_1, rel=1e-12)
-        cov = CovarianceMatrix(sigma=shrunk, means=np.zeros(4))
+        cov = CovarianceMatrix(sigma=shrunk)
         assert min_symplectic_eigenvalue(cov) == pytest.approx(0.5, rel=1e-12)
         # nu~ = e^-1 / 2 for the halved two-mode squeezed state
         assert log_negativity(cov) == pytest.approx(1.0 + math.log(2.0), rel=1e-12)
@@ -531,19 +523,13 @@ class TestBatchedKernel:
 
     def test_stacked_builder_matches_reference(self, fig_system):
         sys_p, basis, traj = _squeezed_run(1.4, 0.7, "common", "full", 20.0, 0.5)
-        sigma, _ = lab_covariances(
-            traj.first_moments, traj.second_moments, basis, fig_system
-        )
+        sigma = lab_covariances(traj.second_moments, basis, fig_system)
         for k in range(len(traj.times)):
-            want = _reference_sigma(
-                traj.first_moments[k], traj.second_moments[k], basis, sys_p
-            )
+            want = _reference_sigma(traj.second_moments[k], basis, sys_p)
             assert np.allclose(sigma[k], want, rtol=1e-14, atol=0.0)
         n = len(traj.times)
         stack = SystemParams(1.0, np.full(n, 1.4), np.full(n, 0.7))
-        per_sample, _ = lab_covariances(
-            traj.first_moments, traj.second_moments, diagonalize(stack), stack
-        )
+        per_sample = lab_covariances(traj.second_moments, diagonalize(stack), stack)
         assert np.array_equal(per_sample, sigma)
 
 
@@ -582,7 +568,7 @@ class TestKernelProperties:
         measures = gaussian_measures(np.stack(sigmas))
         assert measures.failed_samples() == []
         for k, sigma in enumerate(sigmas):
-            cov = CovarianceMatrix(sigma=sigma, means=np.zeros(4))
+            cov = CovarianceMatrix(sigma=sigma)
             assert measures.series["mutualInfo"][k] == mutual_information(cov)
             assert measures.series["discord"][k] == gaussian_discord(cov)
             assert measures.series["logNegativity"][k] == log_negativity(cov)
@@ -591,7 +577,7 @@ class TestKernelProperties:
     @settings(deadline=None, max_examples=60)
     @given(physical_states())
     def test_mutual_information_bounds_discord(self, sigma):
-        cov = CovarianceMatrix(sigma=sigma, means=np.zeros(4))
+        cov = CovarianceMatrix(sigma=sigma)
         i = mutual_information(cov)
         # criterion 8's slack: f(nu) has infinite slope at nu = 1, so a
         # pure mode's round-off of ~1e-13 in nu reaches ~1e-11 nats

@@ -25,7 +25,8 @@ from oscsync import (
     sync_onset,
     windowed_correlation,
 )
-from oscsync.dynamics import MomentState
+
+from conftest import mean_trajectory
 
 T = np.arange(0.0, 100.0, 0.05)
 
@@ -317,21 +318,15 @@ class TestPhysicalSync:
         # after the fast-decaying collective mode dies out, both oscillators
         # ride the long-lived mode, whose lab-frame weights have opposite
         # signs: x1 = c<X->, x2 = -s<X->
-        sys_p, basis, gen = near_resonant
-        st0 = make_initial(InitialStateSpec.vacuum(), sys_p, basis)
-        kicked = MomentState(
-            np.array([basis.c, 0.0, basis.s, 0.0]),
-            st0.second_moments,
-            0.0,
-        )
-        traj = sample_trajectory(gen, kicked, 0.1, 3001)
-        fm = traj.first_moments
+        sys_p, basis, _ = near_resonant
+        coeffs = dissipation_coefficients(sys_p, BathParams(), basis)
+        kick = np.array([basis.c, 0.0, basis.s, 0.0])
+        fm = mean_trajectory(basis, coeffs, kick, 0.1, 3001)
+        times = 0.1 * np.arange(3001)
         mx1 = basis.c * fm[:, 0] + basis.s * fm[:, 2]
         mx2 = -basis.s * fm[:, 0] + basis.c * fm[:, 2]
         sync = windowed_correlation(
-            ObservableSeries(traj.times, mx1),
-            ObservableSeries(traj.times, mx2),
-            15.0,
+            ObservableSeries(times, mx1), ObservableSeries(times, mx2), 15.0
         )
         tail = sync.C[sync.times >= 200.0]
         assert np.all(np.isfinite(tail))
