@@ -5,16 +5,20 @@ acceptance tests: one trajectory from ``t = 0`` and what is read from it.
 
 A sweep cell reads the indicator over the window ``[t_eval, t_eval + window]``
 and the information measures at ``t_eval``, so only that window is
-propagated.  Each omega2 row is one stack from set-up to measures: the
-set-up functions take its coupling values as one array, its per-step
-exponentials are raised to the evaluation step and stepped through the
-window together (:func:`~oscsync.dynamics.sample_trajectory`), and its
-indicator and the information measures of its first window samples are
-one :func:`~oscsync.sync.windowed_correlation` and one
-:func:`~oscsync.info.gaussian_measures` call.  A cell that fails is
-reported with its message while the rest of its row goes on; a set-up
-error shared by the row fails its cells, and a window too short for the
-indicator fails the sweep.
+propagated.  The live cells, in row-major order, go through blocks of at
+most ``_BLOCK_SAMPLES`` window samples (one cell if its window alone is
+longer), and each block is one stack from set-up to measures: the
+set-up functions take its detunings and couplings as arrays, its
+per-step exponentials are raised to the evaluation step and stepped
+through the window together
+(:func:`~oscsync.dynamics.sample_trajectory`), and its indicator and the
+information measures of its first window samples are one
+:func:`~oscsync.sync.windowed_correlation` and one
+:func:`~oscsync.info.gaussian_measures` call.  A block may cross omega2
+rows; a cell's values do not depend on its block.  A cell that fails is
+reported with its message while the rest of its block goes on; a set-up
+error shared by the block fails its cells, and a window too short for
+the indicator fails the sweep.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from .model import (
 )
 from .sync import (
     _NOT_FINITE,
+    _close,
     ObservableSeries,
     SyncResult,
     _window_steps,
@@ -228,12 +233,12 @@ _SKIPPED = "coupling exceeds stability bound |lam| < omega1*omega2"
 
 
 def _measure_stack(grid, omega2, lams, initial, dt_out, w, k_eval) -> list:
-    """The cells of one row at the coupling values ``lams``, as one stack.
+    """The cells at the detunings ``omega2`` and couplings ``lams``, as one stack.
 
     Each cell reads its window of ``w`` steps from the evaluation step
     ``k_eval``.  A set-up error fails every cell.  A cell whose lab
     variances are not finite throughout its window is left out of the
-    row's indicator and fails as its series would on its own.
+    stack's indicator and fails as its series would on its own.
     """
     needs_window = bool({"syncAbs", "discord", "mutualInfo"} & set(grid.metrics))
     try:
@@ -242,7 +247,10 @@ def _measure_stack(grid, omega2, lams, initial, dt_out, w, k_eval) -> list:
             system, grid.bath, initial if needs_window else None
         )
     except OscSyncError as exc:
-        return [CellResult(omega2, lam, "error", message=str(exc)) for lam in lams]
+        return [
+            CellResult(o, lam, "error", message=str(exc))
+            for o, lam in zip(omega2, lams)
+        ]
     errors = {}  # cell: message of its first failure
     values = {}
     if "eigRatio" in grid.metrics:
@@ -272,33 +280,44 @@ def _measure_stack(grid, omega2, lams, initial, dt_out, w, k_eval) -> list:
             errors.setdefault(j, str(measures.error(j, names)))
         values.update((_ATTRS[name], measures.series[name]) for name in names)
     return [
-        CellResult(omega2, lam, "error", message=errors[j])
+        CellResult(o, lam, "error", message=errors[j])
         if j in errors
-        else CellResult(omega2, lam, **{a: float(v[j]) for a, v in values.items()})
-        for j, lam in enumerate(lams)
+        else CellResult(o, lam, **{a: float(v[j]) for a, v in values.items()})
+        for j, (o, lam) in enumerate(zip(omega2, lams))
     ]
 
 
-def _run_row(grid, omega2, initial, dt_out, w, k_eval) -> list:
-    """The cells of one omega2 row.  A cell past the stability bound is
-    skipped, and one whose lower mode frequency rounds to zero fails on its
-    own; the rest are one stack (:func:`_measure_stack`)."""
-    lams = np.array(grid.lambda_values, dtype=float)
-    omega1 = grid.system.omega1
-    skipped = np.abs(lams) >= omega1 * omega2
-    _, om_minus_sq, _ = _mode_squares(omega1, omega2, lams)
-    live = ~skipped & (om_minus_sq > 0)
-    stacked = iter(
-        _measure_stack(grid, omega2, lams[live], initial, dt_out, w, k_eval)
-    )
-    return [
-        CellResult(omega2, lam, "skipped", message=_SKIPPED)
-        if skip
-        else CellResult(omega2, lam, "error", message=_NOT_ATTRACTIVE.format(v))
-        if v <= 0
-        else next(stacked)
-        for lam, skip, v in zip(lams, skipped, om_minus_sq)
-    ]
+_BLOCK_SAMPLES = 2**14  # window samples per stack; bounds its temporaries
+
+
+def _steps(setting: str, value: float, dt_out: float) -> int:
+    # ``value`` in whole steps of dt_out
+    steps = value / dt_out
+    if not math.isfinite(steps):
+        raise DomainError(
+            f"{setting} = {value:g} is too large: it spans no finite number of"
+            f" steps of dt_out = {dt_out:g}"
+        )
+    return int(round(steps))
+
+
+def _check_window_grid(t_eval, k_eval, w, dt_out) -> None:
+    # The indicator reads the window's sample times, the steps
+    # k_eval .. k_eval + w of dt_out, which floats must space as uniformly
+    # as ObservableSeries requires.  A window too long to resolve on its
+    # own is left to the sampler's step-count check.
+    if not np.spacing(w * dt_out) <= dt_out:
+        return
+    t_end = t_eval + w * dt_out
+    resolved = np.spacing(t_end) <= dt_out
+    if resolved:
+        steps = np.diff(dt_out * np.arange(k_eval, k_eval + w + 1))
+        resolved = _close(steps, steps[0]) and steps[0] > 0
+    if not resolved:
+        raise DomainError(
+            f"t_eval = {t_eval:g} is too large: floats near t = {t_end:.6g}"
+            f" cannot resolve steps of dt_out = {dt_out:g}"
+        )
 
 
 def run_sweep(
@@ -309,35 +328,48 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate every feasible grid cell; infeasible cells are marked skipped.
 
+    A cell past the stability bound is skipped, and one whose lower mode
+    frequency rounds to zero fails on its own.  The rest go, in row-major
+    order, through stacks of up to ``_BLOCK_SAMPLES`` window samples
+    (:func:`_measure_stack`); a block may cross omega2 rows, and a cell's
+    values do not depend on its block.
+
     ``t_eval`` and ``window`` are rounded to whole steps of ``dt_out``;
     the provenance records the effective values (``t_eval_effective``,
     ``window_effective``) and every cell that is not ``ok``, with its
-    message (``flagged_cells``).  A window too short for the indicator, or
-    a ``t_eval`` at which floats cannot resolve steps of ``dt_out``, fails
-    the sweep when ``syncAbs`` is among its metrics.
+    message (``flagged_cells``).  A ``t_eval`` or ``window`` of no finite
+    number of steps fails the sweep.  So do a window too short for the
+    indicator and a ``t_eval`` at which floats cannot resolve steps of
+    ``dt_out``, when ``syncAbs`` is among the metrics.
     """
     if not (0 < dt_out < math.inf and 0 < window < math.inf):
         raise DomainError(
             f"need finite dt_out > 0 and window > 0, got {dt_out}, {window}"
         )
-    if "syncAbs" in grid.metrics:
-        w = _window_steps(window, dt_out)
-        # the indicator reads the window's sample times; a window too long
-        # to resolve on its own is left to the sampler's step-count check
-        t_end = grid.t_eval + w * dt_out
-        if np.spacing(w * dt_out) <= dt_out and not np.spacing(t_end) <= dt_out:
-            raise DomainError(
-                f"t_eval = {grid.t_eval:g} is too large: floats near t ="
-                f" {t_end:.6g} cannot resolve steps of dt_out = {dt_out:g}"
-            )
-    else:
-        w = int(round(window / dt_out))
-    k_eval = int(round(grid.t_eval / dt_out))
+    sync = "syncAbs" in grid.metrics
+    w = _window_steps(window, dt_out) if sync else _steps("window", window, dt_out)
+    k_eval = _steps("t_eval", grid.t_eval, dt_out)
+    if sync:
+        _check_window_grid(grid.t_eval, k_eval, w, dt_out)
 
+    axes = np.meshgrid(grid.omega2_values, grid.lambda_values, indexing="ij")
+    omega2, lams = (a.ravel() for a in axes)
+    omega1 = grid.system.omega1
+    skipped = np.abs(lams) >= omega1 * omega2
+    _, om_minus_sq, _ = _mode_squares(omega1, omega2, lams)
+    live = np.flatnonzero(~skipped & (om_minus_sq > 0))
+    size = max(1, _BLOCK_SAMPLES // (w + 1))
+    measured = itertools.chain.from_iterable(
+        _measure_stack(grid, omega2[b], lams[b], initial, dt_out, w, k_eval)
+        for b in (live[i : i + size] for i in range(0, live.size, size))
+    )
     cells = [
-        cell
-        for omega2 in grid.omega2_values
-        for cell in _run_row(grid, omega2, initial, dt_out, w, k_eval)
+        CellResult(o, lam, "skipped", message=_SKIPPED)
+        if skip
+        else CellResult(o, lam, "error", message=_NOT_ATTRACTIVE.format(v))
+        if v <= 0
+        else next(measured)
+        for o, lam, skip, v in zip(omega2, lams, skipped, om_minus_sq)
     ]
 
     provenance = {

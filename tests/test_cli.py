@@ -422,10 +422,11 @@ class TestSweepCommand:
         assert doc["flagged_cells"] == []
 
 
-    @pytest.mark.parametrize("t_eval", ["1e300", "1e17"])
+    @pytest.mark.parametrize("t_eval", ["1e300", "1e17", "6e5"])
     def test_unresolvable_t_eval_exits_2(self, t_eval, tmp_path, capsys):
-        # floats near t_eval are coarser than dt_out, so the indicator's
-        # window has no time grid; an eigRatio-only sweep reads no window
+        # floats near t_eval are coarser than dt_out (at 6e5, uneven to more
+        # than 1e-9 of it), so the indicator's window has no uniform time
+        # grid; an eigRatio-only sweep reads no window
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(
             "sweep_omega2 = 1.4:1.4:0.1\nsweep_lambda = 0.3:0.7:0.4\n"
@@ -441,6 +442,36 @@ class TestSweepCommand:
         assert _run(["sweep", "--config", cfg, "--out", out]) == 0
         _, _, rows = _read_csv(out / "sweep.csv")
         assert [r[-1] for r in rows] == ["ok", "ok"]
+
+    def test_resolvable_large_t_eval_is_accepted(self, tmp_path):
+        # floats near 9e15 still space steps of 1.0 uniformly
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "sweep_omega2 = 1.4:1.4:0.1\nsweep_lambda = 0.3:0.7:0.4\n"
+            "t_eval = 9e15\ndt_out = 1.0\n"
+        )
+        out = tmp_path / "out"
+        assert _run(["sweep", "--config", cfg, "--out", out]) == 0
+        _, _, rows = _read_csv(out / "sweep.csv")
+        assert [r[-1] for r in rows] == ["ok", "ok"]
+
+    @pytest.mark.parametrize(
+        "settings, setting",
+        [
+            ("metrics = eigRatio\nt_eval = 1e308\n", "t_eval = 1e+308"),
+            ("metrics = discord\nwindow = 1e308\ndt_out = 0.01\n", "window = 1e+308"),
+        ],
+    )
+    def test_step_count_overflow_exits_2(self, settings, setting, tmp_path, capsys):
+        # the setting spans more steps of dt_out than a float can count
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("sweep_omega2 = 1.4:1.4:0.1\nsweep_lambda = 0.3:0.7:0.4\n" + settings)
+        out = tmp_path / "out"
+        assert _run(["sweep", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {setting} is too large")
+        assert err.count("\n") == 1 and "dt_out" in err
+        assert not out.exists()
 
 
 class TestCompareRwa:

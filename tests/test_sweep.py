@@ -224,21 +224,26 @@ class TestRunSweep:
             assert all(_close(got, want, tol) for got, want in pairs)
             assert cell.eig_ratio == dynamical_eigenvalues(gen).ratio
 
+    # 2 rows of 3 cells, one block at the default budget; (1.4, 0.5) is the
+    # fifth cell of the stack
+    TWO_ROWS = dict(omega2=(1.1, 1.4), lam=(0.3, 0.5, 0.7))
+
     def test_failed_cell_leaves_its_row_alone(self, monkeypatch):
-        # the middle cell's first window sample is made unphysical; it alone
-        # is an error, and its neighbours keep the bits of a row without it
-        full = run_sweep(_tiny_grid(lam=(0.3, 0.7)), SQ)
+        # the cell's first window sample is made unphysical; it alone is an
+        # error, and every other cell of the block, in its row or the
+        # other, keeps its bits
+        full = run_sweep(_tiny_grid(**self.TWO_ROWS), SQ)
         real = sweep_mod.sample_trajectory
 
         def shrink_middle(gen, initial, *args, **kwargs):
             traj = real(gen, initial, *args, **kwargs)
-            traj.second_moments[1, 0] *= 0.01
+            traj.second_moments[4, 0] *= 0.01
             return traj
 
         monkeypatch.setattr(sweep_mod, "sample_trajectory", shrink_middle)
-        res = run_sweep(_tiny_grid(lam=(0.3, 0.5, 0.7)), SQ)
-        assert [c.status for c in res.cells] == ["ok", "error", "ok"]
-        assert res.cells[0] == full.cells[0] and res.cells[2] == full.cells[1]
+        res = run_sweep(_tiny_grid(**self.TWO_ROWS), SQ)
+        assert [c.status for c in res.cells] == ["ok"] * 4 + ["error", "ok"]
+        assert res.cells[:4] + res.cells[5:] == full.cells[:4] + full.cells[5:]
 
         sys_p = SystemParams(1.0, 1.4, 0.5)
         basis = diagonalize(sys_p)
@@ -250,30 +255,29 @@ class TestRunSweep:
         )
         with pytest.raises(OscSyncError) as exc:
             gaussian_discord(cov)
-        assert res.cells[1].message == str(exc.value)
-        assert "uncertainty bound" in res.cells[1].message
+        assert res.cells[4].message == str(exc.value)
+        assert "uncertainty bound" in res.cells[4].message
 
     def test_non_finite_window_leaves_its_row_alone(self, monkeypatch):
-        # the middle cell's window holds an infinite moment after its first
+        # the cell's window holds an infinite moment after its first
         # sample; it alone is an error, with the message its series would
-        # raise on its own, and its neighbours keep the bits of a row
-        # without it
-        full = run_sweep(_tiny_grid(lam=(0.3, 0.7)), SQ)
+        # raise on its own, and every other cell of the block keeps its bits
+        full = run_sweep(_tiny_grid(**self.TWO_ROWS), SQ)
         real = sweep_mod.sample_trajectory
 
         def blow_up_middle(gen, initial, *args, **kwargs):
             traj = real(gen, initial, *args, **kwargs)
-            traj.second_moments[1, 5, 0] = np.inf
+            traj.second_moments[4, 5, 0] = np.inf
             return traj
 
         monkeypatch.setattr(sweep_mod, "sample_trajectory", blow_up_middle)
-        res = run_sweep(_tiny_grid(lam=(0.3, 0.5, 0.7)), SQ)
-        assert [c.status for c in res.cells] == ["ok", "error", "ok"]
-        assert res.cells[0] == full.cells[0] and res.cells[2] == full.cells[1]
+        res = run_sweep(_tiny_grid(**self.TWO_ROWS), SQ)
+        assert [c.status for c in res.cells] == ["ok"] * 4 + ["error", "ok"]
+        assert res.cells[:4] + res.cells[5:] == full.cells[:4] + full.cells[5:]
         with pytest.raises(DomainError) as exc:
             ObservableSeries(np.arange(3.0), [0.0, np.inf, 1.0])
-        assert res.cells[1].message == str(exc.value)
-        assert math.isnan(res.cells[1].eig_ratio)
+        assert res.cells[4].message == str(exc.value)
+        assert math.isnan(res.cells[4].eig_ratio)
 
     def test_overflowing_bath_fails_every_cell(self):
         with pytest.warns(UserWarning, match="weak-coupling"):
@@ -290,7 +294,7 @@ class TestRunSweep:
         alone = run_sweep(_tiny_grid(omega2=(1.1,), lam=(0.5,)), SQ)
         assert res.cells[0] == alone.cells[0]
 
-    def test_one_kernel_call_per_row(self, monkeypatch):
+    def test_one_kernel_call_per_block(self, monkeypatch):
         calls = {}
 
         def counted(name):
@@ -315,9 +319,67 @@ class TestRunSweep:
         for name in names:
             monkeypatch.setattr(sweep_mod, name, counted(name))
         # 2 rows of 3 cells; lambda = 1.2 is skipped at omega2 = 1.1
-        res = run_sweep(_tiny_grid(omega2=(1.1, 1.4), lam=(0.3, 0.7, 1.2)), SQ)
+        grid = _tiny_grid(omega2=(1.1, 1.4), lam=(0.3, 0.7, 1.2))
+        res = run_sweep(grid, SQ)
         assert [c.status for c in res.cells].count("ok") == 5
-        assert calls == dict(zip(names, (2, 2, 2, 2, 2, 2, 2, 5)))
+        assert calls == dict(zip(names, (1, 1, 1, 1, 1, 1, 1, 5)))
+        # a budget of one cell's window: one stack per live cell
+        calls.clear()
+        monkeypatch.setattr(sweep_mod, "_BLOCK_SAMPLES", 151)
+        assert run_sweep(grid, SQ) == res
+        assert calls == dict(zip(names, (5,) * 8))
+
+    def test_cells_do_not_depend_on_blocking(self, monkeypatch):
+        # row 1.1: ok, ok, not attractive, skipped; row 1.4: ok, unphysical
+        # (made so below), ok, ok.  Six live cells of 151 window samples.
+        grid = _tiny_grid(omega2=(1.1, 1.4), lam=(0.3, 0.5, np.nextafter(1.1, 0), 1.2))
+        real_initial, real_sample = sweep_mod.make_initial, sweep_mod.sample_trajectory
+        seen = {}
+
+        def record(spec, system, basis):
+            seen["system"] = system
+            return real_initial(spec, system, basis)
+
+        def shrink_target(gen, initial, *args, **kwargs):
+            traj = real_sample(gen, initial, *args, **kwargs)
+            system = seen["system"]
+            traj.second_moments[(system.omega2 == 1.4) & (system.lam == 0.5), 0] *= 0.01
+            return traj
+
+        monkeypatch.setattr(sweep_mod, "make_initial", record)
+        monkeypatch.setattr(sweep_mod, "sample_trajectory", shrink_target)
+        # one cell, two (row 1.1), three (splits row 1.4), four (row 1.4),
+        # the whole grid
+        runs = []
+        for cells in (1, 2, 3, 4, 6):
+            monkeypatch.setattr(sweep_mod, "_BLOCK_SAMPLES", cells * 151)
+            runs.append(run_sweep(grid, SQ).cells)
+        statuses = ["ok", "ok", "error", "skipped", "ok", "error", "ok", "ok"]
+        assert [c.status for c in runs[0]] == statuses
+        assert "uncertainty bound" in runs[0][5].message
+        assert all(cells == runs[0] for cells in runs[1:])
+
+    @pytest.mark.parametrize("window, budget", [(15.0, 301), (15.0, 453), (60.0, 500)])
+    def test_block_budget_bounds_each_stack(self, window, budget, monkeypatch):
+        # 301 is one sample short of two windows of 151, and 453 is three;
+        # a window longer than the budget (601 > 500) gets one cell per stack
+        real = sweep_mod.sample_trajectory
+        sizes = []
+
+        def sized(*args, **kwargs):
+            traj = real(*args, **kwargs)
+            sizes.append(math.prod(traj.second_moments.shape[:-1]))
+            return traj
+
+        grid = _tiny_grid(omega2=(1.1, 1.4), lam=(0.3, 0.5, 0.7))
+        alone = run_sweep(grid, SQ, window=window)
+        monkeypatch.setattr(sweep_mod, "sample_trajectory", sized)
+        monkeypatch.setattr(sweep_mod, "_BLOCK_SAMPLES", budget)
+        res = run_sweep(grid, SQ, window=window)
+        w = round(window / 0.1)
+        assert sum(sizes) == 6 * (w + 1)
+        assert max(sizes) <= max(budget, w + 1)
+        assert res == alone
 
     def test_row_major_cell_order(self):
         grid = _tiny_grid(omega2=(1.1, 1.3), lam=(0.2, 0.5), metrics=("eigRatio",))
