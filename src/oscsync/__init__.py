@@ -7,154 +7,24 @@ weak-coupling master equation in the normal-mode basis; submodules provide
 the coefficient model (:mod:`.model`), moment propagation (:mod:`.dynamics`),
 Gaussian information measures (:mod:`.info`), a windowed synchronization
 indicator (:mod:`.sync`), the run of one parameter point and parameter-grid
-sweeps (:mod:`.sweep`), and a CLI (:mod:`.cli`).
+sweeps (:mod:`.sweep`), and a CLI (:mod:`.cli`).  The package re-exports
+each submodule's ``__all__`` except the CLI's.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.1.0"  # above the imports: sweep reads it from the package
 
-from .errors import (
-    ConfigError,
-    DegenerateState,
-    DomainError,
-    GridMismatch,
-    NoUniqueSteadyState,
-    NumericalError,
-    OscSyncError,
-    UnphysicalState,
-)
-from .model import (
-    BathParams,
-    DecayRates,
-    DissipationCoefficients,
-    NormalModeBasis,
-    SystemParams,
-    Topology,
-    check_appendix_equivalence,
-    coth,
-    diagonalize,
-    dissipation_coefficients,
-    rwa_rates,
-    spectral_density,
-)
-from .dynamics import (
-    Backend,
-    MomentGenerator,
-    MomentState,
-    Spectrum,
-    Trajectory,
-    build_generator,
-    dynamical_eigenvalues,
-    propagate_exact,
-    propagate_stepwise,
-    sample_trajectory,
-    steady_state,
-)
-from .info import (
-    CovarianceMatrix,
-    GaussianMeasures,
-    InitialStateSpec,
-    SymplecticSpectrum,
-    entropy,
-    gaussian_discord,
-    gaussian_measures,
-    information_measures,
-    information_series,
-    lab_covariances,
-    lab_variance_series,
-    log_negativity,
-    make_initial,
-    min_symplectic_eigenvalue,
-    mutual_information,
-    symplectic_spectrum,
-    to_lab_covariance,
-)
-from .sync import (
-    ObservableSeries,
-    SyncResult,
-    gaussian_smooth,
-    sync_onset,
-    windowed_correlation,
-)
-from .sweep import (
-    CellResult,
-    PointRun,
-    SweepGrid,
-    SweepResult,
-    default_grid,
-    run_point,
-    run_sweep,
-    write_sweep_csv,
-    write_sweep_sidecar,
-)
+from . import dynamics, errors, info, model, sweep, sync
+from .errors import *
+from .model import *
+from .dynamics import *
+from .info import *
+from .sync import *
+from .sweep import *
 
-__all__ = [
-    "__version__",
-    # errors
-    "OscSyncError",
-    "DomainError",
-    "ConfigError",
-    "GridMismatch",
-    "NumericalError",
-    "NoUniqueSteadyState",
-    "UnphysicalState",
-    "DegenerateState",
-    # model
-    "Topology",
-    "SystemParams",
-    "BathParams",
-    "NormalModeBasis",
-    "DissipationCoefficients",
-    "DecayRates",
-    "coth",
-    "diagonalize",
-    "spectral_density",
-    "dissipation_coefficients",
-    "rwa_rates",
-    "check_appendix_equivalence",
-    # dynamics
-    "Backend",
-    "MomentState",
-    "MomentGenerator",
-    "Spectrum",
-    "Trajectory",
-    "build_generator",
-    "dynamical_eigenvalues",
-    "propagate_exact",
-    "propagate_stepwise",
-    "steady_state",
-    "sample_trajectory",
-    # info
-    "CovarianceMatrix",
-    "GaussianMeasures",
-    "InitialStateSpec",
-    "SymplecticSpectrum",
-    "make_initial",
-    "lab_covariances",
-    "to_lab_covariance",
-    "gaussian_measures",
-    "symplectic_spectrum",
-    "entropy",
-    "mutual_information",
-    "gaussian_discord",
-    "log_negativity",
-    "min_symplectic_eigenvalue",
-    "lab_variance_series",
-    "information_measures",
-    "information_series",
-    # sync
-    "ObservableSeries",
-    "SyncResult",
-    "windowed_correlation",
-    "gaussian_smooth",
-    "sync_onset",
-    # sweep
-    "SweepGrid",
-    "CellResult",
-    "SweepResult",
-    "PointRun",
-    "default_grid",
-    "run_point",
-    "run_sweep",
-    "write_sweep_csv",
-    "write_sweep_sidecar",
-]
+__all__ = ["__version__"]
+__all__ += errors.__all__
+__all__ += model.__all__
+__all__ += dynamics.__all__
+__all__ += info.__all__
+__all__ += sync.__all__
+__all__ += sweep.__all__

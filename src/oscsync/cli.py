@@ -34,7 +34,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -97,6 +97,7 @@ class RunConfig:
     filter_width: float
     backend: Backend
     out_dir: str
+    parameters: dict  # flat snapshot of the settings above, for manifests
     # sweep-only settings (grid axes as value tuples)
     t_eval: float = 300.0
     sweep_omega2: tuple = ()
@@ -108,29 +109,6 @@ class RunConfig:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise DomainError(f"{name} must be positive and finite, got {value}")
-
-    def parameters(self) -> dict:
-        """Flat snapshot of every resolved parameter, for manifests."""
-        return {
-            "omega1": self.system.omega1,
-            "omega2": self.system.omega2,
-            "lambda": self.system.lam,
-            "gamma": self.bath.gamma,
-            "cutoff": self.bath.cutoff,
-            "temperature": self.bath.temperature,
-            "bath": self.bath.topology.value,
-            "initial": {
-                "kind": self.initial.kind,
-                "r": self.initial.r,
-                "r1": self.initial.r1,
-                "r2": self.initial.r2,
-            },
-            "t_max": self.t_max,
-            "dt_out": self.dt_out,
-            "window": self.window,
-            "filter_width": self.filter_width,
-            "backend": self.backend.value,
-        }
 
 
 def read_config_file(path: str) -> dict:
@@ -206,6 +184,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             merged[key] = value
     for key in _FLOAT_KEYS:
         merged[key] = _as_float(key, merged[key])
+    topology = _as_choice("bath", merged["bath"], Topology)
+    backend = _as_choice("backend", merged["backend"], Backend)
+    initial = InitialStateSpec.parse(str(merged["initial"]))
     return RunConfig(
         system=SystemParams(
             omega1=merged["omega1"],
@@ -216,15 +197,21 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             gamma=merged["gamma"],
             cutoff=merged["cutoff"],
             temperature=merged["temperature"],
-            topology=_as_choice("bath", merged["bath"], Topology),
+            topology=topology,
         ),
-        initial=InitialStateSpec.parse(str(merged["initial"])),
+        initial=initial,
         t_max=merged["t_max"],
         dt_out=merged["dt_out"],
         window=merged["window"],
         filter_width=merged["filter_width"],
-        backend=_as_choice("backend", merged["backend"], Backend),
+        backend=backend,
         out_dir=getattr(args, "out", None) or ".",
+        parameters={
+            **{k: merged[k] for k in _FLOAT_KEYS - {"t_eval"}},
+            "bath": topology.value,
+            "backend": backend.value,
+            "initial": asdict(initial),
+        },
         t_eval=merged["t_eval"],
         sweep_omega2=_parse_axis("sweep_omega2", merged["sweep_omega2"]),
         sweep_lambda=_parse_axis("sweep_lambda", merged["sweep_lambda"]),
@@ -262,6 +249,13 @@ def _raise_first_failure(run: PointRun, info_path: str) -> None:
 
 
 def cmd_simulate(cfg: RunConfig) -> list:
+    # the smoothing kernel spans about 8 filter_width / dt_out samples:
+    # wider than the run it only costs time, and at 1e300 it cannot be built
+    if cfg.filter_width > cfg.t_max:
+        raise DomainError(
+            f"filter_width = {cfg.filter_width:g} must not exceed"
+            f" t_max = {cfg.t_max:g}"
+        )
     run = run_point(cfg.system, cfg.bath, cfg.initial, cfg.backend,
                     cfg.t_max, cfg.dt_out, cfg.window)
     traj, sync = run.traj, run.sync
@@ -304,7 +298,7 @@ def cmd_simulate(cfg: RunConfig) -> list:
     manifest = {
         "version": __version__,
         "command": "simulate",
-        "parameters": cfg.parameters(),
+        "parameters": cfg.parameters,
         "windowEffective": run.sync.span,
         "normalModes": {
             "theta": basis.theta,
@@ -338,7 +332,7 @@ def cmd_eigen(cfg: RunConfig) -> list:
 
     payload = {
         "version": __version__,
-        "parameters": cfg.parameters(),
+        "parameters": cfg.parameters,
         "eigenvalues": _complex_list(spectrum.mu),
         "ratio": spectrum.ratio,
         "dominantFrequency": spectrum.dominant_frequency,
@@ -369,6 +363,7 @@ def cmd_sweep(cfg: RunConfig) -> list:
         bath=cfg.bath,
         t_eval=cfg.t_eval,
         metrics=cfg.metrics,
+        backend=cfg.backend,
     )
     result = run_sweep(
         grid,
@@ -424,7 +419,7 @@ def cmd_compare_rwa(cfg: RunConfig) -> list:
     max_mom_dev = float(np.max(np.abs(r_f - r_r) / mom_scale))
     summary = {
         "version": __version__,
-        "parameters": cfg.parameters(),
+        "parameters": cfg.parameters,
         "windowEffective": full.sync.span,
         "maxAbsSyncDeviation": max_sync_dev,
         "maxRelDiscordDeviation": max_disc_dev,

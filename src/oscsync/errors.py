@@ -5,6 +5,17 @@ maps it to: 2 for validation problems, 3 for numerical ones.  I/O errors
 are left to the standard ``OSError`` family (exit code 4).
 """
 
+__all__ = [
+    "OscSyncError",
+    "DomainError",
+    "ConfigError",
+    "GridMismatch",
+    "NumericalError",
+    "NoUniqueSteadyState",
+    "UnphysicalState",
+    "DegenerateState",
+]
+
 
 class OscSyncError(Exception):
     """Base class for all toolkit errors."""

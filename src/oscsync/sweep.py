@@ -4,9 +4,10 @@
 acceptance tests: one trajectory from ``t = 0`` and what is read from it.
 
 A sweep cell reads the indicator over the window ``[t_eval, t_eval + window]``
-and the information measures at ``t_eval``, so only that window is
-propagated.  The live cells, in row-major order, go through blocks of at
-most ``_BLOCK_SAMPLES`` window samples (one cell if its window alone is
+and the information measures at ``t_eval``, so only that window, or
+that one step when the indicator is not asked for, is propagated.  The
+live cells, in row-major order, go through blocks of at most
+``_BLOCK_SAMPLES`` window samples (one cell if its window alone is
 longer), and each block is one stack from set-up to measures: the
 set-up functions take its detunings and couplings as arrays, its
 per-step exponentials are raised to the evaluation step and stepped
@@ -95,11 +96,13 @@ class SweepGrid:
     bath: BathParams
     t_eval: float = 300.0
     metrics: tuple = METRICS
+    backend: Backend = Backend.FULL
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "omega2_values", tuple(self.omega2_values))
         object.__setattr__(self, "lambda_values", tuple(self.lambda_values))
         object.__setattr__(self, "metrics", tuple(self.metrics))
+        object.__setattr__(self, "backend", Backend(self.backend))
         unknown = set(self.metrics) - set(METRICS)
         if unknown:
             raise DomainError(f"unknown sweep metrics: {sorted(unknown)}")
@@ -157,7 +160,7 @@ def default_grid(
     )
 
 
-def _set_up(system, bath, initial, backend=Backend.FULL):
+def _set_up(system, bath, initial, backend):
     # Basis, coefficients, generator and, unless `initial` is None, the
     # initial moments of one parameter point or of a stack of them.
     basis = diagonalize(system)
@@ -236,15 +239,17 @@ def _measure_stack(grid, omega2, lams, initial, dt_out, w, k_eval) -> list:
     """The cells at the detunings ``omega2`` and couplings ``lams``, as one stack.
 
     Each cell reads its window of ``w`` steps from the evaluation step
-    ``k_eval``.  A set-up error fails every cell.  A cell whose lab
-    variances are not finite throughout its window is left out of the
-    stack's indicator and fails as its series would on its own.
+    ``k_eval`` for the indicator and that step alone for the information
+    measures, so without ``syncAbs`` only that step is sampled.  A set-up
+    error fails every cell.  A cell whose lab variances are not finite
+    throughout its window is left out of the stack's indicator and fails
+    as its series would on its own.
     """
-    needs_window = bool({"syncAbs", "discord", "mutualInfo"} & set(grid.metrics))
+    sampled = bool({"syncAbs", "discord", "mutualInfo"} & set(grid.metrics))
     try:
         system = replace(grid.system, omega2=omega2, lam=lams)
         basis, _, gen, state0 = _set_up(
-            system, grid.bath, initial if needs_window else None
+            system, grid.bath, initial if sampled else None, grid.backend
         )
     except OscSyncError as exc:
         return [
@@ -261,8 +266,9 @@ def _measure_stack(grid, omega2, lams, initial, dt_out, w, k_eval) -> list:
                 values["eig_ratio"][j] = dynamical_eigenvalues(cell).ratio
             except OscSyncError as exc:
                 errors[j] = str(exc)
-    if needs_window:
-        traj = sample_trajectory(gen, state0, dt_out, w + 1, k_start=k_eval)
+    if sampled:
+        n = w + 1 if "syncAbs" in grid.metrics else 1
+        traj = sample_trajectory(gen, state0, dt_out, n, k_start=k_eval)
     if "syncAbs" in grid.metrics:
         x1, x2 = lab_variance_series(traj, basis, system)
         finite = np.isfinite(x1).all(axis=1) & np.isfinite(x2).all(axis=1)
@@ -381,6 +387,7 @@ def run_sweep(
         "cutoff": grid.bath.cutoff,
         "temperature": grid.bath.temperature,
         "bath": grid.bath.topology.value,
+        "backend": grid.backend.value,
         "initial": asdict(initial),
         "t_eval": grid.t_eval,
         "t_eval_effective": k_eval * dt_out,

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -17,6 +18,12 @@ from oscsync.sweep import default_grid
 
 def _run(argv):
     return cli.main([str(a) for a in argv])
+
+
+def _config(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return path
 
 
 def _read_csv(path):
@@ -254,6 +261,26 @@ class TestValidation:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("width", ["1e6", "1e300"])
+    def test_filter_width_beyond_t_max_exits_2(self, width, tmp_path, capsys):
+        # a kernel this wide would take minutes (1e6) or fail to allocate
+        # (1e300), so the width is rejected before the run
+        out = tmp_path / "out"
+        start = time.monotonic()
+        assert _run(["simulate", "--config", _config(tmp_path, f"filter_width = {width}\n"),
+                     "--out", out]) == 2
+        assert time.monotonic() - start < 10.0
+        assert capsys.readouterr().err == (
+            f"error: filter_width = {float(width):g} must not exceed t_max = 400\n"
+        )
+        assert not out.exists()
+
+    def test_filter_width_equal_to_t_max_runs(self, tmp_path):
+        cfg = _config(tmp_path, "filter_width = 20.0\n")
+        assert _run(["simulate", "--config", cfg, "--t-max", 20, "--out", tmp_path]) == 0
+        _, _, rows = _read_csv(tmp_path / "sync.csv")
+        assert all(row[2] != "" for row in rows)
+
     def test_bad_bath_in_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bath = foo\n")
@@ -372,6 +399,18 @@ class TestSweepCommand:
         doc = json.loads((out / "sweep_manifest.json").read_text())
         assert doc["metrics"] == ["eigRatio"]
         assert doc["omega2_values"] == [1.0, 1.05, 1.1]
+
+    def test_backend_is_honoured_and_recorded(self, tmp_path):
+        cfg = _config(tmp_path, "sweep_omega2 = 1.0:1.05:0.025\nsweep_lambda = 0.05:0.1:0.025\n")
+        out = {}
+        for backend in ("full", "rwa"):
+            out[backend] = tmp_path / backend
+            assert _run(["sweep", "--config", cfg, "--backend", backend,
+                         "--out", out[backend]]) == 0
+            doc = json.loads((out[backend] / "sweep_manifest.json").read_text())
+            assert doc["backend"] == backend
+        csv = {b: (path / "sweep.csv").read_bytes() for b, path in out.items()}
+        assert csv["full"] != csv["rwa"]
 
     def test_t_eval_rounding_up_keeps_a_full_window(self, tmp_path):
         # t_eval = 0.26 rounds to the sample at 0.3, whose window
@@ -601,6 +640,17 @@ class TestPlumbing:
             fn = getattr(mod, name, None)
             assert name in mod.__all__, f"{layer}.{name}"
             assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, name
+
+    @pytest.mark.parametrize("layer", ["errors", "model", "dynamics", "info", "sync", "sweep"])
+    def test_package_reexports_each_module_all(self, layer):
+        # a module's __all__ is the one list of its public names
+        import oscsync
+
+        mod = importlib.import_module(f"oscsync.{layer}")
+        assert len(oscsync.__all__) == len(set(oscsync.__all__))
+        assert set(mod.__all__) <= set(oscsync.__all__)
+        for name in mod.__all__:
+            assert getattr(oscsync, name) is getattr(mod, name), name
 
     def test_out_dir_created(self, tmp_path):
         nested = tmp_path / "a" / "b"

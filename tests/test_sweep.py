@@ -41,13 +41,16 @@ from oscsync import sweep as sweep_mod
 SQ = InitialStateSpec.separable_squeezed(2.0, 4.0)
 
 
-def _tiny_grid(omega2=(1.4,), lam=(0.7,), metrics=sweep_mod.METRICS, **bath_kw):
+def _tiny_grid(
+    omega2=(1.4,), lam=(0.7,), metrics=sweep_mod.METRICS, backend="full", **bath_kw
+):
     return SweepGrid(
         omega2_values=omega2,
         lambda_values=lam,
         system=SystemParams(),
         bath=BathParams(**bath_kw),
         metrics=metrics,
+        backend=backend,
     )
 
 
@@ -186,10 +189,14 @@ class TestRunSweep:
         assert _close(cell.mutual_info, info["mutualInfo"][k])
         assert cell.eig_ratio == mu.ratio
 
-    @pytest.mark.parametrize("topology", ["common", "separate"])
-    def test_window_path_matches_full_trajectory(self, topology):
+    @pytest.mark.parametrize(
+        "topology, backend",
+        [("common", "full"), ("separate", "full"), ("common", "rwa"), ("separate", "rwa")],
+        ids=["common", "separate", "common-rwa", "separate-rwa"],
+    )
+    def test_window_path_matches_full_trajectory(self, topology, backend):
         omega2s, lams = (1.0, 1.3), (0.3, 0.6, 0.825)
-        grid = _tiny_grid(omega2=omega2s, lam=lams, topology=topology)
+        grid = _tiny_grid(omega2=omega2s, lam=lams, topology=topology, backend=backend)
         res = run_sweep(grid, SQ)
         k = int(round(grid.t_eval / 0.1))
         for cell in res.cells:
@@ -197,7 +204,7 @@ class TestRunSweep:
             sys_p = SystemParams(1.0, cell.omega2, cell.lam)
             basis = diagonalize(sys_p)
             coeffs = dissipation_coefficients(sys_p, grid.bath, basis)
-            gen = build_generator(basis, coeffs)
+            gen = build_generator(basis, coeffs, backend=backend)
             state = make_initial(SQ, sys_p, basis)
             traj = sample_trajectory(gen, state, 0.1, k + 151)
             x1, x2 = lab_variance_series(traj, basis, sys_p)
@@ -381,6 +388,26 @@ class TestRunSweep:
         assert max(sizes) <= max(budget, w + 1)
         assert res == alone
 
+    def test_measures_only_sample_one_step(self, monkeypatch):
+        # without syncAbs only the first window sample is read, so it alone
+        # is propagated, and the measures keep their bits
+        real = sweep_mod.sample_trajectory
+        steps = []
+
+        def recorded(gen, initial, dt_out, n, **kwargs):
+            steps.append(n)
+            return real(gen, initial, dt_out, n, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "sample_trajectory", recorded)
+        axes = dict(omega2=(1.1, 1.4), lam=(0.3, 0.5, 0.7))
+        measures = run_sweep(_tiny_grid(**axes, metrics=("discord", "mutualInfo")), SQ)
+        assert steps == [1]
+        steps.clear()
+        every = run_sweep(_tiny_grid(**axes), SQ)
+        assert steps == [round(15.0 / 0.1) + 1]
+        for name in ("discord", "mutualInfo"):
+            assert measures.metric_map(name).tobytes() == every.metric_map(name).tobytes()
+
     def test_row_major_cell_order(self):
         grid = _tiny_grid(omega2=(1.1, 1.3), lam=(0.2, 0.5), metrics=("eigRatio",))
         res = run_sweep(grid, SQ)
@@ -502,6 +529,7 @@ class TestSweepIO:
         assert doc["t_eval"] == 300.0
         assert doc["metrics"] == ["eigRatio"]
         assert doc["initial"]["kind"] == "sq"
+        assert doc["backend"] == "full"
         assert "version" in doc
         assert doc["t_eval_effective"] == 300.0
         assert doc["window_effective"] == 15.0
