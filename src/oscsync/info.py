@@ -21,6 +21,7 @@ from .dynamics import IDX_XX, MODE_SLOT, MODE_WEIGHT, MomentState, Trajectory
 from .errors import (
     DegenerateState,
     DomainError,
+    NumericalError,
     OscSyncError,
     UnphysicalState,
 )
@@ -233,8 +234,8 @@ def to_lab_covariance(
     )
 
 
-# The partial transpose F sigma F = (F L)(F L)^T, so i L^T (F Omega F) L
-# carries its symplectic eigenvalues as i L^T Omega L carries sigma's.
+# The partial transpose F sigma F = (F L)(F L)^T, so L^T (F Omega F) L
+# carries its symplectic eigenvalues as L^T Omega L carries sigma's.
 _FLIP = np.diag([1.0, 1.0, 1.0, -1.0])
 _OMEGAS = np.stack([OMEGA_SYMP, _FLIP @ OMEGA_SYMP @ _FLIP])
 
@@ -291,6 +292,17 @@ def _cholesky(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return low, ok
 
 
+def _symplectic_pair(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The eigenvalues of a real antisymmetric 4x4 K are +-i(|a| -+ |b|)/2,
+    # with a and b its self-dual and anti-self-dual halves; returns the
+    # smaller and the larger modulus.  hypot keeps |K| up to ~1e308 finite.
+    k01, k02, k03 = k[..., 0, 1], k[..., 0, 2], k[..., 0, 3]
+    k12, k13, k23 = k[..., 1, 2], k[..., 1, 3], k[..., 2, 3]
+    a = np.hypot(np.hypot(k01 + k23, k02 - k13), k03 + k12)
+    b = np.hypot(np.hypot(k01 - k23, k02 + k13), k03 - k12)
+    return 0.5 * np.abs(a - b), 0.5 * (a + b)
+
+
 _J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
@@ -318,6 +330,41 @@ def _d_minus_a(s, a, c, d, u) -> np.ndarray:
     )
 
 
+def _emin_terms(a, b, c, d, u, d_minus_a, k):
+    # Adesso-Datta's Emin, its first branch when (D - AB)^2 <= (1 + B) C^2
+    # (A + D) and the generic one otherwise, on A, B, C, u = B - 1 scaled by
+    # 4^-k and D, D - A by 16^-k.  Every term below then scales by a power
+    # of two, exactly, and Emin by 4^-k, so k = 0 is the plain formula.
+    # Also says where the terms are finite.
+    e = 2 * k
+    a, b, c, u = (np.ldexp(x, -e) for x in (a, b, c, u))
+    d, d_minus_a = (np.ldexp(x, -2 * e) for x in (d, d_minus_a))
+    one = np.ldexp(1.0, -e)
+    # (2C^2 + u (D - A) + 2|C| root) / u^2 with root^2 = C^2 + u (D - A),
+    # where C and root scale by 8^-k
+    c3 = np.ldexp(c, -k)
+    root = np.sqrt(np.maximum(c3 * c3 + u * d_minus_a, 0.0))
+    e_first = ((np.abs(c3) + root) / u) ** 2
+    lhs = np.ldexp((d - a * b) ** 2, -e)
+    rhs = (one + b) * c * c * (one * a + d)
+    disc = c**4 + (d - a * b) ** 2 - 2.0 * c * c * (a * b + d)
+    e_second = (a * b - c * c + d - np.sqrt(np.maximum(disc, 0.0))) / (2.0 * b)
+    e_min = np.ldexp(np.where(lhs <= rhs, e_first, e_second), e)
+    return e_min, np.isfinite([lhs, rhs, disc, root]).all(axis=0)
+
+
+def _emin(s, a, b, c, d) -> np.ndarray:
+    # Emin of each sample; where a term of the plain formula overflows, again
+    # with A, B, C and sqrt(D) scaled to at most 1, so every other sample
+    # keeps the plain formula's bits.
+    u = b - 1.0
+    d_minus_a = _d_minus_a(s, a, c, d, u)
+    e_min, finite = _emin_terms(a, b, c, d, u, d_minus_a, 0)
+    size = np.max(np.abs([a, b, c, np.sqrt(np.abs(d))]), axis=0)
+    k = np.where(finite, 0, (np.frexp(size)[1] + 1) // 2)
+    return _emin_terms(a, b, c, d, u, d_minus_a, k)[0]
+
+
 def _entropies(nu: np.ndarray) -> np.ndarray:
     # f(nu) with nu clamped to >= 1; callers check the 1e-6 window.
     nu = np.maximum(nu, 1.0)
@@ -330,6 +377,12 @@ def _entropies(nu: np.ndarray) -> np.ndarray:
 def _below_bound(nu: np.ndarray):
     return nu < _ENTROPY_FLOOR, lambda k: UnphysicalState(
         f"symplectic eigenvalue {float(nu[k])} < 1 violates the uncertainty bound"
+    )
+
+
+def _overflow(name: str, failed: np.ndarray):
+    return failed, lambda k: NumericalError(
+        f"{name} overflows float64 at this covariance's scale"
     )
 
 
@@ -348,61 +401,69 @@ def gaussian_measures(sigma: np.ndarray) -> GaussianMeasures:
 
     With ``A, B, C`` the determinants of the 2x2 blocks and ``D = det
     sigma``, the global symplectic eigenvalues ``nu1 <= nu2`` and those of
-    the partial transpose come from ``L = cholesky(sigma)``: the Hermitian
-    ``i L^T Omega L`` has the ascending eigenvalues ``-nu2, -nu1, nu1,
-    nu2``.  Then ``I = f(nu_a) + f(nu_b) - f(nu1) - f(nu2)`` and the
-    discord with oscillator 2 measured is
+    the partial transpose come from ``L = cholesky(sigma)``.  ``K = L^T
+    Omega L`` is real antisymmetric with eigenvalues ``+-i (|a| +- |b|)/2``,
+    where ``a = (k01 + k23, k02 - k13, k03 + k12)`` and ``b = (k01 - k23,
+    k02 + k13, k03 - k12)`` are its self-dual and anti-self-dual halves, so
+    ``nu2 = (|a| + |b|)/2`` and ``nu1 = ||a| - |b||/2``; ``nu~1`` is the
+    same for ``L^T (F Omega F) L``.  This is not the invariant shortcut
+    ``nu^2 = (Delta +- sqrt(Delta^2 - 4 D))/2``, which subtracts under a
+    root and loses half the digits where ``nu1 = nu2``: ``|a|`` and ``|b|``
+    are norms (``hypot``), so the error is about ``eps nu2``, as from an
+    eigensolver, also at a pure state's ``nu1 = nu2 = 1``.  Then ``I =
+    f(nu_a) + f(nu_b) - f(nu1) - f(nu2)`` and the discord with oscillator 2
+    measured is
 
         delta = f(sqrt(B)) - f(nu1) - f(nu2) + f(sqrt(Emin)),
 
     where ``Emin`` takes its first closed-form branch when ``(D - A*B)^2 <=
     (1 + B) C^2 (A + D)`` and the generic second branch otherwise (Adesso &
-    Datta, PRL 105, 030501, 2010).  ``E_N = max(0, -ln nu~1)``.
+    Datta, PRL 105, 030501, 2010).  Where a term of ``Emin`` would overflow,
+    it is evaluated on ``A, B, C`` and ``D`` scaled by a power of two.
+    ``E_N = max(0, -ln nu~1)``.
 
     A sample fails a measure when sigma is not positive definite (all
     measures), when an entropy argument lies below ``1 - 1e-6``
     (:class:`UnphysicalState`), when ``B = 1`` with ``|C| >= 1e-15``
-    (:class:`DegenerateState`, discord), or when the partial transpose has
-    a zero eigenvalue (log-negativity).  ``B = 1`` with ``|C| < 1e-15`` has
-    zero discord.
+    (:class:`DegenerateState`, discord), when the partial transpose has
+    a zero eigenvalue (log-negativity), or when mutual information or
+    discord overflows float64 (:class:`NumericalError`; the discord from
+    ``|sigma|`` of about 1e77, where ``D`` overflows, mutual information
+    from about 1e154).  ``B = 1`` with ``|C| < 1e-15`` has zero discord.
     """
     sigma = np.asarray(sigma, dtype=float)
     low, pd = _cholesky(sigma)
     s = np.where(pd[:, None, None], sigma, np.eye(4))
-    a = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
-    b = s[:, 2, 2] * s[:, 3, 3] - s[:, 2, 3] * s[:, 3, 2]
-    c = s[:, 0, 2] * s[:, 1, 3] - s[:, 0, 3] * s[:, 1, 2]
-    d = np.linalg.det(s)
-    k = np.swapaxes(low, -1, -2)[:, None] @ _OMEGAS @ low[:, None]
-    ev = np.linalg.eigvalsh(1j * k)
-    nu1, nu2 = ev[:, 0, 2], ev[:, 0, 3]
-    nu_pt = ev[:, 1, 2]
-    nu_a = np.sqrt(np.maximum(a, 0.0))
-    nu_b = np.sqrt(np.maximum(b, 0.0))
+    small, large = _symplectic_pair(
+        np.swapaxes(low, -1, -2)[:, None] @ _OMEGAS @ low[:, None]
+    )
+    nu1, nu2, nu_pt = small[:, 0], large[:, 0], small[:, 1]
+    # A covariance too large for float64 overflows here; the checks below
+    # turn each non-finite value into a failure.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
+        b = s[:, 2, 2] * s[:, 3, 3] - s[:, 2, 3] * s[:, 3, 2]
+        c = s[:, 0, 2] * s[:, 1, 3] - s[:, 0, 3] * s[:, 1, 2]
+        d = np.linalg.det(s)
+        nu_a = np.sqrt(np.maximum(a, 0.0))
+        nu_b = np.sqrt(np.maximum(b, 0.0))
 
-    u = b - 1.0
-    d_minus_a = _d_minus_a(s, a, c, d, u)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        first_branch = (d - a * b) ** 2 <= (1.0 + b) * c * c * (a + d)
-        # (2C^2 + u (D - A) + 2|C| root) / u^2 with root^2 = C^2 + u (D - A)
-        root = np.sqrt(np.maximum(c * c + u * d_minus_a, 0.0))
-        e_first = ((np.abs(c) + root) / u) ** 2
-        disc = c**4 + (d - a * b) ** 2 - 2.0 * c * c * (a * b + d)
-        e_second = (a * b - c * c + d - np.sqrt(np.maximum(disc, 0.0))) / (2.0 * b)
-        e_min = np.where(first_branch, e_first, e_second)
-    # B = 1 has zero discord or none, and its first branch divides by zero.
-    pure_b = b == 1.0
-    nu_e = np.sqrt(np.maximum(np.where(pure_b, 1.0, e_min), 0.0))
+        e_min = _emin(s, a, b, c, d)
+        # B = 1 has zero discord or none, and its first branch divides by zero.
+        pure_b = b == 1.0
+        nu_e = np.sqrt(np.maximum(np.where(pure_b, 1.0, e_min), 0.0))
 
-    f_a, f_b, f_1, f_2 = (_entropies(x) for x in (nu_a, nu_b, nu1, nu2))
-    values = {
-        "mutualInfo": np.maximum((f_a + f_b) - (f_1 + f_2), 0.0),
-        "discord": np.where(
-            pure_b, 0.0, np.maximum(f_b - f_1 - f_2 + _entropies(nu_e), 0.0)
-        ),
-        "logNegativity": np.maximum(0.0, -np.log(np.where(nu_pt > 0.0, nu_pt, 1.0))),
-        "nuMin": nu1,
-    }
+        f_a, f_b, f_1, f_2 = (_entropies(x) for x in (nu_a, nu_b, nu1, nu2))
+        values = {
+            "mutualInfo": np.maximum((f_a + f_b) - (f_1 + f_2), 0.0),
+            "discord": np.where(
+                pure_b, 0.0, np.maximum(f_b - f_1 - f_2 + _entropies(nu_e), 0.0)
+            ),
+            "logNegativity": np.maximum(
+                0.0, -np.log(np.where(nu_pt > 0.0, nu_pt, 1.0))
+            ),
+            "nuMin": nu1,
+        }
 
     # Each measure's checks in the order its scalar function made them.
     not_pd = (~pd, lambda k: UnphysicalState(
@@ -415,12 +476,21 @@ def gaussian_measures(sigma: np.ndarray) -> GaussianMeasures:
     pt_zero = (nu_pt <= 0.0, lambda k: UnphysicalState(
         "partial transpose produced a zero eigenvalue"
     ))
-    discord_checks = [not_pd, degenerate]
-    for failed, make in map(_below_bound, (nu_b, nu1, nu2, nu_e)):
-        discord_checks.append((failed & ~pure_b, make))
+    # an Emin that overflowed reads as nu_e = 0, so it is checked first
+    discord_finite = np.isfinite(e_min) & np.isfinite(values["discord"])
+    discord_checks = [not_pd, degenerate] + [
+        (failed & ~pure_b, make)
+        for failed, make in [
+            *map(_below_bound, (nu_b, nu1, nu2)),
+            _overflow("discord", ~discord_finite),
+            _below_bound(nu_e),
+        ]
+    ]
     failures = {
         "mutualInfo": _first_failures(
-            [not_pd] + [_below_bound(x) for x in (nu_a, nu_b, nu1, nu2)]
+            [not_pd]
+            + [_below_bound(x) for x in (nu_a, nu_b, nu1, nu2)]
+            + [_overflow("mutualInfo", ~np.isfinite(values["mutualInfo"]))]
         ),
         "discord": _first_failures(discord_checks),
         "logNegativity": _first_failures([not_pd, pt_zero]),

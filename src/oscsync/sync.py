@@ -87,6 +87,16 @@ def _window_sums(y: np.ndarray, w: int, dt: float) -> np.ndarray:
     return (total - 0.5 * (y[..., :-w] + y[..., w:])) * dt
 
 
+def _scaled_down(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Each series whose largest |value| exceeds 2^200 divided by a power of
+    # two that brings it to at most 1, and the exponent (0 for the others).
+    # The indicator's variance product is of degree 4 and would overflow
+    # from about 2^256; C does not change, and a power of two divides exactly.
+    peak = np.max(np.abs(v), axis=-1, keepdims=True)
+    e = np.where(peak > 2.0**200, np.frexp(peak)[1], 0)
+    return np.ldexp(v, -e), e
+
+
 def _window_steps(delta_t: float, dt: float) -> int:
     # The window in whole sample spacings, of which it needs at least 10.
     steps = delta_t / dt
@@ -112,7 +122,9 @@ def windowed_correlation(
     averages use trapezoidal quadrature on the shared uniform grid.
     Windows in which either signal is constant to within the variance floor
     produce NaN gap markers rather than errors (fully thermalized series
-    legitimately have zero variance).
+    legitimately have zero variance).  A series larger than ``2^200`` is
+    first divided by a power of two, with the floor, so that the variances
+    do not overflow; this leaves ``C`` as it is.
 
     Raises
     ------
@@ -132,14 +144,17 @@ def windowed_correlation(
     if w >= f.times.size:
         raise DomainError("window longer than the series")
     span = w * dt
-    fv, gv = f.values, g.values
+    fv, ef = _scaled_down(f.values)
+    gv, eg = _scaled_down(g.values)
     mean_f = _window_sums(fv, w, dt) / span
     mean_g = _window_sums(gv, w, dt) / span
     cov = _window_sums(fv * gv, w, dt) / span - mean_f * mean_g
     var_f = _window_sums(fv * fv, w, dt) / span - mean_f**2
     var_g = _window_sums(gv * gv, w, dt) / span - mean_g**2
     c = np.full(mean_f.shape, np.nan)
-    ok = (var_f > VAR_FLOOR) & (var_g > VAR_FLOOR)
+    ok = (var_f > np.ldexp(VAR_FLOOR, -2 * ef)) & (
+        var_g > np.ldexp(VAR_FLOOR, -2 * eg)
+    )
     c[ok] = cov[ok] / np.sqrt(var_f[ok] * var_g[ok])
     return SyncResult(times=f.times[: c.shape[-1]], C=c, window=delta_t, span=span)
 

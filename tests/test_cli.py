@@ -302,6 +302,38 @@ class TestValidation:
         assert _run([*argv, "--out", tmp_path / "sweep"]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_huge_temperature_prints_no_warning(self, tmp_path):
+        # a subprocess shows stderr as a user sees it: the branch test and
+        # discriminant of the discord used to overflow here with six
+        # RuntimeWarnings before the message
+        out = tmp_path / "sim"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "oscsync.cli", "simulate", "--temperature", "1e40",
+             "--t-max", "20", "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 3
+        assert done.stderr == (
+            "error: covariance matrix is not positive definite, which violates"
+            " the uncertainty bound at t = 0.1; 1 of 201 samples up to t = 0.1"
+            f" have empty information measures in {out / 'info.csv'}\n"
+        )
+
+    @pytest.mark.parametrize("temperature", [1e35, 1e40])
+    def test_huge_temperature_sweep_and_compare_rwa(self, temperature, tmp_path, capsys):
+        # a RuntimeWarning would fail the test (see the pytest configuration)
+        argv = ["sweep", "--temperature", temperature, "--out", tmp_path / "sweep"]
+        assert _run(argv) == 0
+        assert capsys.readouterr().err == ""
+        out = tmp_path / "rwa"
+        argv = ["compare-rwa", "--temperature", temperature, "--t-max", 20, "--out", out]
+        assert _run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: covariance matrix is not positive definite")
+        assert err.endswith(f"in {out / 'info_full.csv'}\n") and err.count("\n") == 1
+
     # Each setting's first large array is larger than the 128 TiB of a
     # 47-bit user address space, so it fails at allocation on any host
     # and nothing is touched.

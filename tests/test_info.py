@@ -1,3 +1,5 @@
+import decimal
+import itertools
 import math
 import re
 
@@ -13,6 +15,8 @@ from oscsync import (
     DegenerateState,
     DomainError,
     InitialStateSpec,
+    MEASURES,
+    NumericalError,
     SystemParams,
     UnphysicalState,
     build_generator,
@@ -602,3 +606,171 @@ class TestKernelProperties:
         traj = sample_trajectory(gen, state, 0.02, 401)
         info = information_series(traj, basis, sys_p)
         assert np.min(info["nuMin"]) >= 1.0 - 1e-9
+
+
+def _k_stack(sigma):
+    # K = L^T Omega L and its partial-transpose twin, as the kernel builds
+    # them from the Cholesky factor (the identity where sigma is not
+    # positive definite)
+    low, pd = info_mod._cholesky(np.asarray(sigma, dtype=float).reshape(-1, 4, 4))
+    return np.swapaxes(low, -1, -2)[:, None] @ info_mod._OMEGAS @ low[:, None], pd
+
+
+def _eigvalsh_pair(k):
+    # the previous route: the Hermitian i K has the ascending eigenvalues
+    # -nu2, -nu1, nu1, nu2
+    ev = np.linalg.eigvalsh(1j * k)
+    return ev[..., 2], ev[..., 3]
+
+
+def _pairs_agree(k):
+    # |K| = nu2, so both routes are good to a few eps nu2
+    small, large = info_mod._symplectic_pair(k)
+    ref_small, ref_large = _eigvalsh_pair(k)
+    bound = 1e-13 * np.maximum(1.0, ref_large)
+    assert np.all(np.abs(small - ref_small) <= bound)
+    assert np.all(np.abs(large - ref_large) <= bound)
+    return small, large
+
+
+class TestClosedFormSpectrum:
+    @pytest.mark.parametrize("text", ["vacuum", "tms:1.5", "sq:10:10"])
+    def test_pure_states(self, text):
+        # nu1 = nu2 = 1 exactly: the degenerate case the nu+- shortcut loses
+        sigma = info_mod._spec_to_shot_noise_sigma(InitialStateSpec.parse(text))
+        k, _ = _k_stack(sigma)
+        small, large = _pairs_agree(k)
+        assert abs(small[0, 0] - 1.0) <= 1e-13 and abs(large[0, 0] - 1.0) <= 1e-13
+        nu = gaussian_measures(sigma[None]).nu[0]
+        assert np.array_equal(nu, [small[0, 0], large[0, 0]])
+
+    def test_tms_partial_transpose(self):
+        # tms:r has nu~1 = e^-r (its generator squeezes by r/2) and nu~2 = e^r
+        sigma = info_mod._spec_to_shot_noise_sigma(InitialStateSpec.parse("tms:1.5"))
+        small, large = _pairs_agree(_k_stack(sigma)[0])
+        assert abs(small[0, 1] - math.exp(-1.5)) <= 1e-13 * math.exp(1.5)
+        assert abs(large[0, 1] - math.exp(1.5)) <= 1e-13 * math.exp(1.5)
+        measures = gaussian_measures(sigma[None])
+        assert measures.series["logNegativity"][0] == pytest.approx(1.5, rel=1e-13)
+
+    def test_symmetric_thermal_product(self):
+        small, large = _pairs_agree(_k_stack(2.5 * np.eye(4))[0])
+        assert np.allclose(small, 2.5, rtol=1e-15, atol=0.0)
+        assert np.allclose(large, 2.5, rtol=1e-15, atol=0.0)
+
+    def test_huge_thermal_state_stays_finite(self):
+        # the squares of K's entries would overflow; hypot does not, and no
+        # RuntimeWarning is raised (the test configuration makes it an error)
+        k, pd = _k_stack(1e200 * np.diag([2.0, 2.0, 3.0, 3.0]))
+        assert pd.all()
+        small, large = _pairs_agree(k)
+        assert np.all(np.isfinite(small)) and np.all(np.isfinite(large))
+        assert np.allclose(small, 2e200, rtol=1e-14)
+        assert np.allclose(large, 3e200, rtol=1e-14)
+
+    def test_identity_fallback(self):
+        # a sample that is not positive definite gets L = 1, so K = Omega
+        k, pd = _k_stack(-np.eye(4))
+        assert not pd[0]
+        small, large = _pairs_agree(k)
+        assert np.array_equal(small, [[1.0, 1.0]])
+        assert np.array_equal(large, [[1.0, 1.0]])
+        assert np.isnan(gaussian_measures(-np.eye(4)[None]).nu).all()
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.lists(physical_states(), min_size=1, max_size=6))
+    def test_physical_states(self, sigmas):
+        k, pd = _k_stack(np.stack(sigmas))
+        assert pd.all()
+        small, large = _pairs_agree(k)
+        nu = gaussian_measures(np.stack(sigmas)).nu
+        assert np.array_equal(nu, np.stack([small[:, 0], large[:, 0]], axis=1))
+
+
+def _blocks(sigma):
+    # A, B, C and D as the kernel forms them
+    a = sigma[:, 0, 0] * sigma[:, 1, 1] - sigma[:, 0, 1] * sigma[:, 1, 0]
+    b = sigma[:, 2, 2] * sigma[:, 3, 3] - sigma[:, 2, 3] * sigma[:, 3, 2]
+    c = sigma[:, 0, 2] * sigma[:, 1, 3] - sigma[:, 0, 3] * sigma[:, 1, 2]
+    return a, b, c, np.linalg.det(sigma)
+
+
+def _decimal_emin(sigma):
+    """Adesso-Datta's Emin of one covariance in 100-digit arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 100
+        m = [[decimal.Decimal(float(x)) for x in row] for row in sigma]
+        a = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        b = m[2][2] * m[3][3] - m[2][3] * m[3][2]
+        c = m[0][2] * m[1][3] - m[0][3] * m[1][2]
+        d = sum(
+            (-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
+            * math.prod(m[i][p[i]] for i in range(4))
+            for p in itertools.permutations(range(4))
+        )
+        u = b - 1
+        if (d - a * b) ** 2 <= (1 + b) * c * c * (a + d):
+            return float((abs(c) + (c * c + u * (d - a)).sqrt()) ** 2 / (u * u))
+        disc = c**4 + (d - a * b) ** 2 - 2 * c * c * (a * b + d)
+        return float((a * b - c * c + d - disc.sqrt()) / (2 * b))
+
+
+# correlated states and a product state; scaled this far, each takes the
+# first Emin branch
+_Z = np.diag([1.0, -1.0])
+_HUGE_BASES = [
+    np.block([[np.eye(2), 0.9 * _Z], [0.9 * _Z, np.eye(2)]]),
+    np.block([[np.eye(2), 0.9 * np.eye(2)], [0.9 * np.eye(2), 2.0 * np.eye(2)]]),
+    np.diag([2.0, 3.0, 5.0, 7.0]),
+    _tms_sigma(1.0).sigma + 0.5 * np.eye(4),
+]
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("scale", [1e40, 1e60])
+    def test_huge_states_measure_without_warning(self, scale):
+        # the branch test (degree 10 in sigma) and the discriminant (degree
+        # 8) used to overflow with a RuntimeWarning from 1e35
+        sigma = np.stack(_HUGE_BASES) * scale
+        measures = gaussian_measures(sigma)
+        assert measures.failed_samples() == []
+        for name in MEASURES:
+            assert np.all(np.isfinite(measures.series[name])), name
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            e_min = info_mod._emin(sigma, *_blocks(sigma))
+        for k in range(len(sigma)):
+            assert e_min[k] == pytest.approx(_decimal_emin(sigma[k]), rel=1e-12)
+
+    @settings(deadline=None, max_examples=40)
+    @given(physical_states(), st.integers(1, 60))
+    def test_scaled_terms_are_exact(self, sigma, k):
+        # a power of two scales every term exactly, and the samples that
+        # do not overflow keep the plain formula's bits
+        sigma = sigma[None]
+        a, b, c, d = _blocks(sigma)
+        u = b - 1.0
+        d_minus_a = info_mod._d_minus_a(sigma, a, c, d, u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            plain, finite = info_mod._emin_terms(a, b, c, d, u, d_minus_a, 0)
+            scaled, _ = info_mod._emin_terms(a, b, c, d, u, d_minus_a, k)
+            whole = info_mod._emin(sigma, a, b, c, d)
+        assert finite.all()
+        assert np.array_equal(whole, plain, equal_nan=True)
+        if b[0] != 1.0:
+            assert scaled[0] == pytest.approx(plain[0], rel=1e-12)
+
+    def test_unrepresentable_measures_fail(self):
+        # D overflows from |sigma| ~ 1e77 and A, B from ~1e154: the measure
+        # fails with a NumericalError, the others keep their values
+        thermal = np.diag([2.0, 2.0, 3.0, 3.0])
+        for scale, failing in ((1e100, {"discord"}), (1e200, {"discord", "mutualInfo"})):
+            measures = gaussian_measures((scale * thermal)[None])
+            for name in MEASURES:
+                error = measures.error(0, (name,))
+                if name in failing:
+                    assert isinstance(error, NumericalError), name
+                    message = f"{name} overflows float64 at this covariance's scale"
+                    assert str(error) == message
+                    assert np.isnan(measures.series[name][0])
+                else:
+                    assert error is None and np.isfinite(measures.series[name][0]), name

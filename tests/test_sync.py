@@ -107,6 +107,30 @@ class TestWindowedCorrelation:
         assert np.any(np.isnan(res.C))
         assert np.any(np.isfinite(res.C))
 
+    @pytest.mark.parametrize("exponents", [(600, 700), (0, 900), (201, -5)])
+    def test_huge_series_keep_their_indicator(self, exponents, rng):
+        # a series above 2^200 is divided by a power of two first, so its
+        # variances do not overflow (a RuntimeWarning fails the test) and C
+        # keeps the bits of the unscaled series
+        f = np.sin(0.7 * T) + 0.1 * rng.standard_normal(T.size)
+        g = np.sin(0.7 * T + 0.4) + 0.1 * rng.standard_normal(T.size)
+        want = windowed_correlation(_series(f), _series(g), 5.0).C
+        ef, eg = exponents
+        got = windowed_correlation(
+            _series(np.ldexp(f, ef)), _series(np.ldexp(g, eg)), 5.0
+        ).C
+        assert np.array_equal(got, want)
+
+    def test_huge_constant_window_stays_a_gap(self):
+        # the variance floor scales with the series
+        values = np.where(T < 50.0, 1.0, np.sin(T))
+        want = windowed_correlation(_series(values), _series(np.cos(T)), 5.0).C
+        got = windowed_correlation(
+            _series(np.ldexp(values, 700)), _series(np.cos(T)), 5.0
+        ).C
+        assert np.isnan(want).any()
+        assert np.array_equal(got, want, equal_nan=True)
+
     def test_grid_mismatch(self):
         f = _series(np.sin(T))
         g = ObservableSeries(T + 0.01, np.cos(T))
