@@ -5,7 +5,8 @@ and the mean motion is homogeneous, so the means stay zero and are not
 propagated.  In the normal-mode basis the symmetrised second moments ``S``
 over ``(X-, P-, X+, P+)`` obey ``dS/dt = A S + S A^T + D``.
 Stored as the vector ``R`` of raw second moments, laid out by
-:data:`MODE_SLOT`, this is the linear system ``dR/dt = M R + N``::
+:data:`MODE_SLOT` and read only by :func:`pack_moments` and
+:func:`unpack_moments`, this is the linear system ``dR/dt = M R + N``::
 
     0 <X-^2>   1 <X+^2>   2 <X-X+>
     3 <P-^2>   4 <P+^2>   5 <P-P+>
@@ -45,6 +46,8 @@ __all__ = [
     "IDX_XP",
     "MODE_SLOT",
     "MODE_WEIGHT",
+    "pack_moments",
+    "unpack_moments",
     "build_generator",
     "dynamical_eigenvalues",
     "propagate_exact",
@@ -69,28 +72,26 @@ IDX_PP = {(i, j): int(MODE_SLOT[2 * i + 1, 2 * j + 1]) for i, j in _PAIRS}
 IDX_XP = {(i, j): int(MODE_SLOT[2 * i, 2 * j + 1]) for i, j in _PAIRS}
 
 
-def _lyapunov_terms() -> tuple[np.ndarray, np.ndarray]:
-    # dS/dt = A S + S A^T with S[a, b] = MODE_WEIGHT[a, b] R[MODE_SLOT[a, b]]
-    # adds A[a, k] to M[MODE_SLOT[a, b], MODE_SLOT[k, b]] and A[b, k] to
-    # M[MODE_SLOT[a, b], MODE_SLOT[a, k]], each times a weight ratio.  The
-    # columns of MODE_SLOT are permutations, so an entry of M has at most two
-    # terms, each an exact product by 0.5, 1 or 2.  Returns each entry's two
-    # flat indices into A, 16 (a zero appended to A) for a missing term, and
-    # their factors.
-    factor = np.zeros((10, 10, 17))
-    for a, b in zip(*_UPPER):
-        row, w = MODE_SLOT[a, b], MODE_WEIGHT[a, b]
-        for k in range(4):
-            factor[row, MODE_SLOT[k, b], 4 * a + k] += MODE_WEIGHT[k, b] / w
-            factor[row, MODE_SLOT[a, k], 4 * b + k] += MODE_WEIGHT[a, k] / w
-    term = np.full((10, 10, 2), 16)
-    for row, col in np.ndindex(10, 10):
-        nonzero = np.flatnonzero(factor[row, col])
-        term[row, col, : nonzero.size] = nonzero
-    return term, np.take_along_axis(factor, term, axis=-1)
+def pack_moments(S: np.ndarray) -> np.ndarray:
+    """Vectors ``R`` of symmetric ``(..., 4, 4)`` moments; reads the upper triangle."""
+    R = np.empty(S.shape[:-2] + (10,))
+    R[..., MODE_SLOT[_UPPER]] = S[(..., *_UPPER)] / MODE_WEIGHT[_UPPER]
+    return R
 
 
-_M_TERM, _M_FACTOR = _lyapunov_terms()
+def unpack_moments(R: np.ndarray) -> np.ndarray:
+    """The symmetric ``(..., 4, 4)`` moments ``S`` of vectors ``R``."""
+    return MODE_WEIGHT * R[..., MODE_SLOT]
+
+
+# M = A.flat @ _LIFT.  Row 4 a + k holds at 10 r + c the entry (r, c) of the M
+# of the unit drift E = e_a e_k^T: pack(E U_c + U_c E^T)[r], U_c = unpack(e_c).
+# Its entries are 0, 0.5, 1 or 2 and an entry of M has at most two nonzero
+# terms, so each product is exact and the sum is the same in any order.
+_UNIT = unpack_moments(np.eye(10))
+_E = np.eye(16).reshape(16, 1, 4, 4)
+_LIFT = pack_moments(_E @ _UNIT + _UNIT @ _E.transpose(0, 1, 3, 2))
+_LIFT = _LIFT.transpose(0, 2, 1).reshape(16, 100)
 
 
 class Backend(str, Enum):
@@ -156,8 +157,9 @@ def build_generator(
     """Assemble the 10x10 drift matrix M and the inhomogeneity N.
 
     Each backend is a drift ``A`` and a diffusion ``D`` over ``(X-, P-, X+,
-    P+)`` in ``dS/dt = A S + S A^T + D``; one constant map, built at import
-    from :data:`MODE_SLOT`, turns them into ``M`` and ``N``.
+    P+)`` in ``dS/dt = A S + S A^T + D``.  ``N`` packs ``D``, and ``M`` is
+    the flattened ``A`` times one constant lift, built at import by packing
+    ``E U + U E^T`` for each unit drift ``E`` and unpacked unit moment ``U``.
 
     Full backend: ``A`` is the drift of the mode equations of motion,
     ``dXm/dt = Pm`` and ``dPm/dt = -Om^2 Xm - sum_n G~[m,n] Pn``, and ``D``
@@ -202,12 +204,10 @@ def build_generator(
         D[..., _DIAG, _DIAG] = np.stack(
             [d_mm / (2.0 * om2), 0.5 * d_mm], axis=-1
         ).reshape(lead + (4,))
-    # Both sums start from +0, so an entry without drift or drive reads +0,
-    # never -0, whatever the signs of the zero coefficients.
-    a = np.concatenate([A.reshape(lead + (16,)), np.zeros(lead + (1,))], axis=-1)
-    M = np.sum(_M_FACTOR * a[..., _M_TERM], axis=-1, initial=0.0)
-    N = np.empty(lead + (10,))
-    N[..., MODE_SLOT[_UPPER]] = 0.0 + D[(..., *_UPPER)] / MODE_WEIGHT[_UPPER]
+    # Adding +0 turns an entry without drift or drive into +0, never -0,
+    # whatever the signs of the zero coefficients.
+    M = (A.reshape(lead + (16,)) @ _LIFT).reshape(lead + (10, 10)) + 0.0
+    N = pack_moments(D) + 0.0
     return MomentGenerator(M=M, N=N, backend=backend)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import IDX_XX, MODE_SLOT, MODE_WEIGHT, MomentState, Trajectory
+from .dynamics import IDX_XX, MomentState, Trajectory, pack_moments, unpack_moments
 from .errors import (
     DegenerateState,
     DomainError,
@@ -172,9 +172,6 @@ def _spec_to_shot_noise_sigma(spec: InitialStateSpec) -> np.ndarray:
     return sigma
 
 
-_UPPER = np.triu_indices(4)
-
-
 def make_initial(
     spec: InitialStateSpec, sys: SystemParams, basis: NormalModeBasis
 ) -> MomentState:
@@ -191,9 +188,7 @@ def make_initial(
     sigma_lab = inv @ sn @ inv
     rot = _mode_rotation(basis)
     sm = rot @ sigma_lab @ np.swapaxes(rot, -1, -2)
-    r = np.empty(sm.shape[:-2] + (10,))
-    r[..., MODE_SLOT[_UPPER]] = sm[(..., *_UPPER)] / MODE_WEIGHT[_UPPER]
-    return MomentState(second_moments=r)
+    return MomentState(second_moments=pack_moments(sm))
 
 
 def _symmetrised(sigma: np.ndarray) -> np.ndarray:
@@ -220,7 +215,7 @@ def lab_covariances(
     """
     second = np.asarray(second, dtype=float)
     rotation, scale = _mode_rotation(basis), _shot_noise_scale(sys)
-    cov = MODE_WEIGHT * second[:, MODE_SLOT]
+    cov = unpack_moments(second)
     sigma = scale @ (np.swapaxes(rotation, -1, -2) @ cov @ rotation) @ scale
     return _symmetrised(sigma)
 

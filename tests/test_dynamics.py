@@ -20,11 +20,14 @@ from oscsync import (
     dissipation_coefficients,
     dynamical_eigenvalues,
     make_initial,
+    pack_moments,
     propagate_exact,
     propagate_stepwise,
     sample_trajectory,
     steady_state,
+    unpack_moments,
 )
+from oscsync import dynamics
 from oscsync.dynamics import IDX_PP, IDX_XP, IDX_XX
 
 from conftest import make_gen, mean_drift, mean_trajectory
@@ -187,6 +190,40 @@ class TestReferenceEquations:
             build_generator(basis, coeffs, "rwa")
         assert str(got.value) == str(want.value)
         assert "mode +" in str(got.value)
+
+
+class TestMomentLayout:
+    """pack_moments, unpack_moments and the constant lift that gives M."""
+
+    @pytest.mark.parametrize("lead", [(), (7,), (3, 4)])
+    def test_round_trip_is_bitwise(self, rng, lead):
+        r = rng.standard_normal(lead + (10,))
+        r *= 10.0 ** rng.integers(-30, 30, r.shape)
+        s = unpack_moments(r)
+        assert s.shape == lead + (4, 4)
+        assert s.tobytes() == np.swapaxes(s, -1, -2).tobytes()
+        assert pack_moments(s).tobytes() == r.tobytes()
+        assert unpack_moments(pack_moments(s)).tobytes() == s.tobytes()
+
+    def test_lift_is_the_lyapunov_map(self, rng):
+        # unpack(M @ pack(S)) = A S + S A^T for dense drifts A, each entry to
+        # 1e-13 of the size of its terms
+        A = rng.standard_normal((50, 4, 4))
+        r = rng.standard_normal((50, 10))
+        S = unpack_moments(r)
+        M = (A.reshape(50, 16) @ dynamics._LIFT).reshape(50, 10, 10)
+        got = unpack_moments((M @ r[..., None])[..., 0])
+        want = A @ S + S @ np.swapaxes(A, -1, -2)
+        size = np.abs(A) @ np.abs(S) + np.abs(S) @ np.swapaxes(np.abs(A), -1, -2)
+        assert np.all(np.abs(got - want) <= 1e-13 * size)
+
+    def test_lift_products_are_exact(self):
+        # M is bitwise independent of the summation order only because every
+        # factor is a power of two (or 0) and each entry sums at most two terms
+        lift = dynamics._LIFT
+        assert lift.shape == (16, 100)
+        assert set(np.unique(lift)) <= {0.0, 0.5, 1.0, 2.0}
+        assert np.count_nonzero(lift, axis=0).max() <= 2
 
 
 class TestDriftAssembly:
