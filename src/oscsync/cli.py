@@ -319,9 +319,9 @@ def cmd_simulate(cfg: RunConfig) -> list:
 
 
 def cmd_eigen(cfg: RunConfig) -> list:
-    basis, _, gen, _ = _set_up(cfg.system, cfg.bath, None, cfg.backend)
+    _, coeffs, gen, _ = _set_up(cfg.system, cfg.bath, None, cfg.backend)
     spectrum = dynamical_eigenvalues(gen)
-    rates = rwa_rates(cfg.system, cfg.bath, basis)
+    rates = rwa_rates(coeffs)
     re = spectrum.mu.real
 
     def nearest_deviation(rate: float) -> float:

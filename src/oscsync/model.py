@@ -54,8 +54,9 @@ class SystemParams:
 
     ``lam`` is the bilinear coupling strength (units omega1**2).  The
     potential is attractive, i.e. both eigenfrequencies real and positive,
-    only for ``|lam| < omega1 * omega2``.  A field may be a 1-d array: the
-    params then describe a stack of points, and every point is checked.
+    only for ``|lam| < omega1 * omega2``.  Frequencies whose squared mode
+    frequencies overflow float64 are rejected.  A field may be a 1-d array:
+    the params then describe a stack of points, and every point is checked.
     """
 
     omega1: float = 1.0
@@ -74,6 +75,15 @@ class SystemParams:
                 f"coupling must satisfy |lambda| < omega1*omega2 ="
                 f" {self.omega1 * self.omega2} (attractive potential), got"
                 f" lambda={self.lam}"
+            )
+        fields = np.broadcast_arrays(self.omega1, self.omega2, self.lam)
+        with np.errstate(over="ignore", invalid="ignore"):
+            om_plus_sq = _mode_squares(*fields)[2]
+        if not np.all(np.isfinite(om_plus_sq)):
+            raise DomainError(
+                f"oscillator frequencies must be positive and finite, got"
+                f" omega1={self.omega1}, omega2={self.omega2}, lambda={self.lam},"
+                f" for which Omega+^2 overflows float64"
             )
 
 
@@ -268,18 +278,16 @@ def dissipation_coefficients(
     return DissipationCoefficients(gamma_tilde=gamma_tilde, d_tilde=d_tilde)
 
 
-def rwa_rates(
-    sys: SystemParams, bath: BathParams, basis: NormalModeBasis
-) -> DecayRates:
+def rwa_rates(coeffs: DissipationCoefficients) -> DecayRates:
     """Analytic decay estimates for the momentum variances.
 
     Returns the diagonal damping rates ``Gamma~--`` and ``Gamma~++`` together
     with their average, which governs the mixed moment ``<P+ P->``.  These are
-    the three rates the dynamical eigenvalue real parts cluster around.
+    the three rates the dynamical eigenvalue real parts cluster around.  A
+    stack of coefficients gives a stack of each rate.
     """
-    coeffs = dissipation_coefficients(sys, bath, basis)
-    g_mm = coeffs.gamma_tilde[0, 0]
-    g_pp = coeffs.gamma_tilde[1, 1]
+    g = coeffs.gamma_tilde
+    g_mm, g_pp = g[..., 0, 0][()], g[..., 1, 1][()]
     return DecayRates(g_mm, g_pp, 0.5 * (g_mm + g_pp))
 
 

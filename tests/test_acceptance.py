@@ -139,7 +139,7 @@ def test_criterion_02_rate_separation():
     bath = BathParams()
     coeffs = dissipation_coefficients(sys_p, bath, basis)
     mu = dynamical_eigenvalues(build_generator(basis, coeffs)).mu
-    rates = rwa_rates(sys_p, bath, basis)
+    rates = rwa_rates(coeffs)
     targets = np.array([rates.minus, rates.mixed, rates.plus])
     res = -mu.real
     worst_cluster = max(

@@ -193,6 +193,13 @@ class TestValidation:
         assert err.startswith("error:")
         assert "lam" in err or "coupling" in err
 
+    def test_large_detuning_is_not_attractive(self, capsys):
+        # Omega-^2 = (w1^2 + w2^2 - root) / 2 rounds to 0 at omega2 = 1e150
+        assert _run(["eigen", "--omega2", "1e150", "--out", "/tmp/unused"]) == 2
+        assert capsys.readouterr().err == (
+            "error: potential not attractive: Omega-^2 = 0.0 <= 0\n"
+        )
+
     def test_bad_initial_exits_2(self, capsys):
         assert _run(["simulate", "--initial", "sq:1", "--out", "/tmp/x"]) == 2
         assert "initial" in capsys.readouterr().err
@@ -246,6 +253,14 @@ class TestValidation:
             (["compare-rwa", "--window", "inf"], "", "window"),
             (["eigen", "--gamma", "inf"], "", "gamma"),
             (["eigen", "--omega2", "inf"], "", "oscillator frequencies"),
+            # squares, their sum, or Omega+^2 beyond float64
+            (["simulate", "--omega2", "1e200"], "", "oscillator frequencies"),
+            (["eigen", "--omega2", "1e200"], "", "oscillator frequencies"),
+            (["compare-rwa", "--omega2", "1e200"], "", "oscillator frequencies"),
+            (["eigen"], "omega1 = 1e200\n", "oscillator frequencies"),
+            (["eigen"], "omega1 = 1.3e154\nomega2 = 1.3e154\n", "oscillator frequencies"),
+            (["sweep"], "omega1 = 9e153\nomega2 = 9e153\nlambda = 8e307\n",
+             "oscillator frequencies"),
             (["eigen", "--temperature", "inf"], "", "temperature"),
         ],
     )

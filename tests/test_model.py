@@ -271,11 +271,22 @@ class TestDissipationCoefficients:
 
     def test_rwa_rate_clusters(self):
         sys_p = SystemParams(1.0, 1.31, 0.9)
-        rates = rwa_rates(sys_p, BathParams(), diagonalize(sys_p))
+        basis = diagonalize(sys_p)
+        rates = rwa_rates(dissipation_coefficients(sys_p, BathParams(), basis))
         assert rates.minus == pytest.approx(G_MM_131_09, rel=1e-11)
         assert rates.plus == pytest.approx(G_PP_131_09, rel=1e-11)
         assert rates.mixed == pytest.approx(G_AVG_131_09, rel=1e-11)
         assert rates.minus / rates.plus == pytest.approx(0.036744106526, rel=1e-9)
+
+    def test_rwa_rates_of_a_stack(self):
+        # each point of a stack gets the rates it gets on its own
+        def rates(sys_p):
+            basis = diagonalize(sys_p)
+            return rwa_rates(dissipation_coefficients(sys_p, BathParams(), basis))
+
+        stacked = rates(SystemParams(1.0, np.array([1.1, 1.31]), np.array([0.3, 0.9])))
+        for k, (omega2, lam) in enumerate([(1.1, 0.3), (1.31, 0.9)]):
+            assert [r[k] for r in stacked] == list(rates(SystemParams(1.0, omega2, lam)))
 
 
 class TestAppendixEquivalence:
