@@ -128,9 +128,11 @@ class TestEntropyFunction:
         assert all(np.isfinite(vals))
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
-    def test_kernel_matches_xlogy(self, rng):
-        # the numpy kernel against scipy's xlogy form, from nu = 1 exactly
-        # (dn = 0) through the clamp window to large eigenvalues
+    def test_kernel_matches_decimal(self, rng):
+        # the numpy kernel against up ln(up) - dn ln(dn) in 50-digit
+        # arithmetic, from nu = 1 exactly (dn = 0) through the clamp window
+        # to large eigenvalues.  Both take the kernel's rounded up and dn:
+        # near nu = 1 the rounding of (nu + 1) / 2 is the input's error.
         nu = np.concatenate(
             [
                 [1.0, 1.0 - 1e-7, 1.0 + 1e-15, 1.0 + 1e-9, COSH_2, 1e6],
@@ -140,7 +142,12 @@ class TestEntropyFunction:
         )
         up = 0.5 * (np.maximum(nu, 1.0) + 1.0)
         dn = 0.5 * (np.maximum(nu, 1.0) - 1.0)
-        expected = xlogy(up, up) - xlogy(dn, dn)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            expected = [
+                float(u * u.ln() - (d * d.ln() if d else 0))
+                for u, d in zip(map(decimal.Decimal, up), map(decimal.Decimal, dn))
+            ]
         got = info_mod._entropies(nu)
         assert got[0] == 0.0 and got[1] == 0.0
         np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
@@ -758,6 +765,14 @@ class TestOverflow:
         assert np.array_equal(whole, plain, equal_nan=True)
         if b[0] != 1.0:
             assert scaled[0] == pytest.approx(plain[0], rel=1e-12)
+
+    def test_huge_state_keeps_its_mutual_information(self):
+        # f(nu) ~ ln(nu / 2) + 1 grows past 90 at this scale; the mutual
+        # information is the O(1) remainder, -ln(1 - 0.9^2) up to 1e-80
+        measures = gaussian_measures(1e40 * _HUGE_BASES[0][None])
+        assert measures.series["mutualInfo"][0] == pytest.approx(
+            -math.log(0.19), rel=1e-12
+        )
 
     def test_unrepresentable_measures_fail(self):
         # D overflows from |sigma| ~ 1e77 and A, B from ~1e154: the measure
