@@ -5,7 +5,7 @@ and the mean motion is homogeneous, so the means stay zero and are not
 propagated.  In the normal-mode basis the symmetrised second moments ``S``
 over ``(X-, P-, X+, P+)`` obey ``dS/dt = A S + S A^T + D``.
 Stored as the vector ``R`` of raw second moments, laid out by
-:data:`MODE_SLOT` and read only by :func:`pack_moments` and
+:data:`MODE_SLOT` and converted by :func:`pack_moments` and
 :func:`unpack_moments`, this is the linear system ``dR/dt = M R + N``::
 
     0 <X-^2>   1 <X+^2>   2 <X-X+>
@@ -84,10 +84,9 @@ def unpack_moments(R: np.ndarray) -> np.ndarray:
     return MODE_WEIGHT * R[..., MODE_SLOT]
 
 
-# M = A.flat @ _LIFT.  Row 4 a + k holds at 10 r + c the entry (r, c) of the M
-# of the unit drift E = e_a e_k^T: pack(E U_c + U_c E^T)[r], U_c = unpack(e_c).
-# Its entries are 0, 0.5, 1 or 2 and an entry of M has at most two nonzero
-# terms, so each product is exact and the sum is the same in any order.
+# M = A.flat @ _LIFT, with row j = 4 a + k the flattened M of the unit drift
+# E_j = e_a e_k^T: M[r, c] = pack(E_j U_c + U_c E_j^T)[r], U_c = unpack(e_c).
+# Entries 0, 0.5, 1, 2 and at most two terms per M entry: exact in any order.
 _UNIT = unpack_moments(np.eye(10))
 _E = np.eye(16).reshape(16, 1, 4, 4)
 _LIFT = pack_moments(_E @ _UNIT + _UNIT @ _E.transpose(0, 1, 3, 2))
@@ -157,9 +156,8 @@ def build_generator(
     """Assemble the 10x10 drift matrix M and the inhomogeneity N.
 
     Each backend is a drift ``A`` and a diffusion ``D`` over ``(X-, P-, X+,
-    P+)`` in ``dS/dt = A S + S A^T + D``.  ``N`` packs ``D``, and ``M`` is
-    the flattened ``A`` times one constant lift, built at import by packing
-    ``E U + U E^T`` for each unit drift ``E`` and unpacked unit moment ``U``.
+    P+)`` in ``dS/dt = A S + S A^T + D``; ``N`` packs ``D``, and ``M`` is the
+    flattened ``A`` times a constant 16x100 lift built at import.
 
     Full backend: ``A`` is the drift of the mode equations of motion,
     ``dXm/dt = Pm`` and ``dPm/dt = -Om^2 Xm - sum_n G~[m,n] Pn``, and ``D``
@@ -204,8 +202,7 @@ def build_generator(
         D[..., _DIAG, _DIAG] = np.stack(
             [d_mm / (2.0 * om2), 0.5 * d_mm], axis=-1
         ).reshape(lead + (4,))
-    # Adding +0 turns an entry without drift or drive into +0, never -0,
-    # whatever the signs of the zero coefficients.
+    # + 0.0 makes an entry without drift or drive +0, whatever the zeros' signs
     M = (A.reshape(lead + (16,)) @ _LIFT).reshape(lead + (10, 10)) + 0.0
     N = pack_moments(D) + 0.0
     return MomentGenerator(M=M, N=N, backend=backend)

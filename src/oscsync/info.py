@@ -361,10 +361,9 @@ def _emin(s, a, b, c, d) -> np.ndarray:
 
 
 def _entropies(nu: np.ndarray) -> np.ndarray:
-    # f(nu) with nu clamped to >= 1; callers check the 1e-6 window.  Written
-    # as ln(up) + dn ln(1 + 1/dn), a sum of two nonnegative terms, since
-    # up ln(up) - dn ln(dn) cancels terms of size nu ln(nu).  The second term
-    # is 0 at dn = 0, where the 1.0 put in keeps 1/dn finite.
+    # f(nu) with nu clamped to >= 1; callers check the 1e-6 window.  Summed as
+    # ln(up) + dn ln(1 + 1/dn), since up ln(up) - dn ln(dn) cancels terms of
+    # size nu ln(nu); the 1.0 put in at dn = 0 keeps 1/dn finite.
     nu = np.maximum(nu, 1.0)
     up = 0.5 * (nu + 1.0)
     dn = 0.5 * (nu - 1.0)

@@ -54,9 +54,9 @@ class SystemParams:
 
     ``lam`` is the bilinear coupling strength (units omega1**2).  The
     potential is attractive, i.e. both eigenfrequencies real and positive,
-    only for ``|lam| < omega1 * omega2``.  Frequencies whose squared mode
-    frequencies overflow float64 are rejected.  A field may be a 1-d array:
-    the params then describe a stack of points, and every point is checked.
+    only for ``|lam| < omega1 * omega2``, and ``Omega+^2`` must not overflow.
+    A field may be a 1-d array: the params then describe a stack of points,
+    and every point is checked.
     """
 
     omega1: float = 1.0
@@ -81,9 +81,8 @@ class SystemParams:
             om_plus_sq = _mode_squares(*fields)[2]
         if not np.all(np.isfinite(om_plus_sq)):
             raise DomainError(
-                f"oscillator frequencies must be positive and finite, got"
-                f" omega1={self.omega1}, omega2={self.omega2}, lambda={self.lam},"
-                f" for which Omega+^2 overflows float64"
+                f"oscillator frequencies must be positive and finite, got omega1="
+                f"{self.omega1}, omega2={self.omega2}: Omega+^2 overflows float64"
             )
 
 
@@ -286,8 +285,7 @@ def rwa_rates(coeffs: DissipationCoefficients) -> DecayRates:
     the three rates the dynamical eigenvalue real parts cluster around.  A
     stack of coefficients gives a stack of each rate.
     """
-    g = coeffs.gamma_tilde
-    g_mm, g_pp = g[..., 0, 0][()], g[..., 1, 1][()]
+    g_mm, g_pp = (coeffs.gamma_tilde[..., m, m][()] for m in (0, 1))
     return DecayRates(g_mm, g_pp, 0.5 * (g_mm + g_pp))
 
 

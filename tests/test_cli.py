@@ -253,6 +253,7 @@ class TestValidation:
             (["compare-rwa", "--window", "inf"], "", "window"),
             (["eigen", "--gamma", "inf"], "", "gamma"),
             (["eigen", "--omega2", "inf"], "", "oscillator frequencies"),
+            (["eigen", "--temperature", "inf"], "", "temperature"),
             # squares, their sum, or Omega+^2 beyond float64
             (["simulate", "--omega2", "1e200"], "", "oscillator frequencies"),
             (["eigen", "--omega2", "1e200"], "", "oscillator frequencies"),
@@ -261,7 +262,6 @@ class TestValidation:
             (["eigen"], "omega1 = 1.3e154\nomega2 = 1.3e154\n", "oscillator frequencies"),
             (["sweep"], "omega1 = 9e153\nomega2 = 9e153\nlambda = 8e307\n",
              "oscillator frequencies"),
-            (["eigen", "--temperature", "inf"], "", "temperature"),
         ],
     )
     def test_non_finite_setting_exits_2(self, argv, config, name, tmp_path, capsys):
