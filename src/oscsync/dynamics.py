@@ -118,8 +118,15 @@ class MomentState:
 
 @dataclass(frozen=True)
 class MomentGenerator:
-    """Drift matrix and inhomogeneity of the second moments."""
+    """The moment equations as drift and diffusion, and as their lift.
 
+    ``A`` and ``D`` are the ``(..., 4, 4)`` drift and diffusion of ``dS/dt
+    = A S + S A^T + D``; ``M`` and ``N`` the ``(..., 10, 10)`` matrix and
+    ``(..., 10)`` vector of ``dR/dt = M R + N``, which propagation steps.
+    """
+
+    A: np.ndarray
+    D: np.ndarray
     M: np.ndarray
     N: np.ndarray
     backend: Backend
@@ -127,12 +134,15 @@ class MomentGenerator:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Dynamical eigenvalues of the second-moment drift matrix.
+    """Dynamical eigenvalues of the second-moment matrix ``M``.
 
-    ``ratio`` compares the least against the most negative real part over
-    eigenvalues with ``Re < -1e-12`` (exact-zero modes of the
-    decoherence-free case are excluded); ``dominant_frequency`` is ``|Im|``
-    of the slowest-decaying oscillatory eigenvalue.
+    ``mu`` holds the ten eigenvalues, sorted by real part and then by
+    imaginary part, along its last axis.  ``ratio`` compares the least
+    against the most negative real part over eigenvalues with ``Re <
+    -1e-12`` (exact-zero modes of the decoherence-free case are excluded);
+    ``dominant_frequency`` is ``|Im|`` of the slowest-decaying oscillatory
+    eigenvalue.  Each is NaN where no eigenvalue qualifies, a float for one
+    system and an array over the stack for a stack.
     """
 
     mu: np.ndarray
@@ -205,25 +215,48 @@ def build_generator(
     # + 0.0 makes an entry without drift or drive +0, whatever the zeros' signs
     M = (A.reshape(lead + (16,)) @ _LIFT).reshape(lead + (10, 10)) + 0.0
     N = pack_moments(D) + 0.0
-    return MomentGenerator(M=M, N=N, backend=backend)
+    return MomentGenerator(A=A, D=D, M=M, N=N, backend=backend)
+
+
+_DRIFT_NOT_FINITE = "eigensolver failed: Array must not contain infs or NaNs"
 
 
 def dynamical_eigenvalues(gen: MomentGenerator) -> Spectrum:
-    """Eigenvalues of M, sorted by real part, with rate-ratio summary."""
+    """Eigenvalues of ``M``, of one system or a stack, with rate-ratio summary.
+
+    ``M`` lifts ``S -> A S + S A^T``, so its ten eigenvalues are the pair
+    sums ``mu_i + mu_j`` (``i <= j``) of the drift's four: one stacked 4x4
+    eigensolve gives them all.  Sums of a conjugate pair and of its members
+    have exactly equal real parts and sort by imaginary part.  Raises
+    ``NumericalError`` when a drift is not finite; a caller with a stack
+    masks such systems first.
+    """
+    if not np.all(np.isfinite(gen.A)):
+        raise NumericalError(_DRIFT_NOT_FINITE)
     try:
-        mu = np.linalg.eigvals(gen.M)
+        mu4 = np.linalg.eigvals(gen.A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericalError(f"eigensolver failed: {exc}") from exc
-    mu = mu[np.lexsort((mu.imag, mu.real))]
-    damped = mu.real[mu.real < -1e-12]
-    ratio = float(damped.max() / damped.min()) if damped.size else math.nan
-    oscillatory = mu[np.abs(mu.imag) > 1e-9]
-    if oscillatory.size:
-        slowest = oscillatory[np.argmax(oscillatory.real)]
-        dominant = float(abs(slowest.imag))
-    else:
-        dominant = math.nan
-    return Spectrum(mu=mu, ratio=ratio, dominant_frequency=dominant)
+    # a sum past the float range is infinite; a system without damped modes
+    # divides -inf by inf, and its NaN stands
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = mu4[..., _UPPER[0]] + mu4[..., _UPPER[1]]
+        mu = np.take_along_axis(mu, np.lexsort((mu.imag, mu.real), axis=-1), -1)
+        re = mu.real
+        damped = re < -1e-12
+        ratio = np.max(np.where(damped, re, -np.inf), axis=-1) / np.min(
+            np.where(damped, re, np.inf), axis=-1
+        )
+    oscillatory = np.abs(mu.imag) > 1e-9
+    slowest = np.argmax(np.where(oscillatory, re, -np.inf), axis=-1)[..., None]
+    dominant = np.abs(np.take_along_axis(mu.imag, slowest, -1)[..., 0])
+    dominant = np.where(oscillatory.any(-1), dominant, np.nan)
+    return Spectrum(mu=mu, ratio=_float(ratio), dominant_frequency=_float(dominant))
+
+
+def _float(x: np.ndarray):
+    # a float for one system, the array for a stack
+    return float(x) if x.ndim == 0 else x
 
 
 def _augmented(gen: MomentGenerator) -> np.ndarray:
@@ -283,7 +316,7 @@ def steady_state(gen: MomentGenerator) -> MomentState:
     with real part above ``-1e-12`` (e.g. the decoherence-free mode of
     identical oscillators under a common bath).
     """
-    mu = np.linalg.eigvals(gen.M)
+    mu = dynamical_eigenvalues(gen).mu
     if np.max(mu.real) >= -1e-12:
         raise NoUniqueSteadyState(
             f"drift matrix has a non-decaying eigenvalue"

@@ -12,8 +12,9 @@ longer), and each block is one stack from set-up to measures: the
 set-up functions take its detunings and couplings as arrays, its
 per-step exponentials are raised to the evaluation step and stepped
 through the window together
-(:func:`~oscsync.dynamics.sample_trajectory`), and its indicator and the
-information measures of its first window samples are one
+(:func:`~oscsync.dynamics.sample_trajectory`), and its spectrum, its
+indicator and the information measures of its first window samples are
+one :func:`~oscsync.dynamics.dynamical_eigenvalues`, one
 :func:`~oscsync.sync.windowed_correlation` and one
 :func:`~oscsync.info.gaussian_measures` call.  A block may cross omega2
 rows; a cell's values do not depend on its block.  A cell that fails is
@@ -33,6 +34,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
+    _DRIFT_NOT_FINITE,
     Backend,
     MomentGenerator,
     Trajectory,
@@ -241,9 +243,10 @@ def _measure_stack(grid, omega2, lams, initial, dt_out, w, k_eval) -> list:
     Each cell reads its window of ``w`` steps from the evaluation step
     ``k_eval`` for the indicator and that step alone for the information
     measures, so without ``syncAbs`` only that step is sampled.  A set-up
-    error fails every cell.  A cell whose lab variances are not finite
-    throughout its window is left out of the stack's indicator and fails
-    as its series would on its own.
+    error fails every cell.  A cell whose drift is not finite is left out
+    of the stack's spectrum, and one whose lab variances are not finite
+    throughout its window out of the stack's indicator; each fails as it
+    would on its own.
     """
     sampled = bool({"syncAbs", "discord", "mutualInfo"} & set(grid.metrics))
     try:
@@ -259,13 +262,14 @@ def _measure_stack(grid, omega2, lams, initial, dt_out, w, k_eval) -> list:
     errors = {}  # cell: message of its first failure
     values = {}
     if "eigRatio" in grid.metrics:
-        values["eig_ratio"] = np.full(lams.size, np.nan)
-        for j in range(lams.size):
-            cell = MomentGenerator(gen.M[j], gen.N[j], gen.backend)
-            try:
-                values["eig_ratio"][j] = dynamical_eigenvalues(cell).ratio
-            except OscSyncError as exc:
-                errors[j] = str(exc)
+        # a drift that is not finite fails its cell, as it would alone
+        finite_drift = np.isfinite(gen.A).all(axis=(1, 2))
+        spectrum = dynamical_eigenvalues(
+            replace(gen, A=np.where(finite_drift[:, None, None], gen.A, 0.0))
+        )
+        values["eig_ratio"] = np.where(finite_drift, spectrum.ratio, np.nan)
+        for j in np.flatnonzero(~finite_drift):
+            errors[j] = _DRIFT_NOT_FINITE
     if sampled:
         n = w + 1 if "syncAbs" in grid.metrics else 1
         traj = sample_trajectory(gen, state0, dt_out, n, k_start=k_eval)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from oscsync import (
     Backend,
@@ -12,8 +13,10 @@ from oscsync import (
     DissipationCoefficients,
     DomainError,
     InitialStateSpec,
+    MomentGenerator,
     MomentState,
     NoUniqueSteadyState,
+    NumericalError,
     SystemParams,
     build_generator,
     diagonalize,
@@ -525,6 +528,78 @@ class TestSpectrum:
     def test_separate_baths_nearly_uniform(self):
         _, _, _, gen = make_gen(1.31, 0.9, "separate")
         assert dynamical_eigenvalues(gen).ratio >= 0.8
+
+    @staticmethod
+    def _stack(backend, k=40, seed=7):
+        # random points of both topologies, one decoherence-free point
+        rng = np.random.default_rng(seed)
+        omega2 = rng.uniform(0.5, 2.0, k)
+        lam = rng.uniform(-0.95, 0.95, k) * omega2
+        omega2[0], lam[0] = 1.0, 0.5
+        sys_p = SystemParams(1.0, omega2, lam)
+        basis = diagonalize(sys_p)
+        gens = []
+        for topology in ("common", "separate"):
+            bath = BathParams(
+                topology=topology,
+                gamma=float(rng.uniform(1e-3, 0.05)),
+                temperature=float(rng.uniform(0.01, 20.0)),
+            )
+            coeffs = dissipation_coefficients(sys_p, bath, basis)
+            gens.append(build_generator(basis, coeffs, backend))
+        return gens
+
+    @pytest.mark.parametrize("backend", ["full", "rwa"])
+    def test_pair_sums_are_the_lifted_spectrum(self, backend):
+        # the ten eigenvalues of M, as multisets, to 1e-12 of the largest
+        for gen in self._stack(backend):
+            mu = dynamical_eigenvalues(gen).mu
+            ref = np.linalg.eigvals(gen.M)
+            assert mu.shape == ref.shape == (40, 10)
+            for got, want in zip(mu, ref):
+                dist = np.abs(got[:, None] - want[None, :])
+                rows, cols = linear_sum_assignment(dist)
+                assert dist[rows, cols].max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("backend", ["full", "rwa"])
+    def test_stack_gives_each_system_its_own_bits(self, backend):
+        closed = build_generator(
+            diagonalize(SystemParams(1.0, 1.3, 0.4)), _zero_coeffs(), backend
+        )
+        for gen in self._stack(backend, k=6) + [closed]:
+            spec = dynamical_eigenvalues(gen)
+            lead = gen.A.shape[:-2]
+            for j in np.ndindex(lead):
+                alone = dynamical_eigenvalues(
+                    MomentGenerator(gen.A[j], gen.D[j], gen.M[j], gen.N[j], gen.backend)
+                )
+                assert spec.mu[j].tobytes() == alone.mu.tobytes()
+                for name in ("ratio", "dominant_frequency"):
+                    value = getattr(alone, name)
+                    assert type(value) is float
+                    got = np.asarray(getattr(spec, name))[j]
+                    assert got.tobytes() == np.float64(value).tobytes()
+        assert math.isnan(dynamical_eigenvalues(closed).ratio)
+
+    def test_decoherence_free_point_in_a_stack(self):
+        gen = self._stack("full")[0]
+        spec = dynamical_eigenvalues(gen)
+        n_zero = np.sum(spec.mu.real > -1e-12, axis=-1)
+        assert n_zero[0] == 3 and np.all(n_zero[1:] == 0)
+        assert 0.0 < spec.ratio[0] <= 1.0
+        # the sorted order puts equal real parts by imaginary part
+        re, im = spec.mu.real, spec.mu.imag
+        ties = np.diff(re, axis=-1) == 0
+        assert np.all(np.diff(im, axis=-1)[ties] > 0)
+
+    def test_drift_that_is_not_finite_fails(self):
+        _, _, _, gen = make_gen(1.31, 0.9)
+        A = gen.A.copy()
+        A[1, 1] = -np.inf
+        with pytest.raises(NumericalError, match="must not contain infs or NaNs"):
+            dynamical_eigenvalues(
+                MomentGenerator(A, gen.D, gen.M, gen.N, gen.backend)
+            )
 
 
 class TestLateTimeDynamics:

@@ -1,7 +1,7 @@
 import json
 import math
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -286,6 +286,30 @@ class TestRunSweep:
         assert res.cells[4].message == str(exc.value)
         assert math.isnan(res.cells[4].eig_ratio)
 
+    def test_non_finite_drift_fails_its_cell_alone(self, monkeypatch):
+        # the block's spectrum is one call; the cell whose drift is not
+        # finite is masked out of it and fails with the message its
+        # spectrum raises on its own, and every other cell keeps its bits
+        full = run_sweep(_tiny_grid(**self.TWO_ROWS), SQ)
+        real = sweep_mod.build_generator
+        drifts = []
+
+        def poison_middle(*args, **kwargs):
+            gen = real(*args, **kwargs)
+            gen.A[4, 1, 1] = np.nan
+            drifts.append(gen)
+            return gen
+
+        monkeypatch.setattr(sweep_mod, "build_generator", poison_middle)
+        res = run_sweep(_tiny_grid(**self.TWO_ROWS), SQ)
+        assert [c.status for c in res.cells] == ["ok"] * 4 + ["error", "ok"]
+        assert res.cells[:4] + res.cells[5:] == full.cells[:4] + full.cells[5:]
+        gen = drifts[0]
+        with pytest.raises(OscSyncError) as exc:
+            dynamical_eigenvalues(replace(gen, A=gen.A[4]))
+        assert res.cells[4].message == str(exc.value)
+        assert math.isnan(res.cells[4].discord)
+
     def test_overflowing_bath_fails_every_cell(self):
         with pytest.warns(UserWarning, match="weak-coupling"):
             grid = _tiny_grid(omega2=(1.1, 1.4), lam=(0.3, 0.7), gamma=1e200)
@@ -329,7 +353,7 @@ class TestRunSweep:
         grid = _tiny_grid(omega2=(1.1, 1.4), lam=(0.3, 0.7, 1.2))
         res = run_sweep(grid, SQ)
         assert [c.status for c in res.cells].count("ok") == 5
-        assert calls == dict(zip(names, (1, 1, 1, 1, 1, 1, 1, 5)))
+        assert calls == dict(zip(names, (1,) * 8))
         # a budget of one cell's window: one stack per live cell
         calls.clear()
         monkeypatch.setattr(sweep_mod, "_BLOCK_SAMPLES", 151)
