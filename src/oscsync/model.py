@@ -221,18 +221,25 @@ def diagonalize(sys: SystemParams) -> NormalModeBasis:
 def spectral_density(bath: BathParams, omega: float) -> float:
     """Ohmic spectral density with Lorentz-Drude cutoff.
 
-    ``J(Omega) = (2 gamma / pi) * Omega * cutoff^2 / (cutoff^2 + Omega^2)``.
+    ``J(Omega) = (2 gamma / pi) * Omega * cutoff^2 / (cutoff^2 + Omega^2)``,
+    evaluated as ``(2 gamma / pi) * Omega / (1 + (Omega / cutoff)^2)``.
     """
     if omega < 0:
         raise DomainError(f"spectral density argument must be >= 0, got {omega}")
-    lam2 = bath.cutoff**2
-    return (2.0 * bath.gamma / math.pi) * omega * lam2 / (lam2 + omega**2)
+    return (2.0 * bath.gamma / math.pi) * omega / _lorentz_drude(bath, omega)
+
+
+def _lorentz_drude(bath: BathParams, omega):
+    # 1 + (Omega / cutoff)^2, the cutoff's denominator over cutoff^2, with no
+    # square of the cutoff to overflow; past the float range it is inf, and
+    # the kernel over it 0
+    with np.errstate(over="ignore"):
+        return 1.0 + np.square(omega / bath.cutoff)
 
 
 def _damping_kernel(bath: BathParams, omega: float) -> float:
     # gamma_h(Omega): asymptotic damping rate sampled at the mode frequency.
-    lam2 = bath.cutoff**2
-    return bath.gamma * lam2 / (lam2 + omega**2)
+    return bath.gamma / _lorentz_drude(bath, omega)
 
 
 def _diffusion_kernel(bath: BathParams, omega: float) -> float:

@@ -317,6 +317,40 @@ class TestValidation:
         assert _run([*argv, "--out", tmp_path / "sweep"]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("command", ["eigen", "simulate", "compare-rwa"])
+    def test_huge_cutoff_runs(self, command, tmp_path, capsys):
+        # cutoff**2 overflowed with an OverflowError traceback (exit 1); a
+        # huge cutoff is the flat-spectrum limit and runs
+        argv = [command, "--cutoff", 1e200, "--out", tmp_path]
+        if command != "eigen":
+            argv += ["--t-max", 20]
+        assert _run(argv) == 0
+        assert capsys.readouterr().err == ""
+        if command == "eigen":
+            doc = json.loads((tmp_path / "spectrum.json").read_text())
+            assert doc["analyticRates"]["mixed"] == pytest.approx(0.01, rel=1e-15)
+
+    def test_overdamping_bath_prints_no_warning(self, tmp_path, capsys):
+        # gamma * cutoff**2 overflowed: eigen leaked a RuntimeWarning from
+        # the moment matrix and exited 3, and every sweep cell failed in its
+        # spectrum.  A RuntimeWarning would fail this test (see the pytest
+        # configuration).
+        with pytest.warns(UserWarning, match="weak-coupling"):
+            assert _run(["eigen", "--gamma", 1e305, "--out", tmp_path / "e"]) == 0
+        doc = json.loads((tmp_path / "e" / "spectrum.json").read_text())
+        assert doc["analyticRates"]["mixed"] == pytest.approx(1e305, rel=1e-3)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "sweep_omega2 = 1.1:1.4:0.3\nsweep_lambda = 0.3:0.7:0.4\n"
+            "metrics = eigRatio\n"
+        )
+        argv = ["sweep", "--config", cfg, "--gamma", 1e305, "--out", tmp_path / "s"]
+        with pytest.warns(UserWarning, match="weak-coupling"):
+            assert _run(argv) == 0
+        _, _, rows = _read_csv(tmp_path / "s" / "sweep.csv")
+        assert [row[-1] for row in rows] == ["ok"] * 4
+        assert capsys.readouterr().err == ""
+
     def test_huge_temperature_prints_no_warning(self, tmp_path):
         # a subprocess shows stderr as a user sees it: the branch test and
         # discriminant of the discord used to overflow here with six

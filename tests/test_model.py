@@ -139,6 +139,28 @@ class TestBathModel:
         assert spectral_density(cb_bath, 10.0) > spectral_density(cb_bath, 1.0)
         assert spectral_density(cb_bath, 500.0) < peak
 
+    @pytest.mark.parametrize("cutoff", [1e160, 1e200, 1e308])
+    def test_huge_cutoff_is_the_flat_spectrum(self, cutoff):
+        # cutoff**2 overflowed with an OverflowError; the kernels are gamma
+        # and J is linear in Omega there
+        sys_p = SystemParams(1.0, 1.4, 0.7)
+        basis = diagonalize(sys_p)
+        bath = BathParams(cutoff=cutoff)
+        assert spectral_density(bath, 2.0) == 2.0 * 0.01 * 2.0 / math.pi
+        coeffs = dissipation_coefficients(sys_p, bath, basis)
+        kappa = np.array([basis.kappa_minus, basis.kappa_plus])
+        assert np.array_equal(coeffs.gamma_tilde, np.outer(kappa, kappa) * 0.01)
+
+    @pytest.mark.parametrize("cutoff", [1e-300, 5e-324])
+    def test_tiny_cutoff_damps_nothing(self, cutoff):
+        # (Omega / cutoff)^2 is past the float range: the kernel is 0, with
+        # no floating-point warning (the pytest configuration raises one)
+        sys_p = SystemParams(1.0, 1.4, 0.7)
+        bath = BathParams(cutoff=cutoff)
+        assert spectral_density(bath, 1.0) == 0.0
+        coeffs = dissipation_coefficients(sys_p, bath, diagonalize(sys_p))
+        assert np.all(coeffs.gamma_tilde == 0.0) and np.all(coeffs.d_tilde == 0.0)
+
     def test_coth_series_and_continuity(self):
         assert coth(0.05) == pytest.approx(COTH_005, rel=1e-13)
         assert coth(1e-10) == pytest.approx(1e10, rel=1e-12)
