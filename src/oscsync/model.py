@@ -243,10 +243,11 @@ def _damping_kernel(bath: BathParams, omega: float) -> float:
 
 
 def _diffusion_kernel(bath: BathParams, omega: float) -> float:
-    # d(Omega) = gamma_h(Omega) * Omega * coth(Omega / 2T)
-    return _damping_kernel(bath, omega) * omega * coth(
-        omega / (2.0 * bath.temperature)
-    )
+    # d(Omega) = gamma_h(Omega) * Omega * coth(Omega / 2T); a quotient past
+    # the float range is inf, where coth takes its limit 1
+    with np.errstate(over="ignore"):
+        x = omega / (2.0 * bath.temperature)
+    return _damping_kernel(bath, omega) * omega * coth(x)
 
 
 def dissipation_coefficients(

@@ -351,6 +351,12 @@ class TestValidation:
         assert [row[-1] for row in rows] == ["ok"] * 4
         assert capsys.readouterr().err == ""
 
+    def test_tiny_temperature_prints_no_warning(self, tmp_path, capsys):
+        # Omega / 2T overflowed with a RuntimeWarning, which the pytest
+        # configuration raises
+        assert _run(["eigen", "--temperature", 1e-320, "--out", tmp_path]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_huge_temperature_prints_no_warning(self, tmp_path):
         # a subprocess shows stderr as a user sees it: the branch test and
         # discriminant of the discord used to overflow here with six

@@ -161,6 +161,17 @@ class TestBathModel:
         coeffs = dissipation_coefficients(sys_p, bath, diagonalize(sys_p))
         assert np.all(coeffs.gamma_tilde == 0.0) and np.all(coeffs.d_tilde == 0.0)
 
+    @pytest.mark.parametrize("temperature", [1e-300, 1e-320])
+    def test_tiny_temperature_is_the_zero_temperature_limit(self, temperature):
+        # Omega / 2T past the float range overflowed with a RuntimeWarning
+        # (the pytest configuration raises it); coth takes its limit 1 there
+        sys_p = SystemParams(1.0, 1.4, 0.7)
+        basis = diagonalize(sys_p)
+        bath = BathParams(temperature=temperature)
+        coeffs = dissipation_coefficients(sys_p, bath, basis)
+        want = coeffs.gamma_tilde * basis.frequencies
+        assert np.allclose(coeffs.d_tilde, want, rtol=1e-15, atol=0.0)
+
     def test_coth_series_and_continuity(self):
         assert coth(0.05) == pytest.approx(COTH_005, rel=1e-13)
         assert coth(1e-10) == pytest.approx(1e10, rel=1e-12)
