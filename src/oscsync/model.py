@@ -230,9 +230,8 @@ def spectral_density(bath: BathParams, omega: float) -> float:
 
 
 def _lorentz_drude(bath: BathParams, omega):
-    # 1 + (Omega / cutoff)^2, the cutoff's denominator over cutoff^2, with no
-    # square of the cutoff to overflow; past the float range it is inf, and
-    # the kernel over it 0
+    # (cutoff^2 + Omega^2) / cutoff^2, written without cutoff^2, which
+    # overflows; past the float range it is inf, and a kernel over it 0
     with np.errstate(over="ignore"):
         return 1.0 + np.square(omega / bath.cutoff)
 
