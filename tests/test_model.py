@@ -146,7 +146,7 @@ class TestBathModel:
         sys_p = SystemParams(1.0, 1.4, 0.7)
         basis = diagonalize(sys_p)
         bath = BathParams(cutoff=cutoff)
-        assert spectral_density(bath, 2.0) == 2.0 * 0.01 * 2.0 / math.pi
+        assert spectral_density(bath, 2.0) == (2.0 * 0.01 / math.pi) * 2.0
         coeffs = dissipation_coefficients(sys_p, bath, basis)
         kappa = np.array([basis.kappa_minus, basis.kappa_plus])
         assert np.array_equal(coeffs.gamma_tilde, np.outer(kappa, kappa) * 0.01)
