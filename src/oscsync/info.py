@@ -415,7 +415,10 @@ def gaussian_measures(sigma: np.ndarray) -> GaussianMeasures:
     where ``Emin`` takes its first closed-form branch when ``(D - A*B)^2 <=
     (1 + B) C^2 (A + D)`` and the generic second branch otherwise (Adesso &
     Datta, PRL 105, 030501, 2010).  Where a term of ``Emin`` would overflow,
-    it is evaluated on ``A, B, C`` and ``D`` scaled by a power of two.
+    it is evaluated on ``A, B, C`` and ``D`` scaled by a power of two.  The
+    entropy term takes ``min(Emin, A)``: a measurement never raises the
+    unmeasured mode's determinant, so the discord stays at most the mutual
+    information where the closed forms overshoot near a pure state.
     ``E_N = max(0, -ln nu~1)``.
 
     A sample fails a measure when sigma is not positive definite (all
@@ -447,7 +450,7 @@ def gaussian_measures(sigma: np.ndarray) -> GaussianMeasures:
         e_min = _emin(s, a, b, c, d)
         # B = 1 has zero discord or none, and its first branch divides by zero.
         pure_b = b == 1.0
-        nu_e = np.sqrt(np.maximum(np.where(pure_b, 1.0, e_min), 0.0))
+        nu_e = np.sqrt(np.maximum(np.where(pure_b, 1.0, np.minimum(e_min, a)), 0.0))
 
         f_a, f_b, f_1, f_2 = (_entropies(x) for x in (nu_a, nu_b, nu1, nu2))
         values = {
