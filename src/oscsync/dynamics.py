@@ -158,6 +158,9 @@ class Trajectory:
     second_moments: np.ndarray  # shape (..., n, 10)
 
 
+# a coefficient past the float range gives inf and NaN entries, which the
+# spectrum and the propagation report, without a floating-point warning
+@np.errstate(over="ignore", invalid="ignore")
 def build_generator(
     basis: NormalModeBasis,
     coeffs: DissipationCoefficients,
@@ -339,11 +342,17 @@ def sample_trajectory(
     ``initial.time + k * dt_out``, with second moments of shape ``(..., n,
     10)``, where ``...`` is the stack axis the generator and the initial
     state share, if any.
-    Consecutive samples are one product with the per-step exponential
-    ``phi = expm(A dt_out)``, so propagation is exact and ``dt_out`` sets
-    only the output resolution.  The jump to ``k_start`` is the matrix
-    power ``phi**k_start`` of that same step, so a window agrees with the
-    samples a run from ``k = 0`` produces up to round-off.  Stacked
+    Every sample comes from powers of the per-step exponential ``phi =
+    expm(A dt_out)``, so propagation is exact and ``dt_out`` sets only the
+    output resolution.  The first sample is ``phi**k_start`` applied to the
+    initial state.  The rest are filled by doubling: with samples ``0 ..
+    m-1`` in place, one stacked product with ``phi**m`` gives samples ``m
+    .. 2m-1``, and squaring it gives the next level's step, so ``n``
+    samples take ``ceil(log2 n)`` products instead of ``n - 1``.  The
+    squarings compound their rounding coherently, so the error of sample
+    ``k`` grows about like ``k * eps`` in the slowest modes, where stepping
+    one sample at a time grows it like a random walk; both stay far inside
+    1e-9 of a 40-digit exponential of the same generator.  Stacked
     ``expm``, ``matmul`` and ``matrix_power`` give each system the bits it
     would get on its own.  A system that overflows yields non-finite
     moments without a floating-point warning; callers check.
@@ -352,20 +361,27 @@ def sample_trajectory(
         raise DomainError(f"need dt_out > 0 and n >= 1, got {dt_out}, {n}")
     lead = gen.M.shape[:-2]
     # numpy refuses larger arrays with a bare ValueError, not a MemoryError
-    if math.prod(lead) * n * 10 * 8 > np.iinfo(np.intp).max:
+    if math.prod(lead) * n * 11 * 8 > np.iinfo(np.intp).max:
         raise DomainError(
             f"{n:.3g} samples of spacing dt_out = {dt_out:.6g} are more than"
             " one array can hold"
         )
     v = np.concatenate([initial.second_moments, np.ones(lead + (1,))], axis=-1)
     v = v[..., None]
-    second = np.empty(lead + (n, 10))
+    # the augmented samples, one per row: R and the constant 1
+    V = np.empty(lead + (n, 11))
     with np.errstate(over="ignore", invalid="ignore"):
         phi = expm(_augmented(gen) * dt_out)
         if k_start:
             v = np.linalg.matrix_power(phi, k_start) @ v
-        for k in range(n):
-            second[..., k, :] = v[..., :10, 0]
-            v = phi @ v
+        V[..., 0, :] = v[..., 0]
+        m, step = 1, phi  # samples in place; step = phi**m
+        while m < n:
+            c = min(m, n - m)
+            step_t = np.swapaxes(step, -1, -2)
+            np.matmul(V[..., :c, :], step_t, out=V[..., m : m + c, :])
+            m += c
+            if m < n:
+                step = step @ step
     times = initial.time + dt_out * np.arange(k_start, k_start + n)
-    return Trajectory(times=times, second_moments=second)
+    return Trajectory(times=times, second_moments=V[..., :10])

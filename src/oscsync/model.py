@@ -243,10 +243,11 @@ def _damping_kernel(bath: BathParams, omega: float) -> float:
 
 def _diffusion_kernel(bath: BathParams, omega: float) -> float:
     # d(Omega) = gamma_h(Omega) * Omega * coth(Omega / 2T); a quotient past
-    # the float range is inf, where coth takes its limit 1
+    # the float range is inf, where coth takes its limit 1, and so is a
+    # kernel past it
     with np.errstate(over="ignore"):
         x = omega / (2.0 * bath.temperature)
-    return _damping_kernel(bath, omega) * omega * coth(x)
+        return _damping_kernel(bath, omega) * omega * coth(x)
 
 
 def dissipation_coefficients(
@@ -267,7 +268,9 @@ def dissipation_coefficients(
     bath 2 to ``x2`` with ``(-s, c)``; summing ``u[b, m] * u[b, n]`` over
     baths cancels every cross term, leaving ``Gamma~ = diag(gamma_h(Omega-),
     gamma_h(Omega+))`` and likewise for ``D~``.  A stack of points gives
-    ``(..., 2, 2)`` matrices.
+    ``(..., 2, 2)`` matrices.  A coefficient past the float range, as for a
+    damping near the float maximum, is not finite, without a floating-point
+    warning; the spectrum or the propagation of its point then fails.
     """
     freqs = basis.frequencies
     gam = _damping_kernel(bath, freqs)
@@ -279,8 +282,9 @@ def dissipation_coefficients(
         # bath 1 couples through (c, s) and bath 2 through (-s, c); the
         # summed weight u^T u is the identity, cross terms cancel exactly
         weight = np.eye(2)
-    gamma_tilde = weight * gam[..., None, :]
-    d_tilde = weight * dif[..., None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma_tilde = weight * gam[..., None, :]
+        d_tilde = weight * dif[..., None, :]
     return DissipationCoefficients(gamma_tilde=gamma_tilde, d_tilde=d_tilde)
 
 
@@ -293,7 +297,8 @@ def rwa_rates(coeffs: DissipationCoefficients) -> DecayRates:
     stack of coefficients gives a stack of each rate.
     """
     g_mm, g_pp = (coeffs.gamma_tilde[..., m, m][()] for m in (0, 1))
-    return DecayRates(g_mm, g_pp, 0.5 * (g_mm + g_pp))
+    # halves first: the sum of two finite rates may pass the float range
+    return DecayRates(g_mm, g_pp, 0.5 * g_mm + 0.5 * g_pp)
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,14 @@ and the information measures at ``t_eval``, so only that window, or
 that one step when the indicator is not asked for, is propagated.  The
 live cells, in row-major order, go through blocks of at most
 ``_BLOCK_SAMPLES`` window samples (one cell if its window alone is
-longer), and each block is one stack from set-up to measures: the
-set-up functions take its detunings and couplings as arrays, its
-per-step exponentials are raised to the evaluation step and stepped
-through the window together
-(:func:`~oscsync.dynamics.sample_trajectory`), and its spectrum, its
-indicator and the information measures of its first window samples are
-one :func:`~oscsync.dynamics.dynamical_eigenvalues`, one
+longer; an eigRatio-only sweep samples nothing, and its blocks hold as
+many generators as those samples take bytes).  Each block is one stack
+from set-up to measures: the set-up functions take its detunings and
+couplings as arrays, its per-step exponentials are raised to the
+evaluation step and its windows filled by doubling, one stacked product
+per level (:func:`~oscsync.dynamics.sample_trajectory`), and its
+spectrum, its indicator and the information measures of its first window
+samples are one :func:`~oscsync.dynamics.dynamical_eigenvalues`, one
 :func:`~oscsync.sync.windowed_correlation` and one
 :func:`~oscsync.info.gaussian_measures` call.  A block may cross omega2
 rows; a cell's values do not depend on its block.  A cell that fails is
@@ -237,6 +238,10 @@ def run_point(
 _SKIPPED = "coupling exceeds stability bound |lam| < omega1*omega2"
 
 
+def _sampled(grid) -> bool:
+    return bool({"syncAbs", "discord", "mutualInfo"} & set(grid.metrics))
+
+
 def _measure_stack(grid, omega2, lams, initial, dt_out, w, k_eval) -> list:
     """The cells at the detunings ``omega2`` and couplings ``lams``, as one stack.
 
@@ -248,7 +253,7 @@ def _measure_stack(grid, omega2, lams, initial, dt_out, w, k_eval) -> list:
     throughout its window out of the stack's indicator; each fails as it
     would on its own.
     """
-    sampled = bool({"syncAbs", "discord", "mutualInfo"} & set(grid.metrics))
+    sampled = _sampled(grid)
     try:
         system = replace(grid.system, omega2=omega2, lam=lams)
         basis, _, gen, state0 = _set_up(
@@ -298,6 +303,11 @@ def _measure_stack(grid, omega2, lams, initial, dt_out, w, k_eval) -> list:
 
 
 _BLOCK_SAMPLES = 2**14  # window samples per stack; bounds its temporaries
+# The bytes of one window sample in the sampler (R and the constant 1), and
+# of one cell's generator (A, D, M and N), all that an eigRatio-only stack
+# holds: it gets as many bytes per stack as a sampled one.
+_SAMPLE_BYTES = 11 * 8
+_GENERATOR_BYTES = (16 + 16 + 100 + 10) * 8
 
 
 def _steps(setting: str, value: float, dt_out: float) -> int:
@@ -340,9 +350,10 @@ def run_sweep(
 
     A cell past the stability bound is skipped, and one whose lower mode
     frequency rounds to zero fails on its own.  The rest go, in row-major
-    order, through stacks of up to ``_BLOCK_SAMPLES`` window samples
-    (:func:`_measure_stack`); a block may cross omega2 rows, and a cell's
-    values do not depend on its block.
+    order, through stacks of up to ``_BLOCK_SAMPLES`` window samples, or
+    as many cells as the bytes of those samples hold generators when no
+    metric is sampled (:func:`_measure_stack`); a block may cross omega2
+    rows, and a cell's values do not depend on its block.
 
     ``t_eval`` and ``window`` are rounded to whole steps of ``dt_out``;
     the provenance records the effective values (``t_eval_effective``,
@@ -368,7 +379,8 @@ def run_sweep(
     skipped = np.abs(lams) >= omega1 * omega2
     _, om_minus_sq, _ = _mode_squares(omega1, omega2, lams)
     live = np.flatnonzero(~skipped & (om_minus_sq > 0))
-    size = max(1, _BLOCK_SAMPLES // (w + 1))
+    cell_bytes = (w + 1) * _SAMPLE_BYTES if _sampled(grid) else _GENERATOR_BYTES
+    size = max(1, _BLOCK_SAMPLES * _SAMPLE_BYTES // cell_bytes)
     measured = itertools.chain.from_iterable(
         _measure_stack(grid, omega2[b], lams[b], initial, dt_out, w, k_eval)
         for b in (live[i : i + size] for i in range(0, live.size, size))

@@ -351,6 +351,34 @@ class TestValidation:
         assert [row[-1] for row in rows] == ["ok"] * 4
         assert capsys.readouterr().err == ""
 
+    def test_damping_near_the_float_maximum_is_a_numerical_failure(
+        self, tmp_path, capsys
+    ):
+        # kappa^2 gamma and the diffusion kernel overflowed with
+        # RuntimeWarnings, which the pytest configuration raises.  The
+        # drift is not finite: eigen fails in its spectrum, simulate in its
+        # observables as any overflowing propagation does, and the sweep
+        # records each cell's failure.
+        argv = ["--gamma", 1.5e308, "--out"]
+        with pytest.warns(UserWarning, match="weak-coupling"):
+            assert _run(["eigen", *argv, tmp_path / "e"]) == 3
+        assert capsys.readouterr().err == (
+            "error: eigensolver failed: Array must not contain infs or NaNs\n"
+        )
+        with pytest.warns(UserWarning, match="weak-coupling"):
+            assert _run(["simulate", "--t-max", 20, *argv, tmp_path / "s"]) == 2
+        assert capsys.readouterr().err == "error: observable values must be finite\n"
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("sweep_omega2 = 1.1:1.4:0.3\nsweep_lambda = 0.01:0.7:0.69\n")
+        with pytest.warns(UserWarning, match="weak-coupling"):
+            assert _run(["sweep", "--config", cfg, *argv, tmp_path / "w"]) == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads((tmp_path / "w" / "sweep_manifest.json").read_text())
+        assert [c["message"] for c in doc["flagged_cells"]] == [
+            "observable values must be finite",
+            "eigensolver failed: Array must not contain infs or NaNs",
+        ] * 2
+
     def test_tiny_temperature_prints_no_warning(self, tmp_path, capsys):
         # Omega / 2T overflowed with a RuntimeWarning, which the pytest
         # configuration raises

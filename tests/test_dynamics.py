@@ -456,6 +456,46 @@ class TestPropagation:
             alone = sample_trajectory(gen, state, 0.1, 21, k_start=400)
             assert np.array_equal(alone.second_moments, second[j])
 
+    _TRUTH_POINTS = ((1.0672, 0.7703), (1.05, 0.3), (1.021, 0.3), (1.0, 0.5))
+
+    @pytest.mark.parametrize("omega2, lam", _TRUTH_POINTS)
+    def test_samples_match_a_40_digit_exponential(self, omega2, lam):
+        # Each sample against expm(aug k dt) v of the same float generator
+        # in 40 digits, at k with many binary ones, from k = 0 and from a
+        # window at k = 3000; the error of the doubled steps grows with k.
+        mp = pytest.importorskip("mpmath")
+        sys_p, basis, _, gen = make_gen(omega2, lam)
+        state = make_initial(InitialStateSpec("sq", r1=2.0, r2=4.0), sys_p, basis)
+        full = sample_trajectory(gen, state, 0.1, 4001).second_moments
+        window = sample_trajectory(gen, state, 0.1, 151, k_start=3000).second_moments
+        samples = {k: [full[k]] for k in (1023, 2047, 3071, 4000)}
+        for k in (3071, 3127):
+            samples.setdefault(k, []).append(window[k - 3000])
+        aug = mp.matrix(dynamics._augmented(gen).tolist()) * mp.mpf(0.1)
+        v = mp.matrix([*state.second_moments.tolist(), 1.0])
+        for k, got in samples.items():
+            with mp.workdps(40):
+                exact = mp.expm(aug * k) * v
+            truth = np.array([float(exact[i]) for i in range(10)])
+            bound = 1e-9 * max(1.0, np.max(np.abs(truth)))
+            for sample in got:
+                assert np.max(np.abs(sample - truth)) <= bound, k
+
+    @pytest.mark.parametrize("k_start, n", [(0, 37), (0, 4001), (3000, 37)])
+    def test_stack_gives_each_system_its_own_bits(self, k_start, n):
+        points = self._TRUTH_POINTS
+        spec = InitialStateSpec("sq", r1=2.0, r2=4.0)
+        sys_s, basis, _, stack = make_gen(*np.transpose(points))
+        stacked = sample_trajectory(
+            stack, make_initial(spec, sys_s, basis), 0.1, n, k_start=k_start
+        )
+        assert stacked.second_moments.shape == (len(points), n, 10)
+        for j, (omega2, lam) in enumerate(points):
+            sys_p, basis, _, gen = make_gen(omega2, lam)
+            state = make_initial(spec, sys_p, basis)
+            alone = sample_trajectory(gen, state, 0.1, n, k_start=k_start)
+            assert np.array_equal(alone.second_moments, stacked.second_moments[j])
+
     def test_sampling_grid_and_consistency(self):
         _, basis, _, gen = make_gen(1.05, 0.3)
         state = _vacuum_state(basis)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oscsync import (
     BathParams,
+    DissipationCoefficients,
     DomainError,
     SystemParams,
     Topology,
@@ -160,6 +161,27 @@ class TestBathModel:
         assert spectral_density(bath, 1.0) == 0.0
         coeffs = dissipation_coefficients(sys_p, bath, diagonalize(sys_p))
         assert np.all(coeffs.gamma_tilde == 0.0) and np.all(coeffs.d_tilde == 0.0)
+
+    @pytest.mark.parametrize("topology", ["common", "separate"])
+    @pytest.mark.parametrize("backend", ["full", "rwa"])
+    def test_damping_near_the_float_maximum_is_not_finite(self, topology, backend):
+        # gamma * Omega * coth, kappa^2 gamma and the lift of the drift
+        # overflowed with RuntimeWarnings (the pytest configuration raises
+        # them); the coefficients past the float range are left inf or NaN
+        sys_p = SystemParams(1.0, 1.4, 0.7)
+        basis = diagonalize(sys_p)
+        with pytest.warns(UserWarning, match="weak-coupling"):
+            bath = BathParams(gamma=1.5e308, topology=topology)
+        coeffs = dissipation_coefficients(sys_p, bath, basis)
+        assert not np.all(np.isfinite(coeffs.d_tilde))
+        gen = build_generator(basis, coeffs, backend=backend)
+        assert not np.all(np.isfinite(gen.N))
+
+    def test_mixed_rate_near_the_float_maximum(self):
+        # the sum of the two rates overflowed with a RuntimeWarning
+        g = np.diag([1e308, 1.5e308])
+        rates = rwa_rates(DissipationCoefficients(g, np.zeros((2, 2))))
+        assert rates.mixed == pytest.approx(1.25e308, rel=1e-15)
 
     @pytest.mark.parametrize("temperature", [1e-300, 1e-320])
     def test_tiny_temperature_is_the_zero_temperature_limit(self, temperature):

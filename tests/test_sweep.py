@@ -412,6 +412,32 @@ class TestRunSweep:
         assert max(sizes) <= max(budget, w + 1)
         assert res == alone
 
+    def test_eig_ratio_blocks_hold_generators(self, monkeypatch):
+        # an eigRatio-only sweep samples nothing: a block holds as many
+        # generators (A, D, M, N: 1136 bytes a cell) as the window samples
+        # of a sampled block take bytes (88 each), so the default map's 735
+        # cells are one block, not the seven of 108 cells a sampled map uses
+        real = sweep_mod.build_generator
+        sizes = []
+
+        def sized(*args, **kwargs):
+            gen = real(*args, **kwargs)
+            sizes.append(len(gen.A))
+            return gen
+
+        monkeypatch.setattr(sweep_mod, "build_generator", sized)
+        run_sweep(default_grid(metrics=("eigRatio",)), SQ)
+        assert sizes == [735]
+        grid = _tiny_grid(omega2=(1.1, 1.4), lam=(0.3, 0.5, 0.7), metrics=("eigRatio",))
+        sizes.clear()
+        alone = run_sweep(grid, SQ)
+        assert sizes == [6]
+        # 26 samples take 2288 bytes: two generators
+        sizes.clear()
+        monkeypatch.setattr(sweep_mod, "_BLOCK_SAMPLES", 26)
+        assert run_sweep(grid, SQ) == alone
+        assert sizes == [2, 2, 2]
+
     def test_measures_only_sample_one_step(self, monkeypatch):
         # without syncAbs only the first window sample is read, so it alone
         # is propagated, and the measures keep their bits
