@@ -99,10 +99,10 @@ class RunConfig:
     out_dir: str
     parameters: dict  # flat snapshot of the settings above, for manifests
     # sweep-only settings (grid axes as value tuples)
-    t_eval: float = 300.0
-    sweep_omega2: tuple = ()
-    sweep_lambda: tuple = ()
-    metrics: tuple = METRICS
+    t_eval: float
+    sweep_omega2: tuple
+    sweep_lambda: tuple
+    metrics: tuple
 
     def __post_init__(self) -> None:
         for name in ("t_max", "dt_out", "window", "filter_width"):

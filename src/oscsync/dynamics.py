@@ -3,10 +3,11 @@
 Every supported state of the two-mode system is a zero-mean Gaussian state,
 and the mean motion is homogeneous, so the means stay zero and are not
 propagated.  In the normal-mode basis the symmetrised second moments ``S``
-over ``(X-, P-, X+, P+)`` obey ``dS/dt = A S + S A^T + D``.
-Stored as the vector ``R`` of raw second moments, laid out by
-:data:`MODE_SLOT` and converted by :func:`pack_moments` and
-:func:`unpack_moments`, this is the linear system ``dR/dt = M R + N``::
+over ``(X-, P-, X+, P+)`` obey ``dS/dt = A S + S A^T + D``, and a
+generator is that drift and diffusion pair.  Stored as the vector ``R`` of
+raw second moments, laid out by :data:`MODE_SLOT` and converted by
+:func:`pack_moments` and :func:`unpack_moments`, this is the linear system
+``dR/dt = M R + N``, formed only where ``R`` is stepped or solved for::
 
     0 <X-^2>   1 <X+^2>   2 <X-X+>
     3 <P-^2>   4 <P+^2>   5 <P-P+>
@@ -118,23 +119,16 @@ class MomentState:
 
 @dataclass(frozen=True)
 class MomentGenerator:
-    """The moment equations as drift and diffusion, and as their lift.
-
-    ``A`` and ``D`` are the ``(..., 4, 4)`` drift and diffusion of ``dS/dt
-    = A S + S A^T + D``; ``M`` and ``N`` the ``(..., 10, 10)`` matrix and
-    ``(..., 10)`` vector of ``dR/dt = M R + N``, which propagation steps.
-    """
+    """The moment equations as the ``(..., 4, 4)`` drift ``A`` and diffusion
+    ``D`` of ``dS/dt = A S + S A^T + D``."""
 
     A: np.ndarray
     D: np.ndarray
-    M: np.ndarray
-    N: np.ndarray
-    backend: Backend
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Dynamical eigenvalues of the second-moment matrix ``M``.
+    """Dynamical eigenvalues of the moment equations ``dR/dt = M R + N``.
 
     ``mu`` holds the ten eigenvalues, sorted by real part and then by
     imaginary part, along its last axis.  ``ratio`` compares the least
@@ -158,19 +152,14 @@ class Trajectory:
     second_moments: np.ndarray  # shape (..., n, 10)
 
 
-# a coefficient past the float range gives inf and NaN entries, which the
-# spectrum and the propagation report, without a floating-point warning
-@np.errstate(over="ignore", invalid="ignore")
 def build_generator(
     basis: NormalModeBasis,
     coeffs: DissipationCoefficients,
     backend: Backend | str = Backend.FULL,
 ) -> MomentGenerator:
-    """Assemble the 10x10 drift matrix M and the inhomogeneity N.
+    """Assemble the drift ``A`` and the diffusion ``D`` of one backend.
 
-    Each backend is a drift ``A`` and a diffusion ``D`` over ``(X-, P-, X+,
-    P+)`` in ``dS/dt = A S + S A^T + D``; ``N`` packs ``D``, and ``M`` is the
-    flattened ``A`` times a constant 16x100 lift built at import.
+    Both are over ``(X-, P-, X+, P+)`` in ``dS/dt = A S + S A^T + D``.
 
     Full backend: ``A`` is the drift of the mode equations of motion,
     ``dXm/dt = Pm`` and ``dPm/dt = -Om^2 Xm - sum_n G~[m,n] Pn``, and ``D``
@@ -215,10 +204,7 @@ def build_generator(
         D[..., _DIAG, _DIAG] = np.stack(
             [d_mm / (2.0 * om2), 0.5 * d_mm], axis=-1
         ).reshape(lead + (4,))
-    # + 0.0 makes an entry without drift or drive +0, whatever the zeros' signs
-    M = (A.reshape(lead + (16,)) @ _LIFT).reshape(lead + (10, 10)) + 0.0
-    N = pack_moments(D) + 0.0
-    return MomentGenerator(A=A, D=D, M=M, N=N, backend=backend)
+    return MomentGenerator(A=A, D=D)
 
 
 _DRIFT_NOT_FINITE = "eigensolver failed: Array must not contain infs or NaNs"
@@ -262,11 +248,24 @@ def _float(x: np.ndarray):
     return float(x) if x.ndim == 0 else x
 
 
+# a coefficient past the float range gives inf and NaN entries, which the
+# propagation reports, without a floating-point warning
+@np.errstate(over="ignore", invalid="ignore")
+def _lift(gen: MomentGenerator) -> tuple:
+    # (M, N) of dR/dt = M R + N: the flattened A times the constant lift,
+    # and D packed; + 0.0 makes an entry without drift or drive +0,
+    # whatever the zeros' signs
+    lead = gen.A.shape[:-2]
+    M = (gen.A.reshape(lead + (16,)) @ _LIFT).reshape(lead + (10, 10)) + 0.0
+    return M, pack_moments(gen.D) + 0.0
+
+
 def _augmented(gen: MomentGenerator) -> np.ndarray:
     # Affine augmentation [[M, N], [0, 0]]: exact for singular M as well.
-    A = np.zeros(gen.M.shape[:-2] + (11, 11))
-    A[..., :10, :10] = gen.M
-    A[..., :10, 10] = gen.N
+    M, N = _lift(gen)
+    A = np.zeros(M.shape[:-2] + (11, 11))
+    A[..., :10, :10] = M
+    A[..., :10, 10] = N
     return A
 
 
@@ -325,7 +324,8 @@ def steady_state(gen: MomentGenerator) -> MomentState:
             f"drift matrix has a non-decaying eigenvalue"
             f" (max Re = {np.max(mu.real):.3e}); no unique steady state"
         )
-    r_inf = np.linalg.solve(gen.M, -gen.N)
+    M, N = _lift(gen)
+    r_inf = np.linalg.solve(M, -N)
     return MomentState(second_moments=r_inf, time=math.inf)
 
 
@@ -359,7 +359,7 @@ def sample_trajectory(
     """
     if not (dt_out > 0 and n >= 1):
         raise DomainError(f"need dt_out > 0 and n >= 1, got {dt_out}, {n}")
-    lead = gen.M.shape[:-2]
+    lead = gen.A.shape[:-2]
     # numpy refuses larger arrays with a bare ValueError, not a MemoryError
     if math.prod(lead) * n * 11 * 8 > np.iinfo(np.intp).max:
         raise DomainError(

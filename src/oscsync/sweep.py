@@ -304,10 +304,10 @@ def _measure_stack(grid, omega2, lams, initial, dt_out, w, k_eval) -> list:
 
 _BLOCK_SAMPLES = 2**14  # window samples per stack; bounds its temporaries
 # The bytes of one window sample in the sampler (R and the constant 1), and
-# of one cell's generator (A, D, M and N), all that an eigRatio-only stack
-# holds: it gets as many bytes per stack as a sampled one.
+# of one cell of an eigRatio-only stack at its peak (1.05 kB a cell under
+# tracemalloc), so such a stack gets about as many bytes as a sampled one.
 _SAMPLE_BYTES = 11 * 8
-_GENERATOR_BYTES = (16 + 16 + 100 + 10) * 8
+_GENERATOR_BYTES = 1024
 
 
 def _steps(setting: str, value: float, dt_out: float) -> int:

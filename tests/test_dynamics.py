@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,7 +139,7 @@ class TestReferenceEquations:
     def _assert_matches(basis, coeffs, backend):
         gen = build_generator(basis, coeffs, backend)
         want = _reference_generator(basis, coeffs, backend)
-        for got, ref in zip((gen.M, gen.N), want):
+        for got, ref in zip(dynamics._lift(gen), want):
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
     @staticmethod
@@ -232,7 +233,7 @@ class TestMomentLayout:
 class TestDriftAssembly:
     def test_full_entries(self, fig_system, cb_bath):
         _, basis, coeffs, gen = make_gen(1.4, 0.7)
-        M, N = gen.M, gen.N
+        M, N = dynamics._lift(gen)
         g = coeffs.gamma_tilde
         om2 = basis.frequencies**2
         # position sector is purely kinematic
@@ -270,7 +271,7 @@ class TestDriftAssembly:
     def test_trace_rule(self, omega2, frac, topology, backend):
         _, _, coeffs, gen = make_gen(omega2, frac * omega2, topology, backend)
         expected = -5.0 * (coeffs.gamma_tilde[0, 0] + coeffs.gamma_tilde[1, 1])
-        assert abs(np.trace(gen.M) - expected) < 1e-10
+        assert abs(np.trace(dynamics._lift(gen)[0]) - expected) < 1e-10
 
     def test_eigenvalues_conjugate_closed(self):
         _, _, _, gen = make_gen(1.31, 0.9)
@@ -289,13 +290,14 @@ class TestDriftAssembly:
         zero = _zero_coeffs()
         full = build_generator(basis, zero, backend="full")
         rwa = build_generator(basis, zero, backend="rwa")
-        assert np.array_equal(full.M, rwa.M)
-        assert np.array_equal(full.N, rwa.N)
+        for f, r in zip(dynamics._lift(full), dynamics._lift(rwa)):
+            assert np.array_equal(f, r)
 
     def test_rwa_shares_trace_and_first_moments(self):
         _, _, _, full = make_gen(1.4, 0.7)
         _, _, _, rwa = make_gen(1.4, 0.7, backend="rwa")
-        assert np.trace(rwa.M) == pytest.approx(np.trace(full.M), rel=1e-12)
+        (M_full, _), (M_rwa, _) = dynamics._lift(full), dynamics._lift(rwa)
+        assert np.trace(M_rwa) == pytest.approx(np.trace(M_full), rel=1e-12)
 
     def test_rwa_validity_guard(self, fig_system):
         basis = diagonalize(fig_system)
@@ -411,7 +413,7 @@ class TestPropagation:
         _, basis, coeffs, gen = make_gen(1.31, 0.62, "separate")
         state = _vacuum_state(basis)
         dt, n = 1e-2, 2000
-        M, N = gen.M, gen.N
+        M, N = dynamics._lift(gen)
         r = state.second_moments.copy()
         for _ in range(n):
             k1 = M @ r + N
@@ -495,6 +497,22 @@ class TestPropagation:
             state = make_initial(spec, sys_p, basis)
             alone = sample_trajectory(gen, state, 0.1, n, k_start=k_start)
             assert np.array_equal(alone.second_moments, stacked.second_moments[j])
+
+    def test_generator_is_its_drift_and_diffusion(self):
+        # a generator whose A and D are replaced steps and settles as the
+        # generator it was given them from, to the bit
+        _, _, _, gen_a = make_gen(1.05, 0.3)
+        sys_b, basis_b, _, gen_b = make_gen(1.4, 0.7, "separate")
+        swapped = replace(gen_a, A=gen_b.A, D=gen_b.D)
+        state = make_initial(InitialStateSpec("sq", r1=2.0, r2=4.0), sys_b, basis_b)
+        for n, k_start in ((37, 0), (151, 3000)):
+            got, want = (
+                sample_trajectory(g, state, 0.1, n, k_start=k_start)
+                for g in (swapped, gen_b)
+            )
+            assert got.second_moments.tobytes() == want.second_moments.tobytes()
+        got, want = steady_state(swapped), steady_state(gen_b)
+        assert got.second_moments.tobytes() == want.second_moments.tobytes()
 
     def test_sampling_grid_and_consistency(self):
         _, basis, _, gen = make_gen(1.05, 0.3)
@@ -594,7 +612,7 @@ class TestSpectrum:
         # the ten eigenvalues of M, as multisets, to 1e-12 of the largest
         for gen in self._stack(backend):
             mu = dynamical_eigenvalues(gen).mu
-            ref = np.linalg.eigvals(gen.M)
+            ref = np.linalg.eigvals(dynamics._lift(gen)[0])
             assert mu.shape == ref.shape == (40, 10)
             for got, want in zip(mu, ref):
                 dist = np.abs(got[:, None] - want[None, :])
@@ -610,9 +628,7 @@ class TestSpectrum:
             spec = dynamical_eigenvalues(gen)
             lead = gen.A.shape[:-2]
             for j in np.ndindex(lead):
-                alone = dynamical_eigenvalues(
-                    MomentGenerator(gen.A[j], gen.D[j], gen.M[j], gen.N[j], gen.backend)
-                )
+                alone = dynamical_eigenvalues(MomentGenerator(gen.A[j], gen.D[j]))
                 assert spec.mu[j].tobytes() == alone.mu.tobytes()
                 for name in ("ratio", "dominant_frequency"):
                     value = getattr(alone, name)
@@ -637,9 +653,7 @@ class TestSpectrum:
         A = gen.A.copy()
         A[1, 1] = -np.inf
         with pytest.raises(NumericalError, match="must not contain infs or NaNs"):
-            dynamical_eigenvalues(
-                MomentGenerator(A, gen.D, gen.M, gen.N, gen.backend)
-            )
+            dynamical_eigenvalues(MomentGenerator(A, gen.D))
 
 
 class TestLateTimeDynamics:

@@ -36,6 +36,7 @@ from oscsync import (
     write_sweep_csv,
     write_sweep_sidecar,
 )
+from oscsync import dynamics
 from oscsync import sweep as sweep_mod
 
 SQ = InitialStateSpec.separable_squeezed(2.0, 4.0)
@@ -120,8 +121,8 @@ class TestStackedSetUp:
             assert _same_bits(coeffs.gamma_tilde[j], c.gamma_tilde)
             assert _same_bits(coeffs.d_tilde[j], c.d_tilde)
             g = build_generator(alone, c, backend)
-            for name in ("M", "N"):
-                assert _same_bits(getattr(gen, name)[j], getattr(g, name))
+            for got, want in zip(dynamics._lift(gen), dynamics._lift(g)):
+                assert _same_bits(got[j], want)
             s0 = make_initial(spec, sys_p, alone)
             assert _same_bits(state.second_moments[j], s0.second_moments)
             cov = to_lab_covariance(s0, alone, sys_p)
@@ -414,8 +415,8 @@ class TestRunSweep:
 
     def test_eig_ratio_blocks_hold_generators(self, monkeypatch):
         # an eigRatio-only sweep samples nothing: a block holds as many
-        # generators (A, D, M, N: 1136 bytes a cell) as the window samples
-        # of a sampled block take bytes (88 each), so the default map's 735
+        # cells (1024 bytes each at its peak) as the window samples of a
+        # sampled block take bytes (88 each), so the default map's 735
         # cells are one block, not the seven of 108 cells a sampled map uses
         real = sweep_mod.build_generator
         sizes = []
@@ -432,7 +433,7 @@ class TestRunSweep:
         sizes.clear()
         alone = run_sweep(grid, SQ)
         assert sizes == [6]
-        # 26 samples take 2288 bytes: two generators
+        # 26 samples take 2288 bytes: two cells
         sizes.clear()
         monkeypatch.setattr(sweep_mod, "_BLOCK_SAMPLES", 26)
         assert run_sweep(grid, SQ) == alone
