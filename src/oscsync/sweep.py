@@ -18,10 +18,11 @@ spectrum, its indicator and the information measures of its first window
 samples are one :func:`~oscsync.dynamics.dynamical_eigenvalues`, one
 :func:`~oscsync.sync.windowed_correlation` and one
 :func:`~oscsync.info.gaussian_measures` call.  A block may cross omega2
-rows; a cell's values do not depend on its block.  A cell that fails is
-reported with its message while the rest of its block goes on; a set-up
-error shared by the block fails its cells, and a window too short for
-the indicator fails the sweep.
+rows; a cell's values do not depend on its block.  Each block's metric
+arrays are written straight into the sweep's columns (:class:`SweepResult`).
+A cell that fails is reported with its message while the rest of its
+block goes on; a set-up error shared by the block fails its cells, and a
+window too short for the indicator fails the sweep.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -75,7 +76,6 @@ from .sync import (
 __all__ = [
     "METRICS",
     "SweepGrid",
-    "CellResult",
     "SweepResult",
     "PointRun",
     "default_grid",
@@ -86,7 +86,6 @@ __all__ = [
 ]
 
 METRICS = ("syncAbs", "discord", "mutualInfo", "eigRatio")
-_ATTRS = dict(zip(METRICS, ("sync_abs", "discord", "mutual_info", "eig_ratio")))
 
 
 @dataclass(frozen=True)
@@ -109,39 +108,32 @@ class SweepGrid:
         unknown = set(self.metrics) - set(METRICS)
         if unknown:
             raise DomainError(f"unknown sweep metrics: {sorted(unknown)}")
+        if not self.metrics or len(set(self.metrics)) < len(self.metrics):
+            raise DomainError(f"need one or more distinct sweep metrics, got {self.metrics}")
         if not 0 < self.t_eval < math.inf:
             raise DomainError(f"t_eval must be positive and finite, got {self.t_eval}")
         if not np.all(np.isfinite(self.omega2_values + self.lambda_values)):
             raise DomainError("sweep axis values must be finite")
 
 
-@dataclass(frozen=True)
-class CellResult:
-    """Metrics for one (omega2, lambda) cell; NaN where not computed."""
-
-    omega2: float
-    lam: float
-    status: str = "ok"
-    sync_abs: float = math.nan
-    discord: float = math.nan
-    mutual_info: float = math.nan
-    eig_ratio: float = math.nan
-    message: str = ""
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Row-major cell results (omega2 outer, lambda inner) plus provenance."""
+    """A sweep's cells as columns, row-major (omega2 outer, lambda inner): each
+    metric's column in ``values`` (NaN where not asked for or not ``ok``), each
+    cell's ``status`` (``ok``, ``error`` or ``skipped``) and ``message``."""
 
     grid: SweepGrid
-    cells: tuple
-    provenance: dict = field(default_factory=dict)
+    omega2: np.ndarray
+    lam: np.ndarray
+    values: dict
+    status: np.ndarray
+    message: np.ndarray
+    provenance: dict
 
     def metric_map(self, name: str) -> np.ndarray:
         """2-d array of one metric over (omega2, lambda)."""
-        attr = _ATTRS[name]
         shape = (len(self.grid.omega2_values), len(self.grid.lambda_values))
-        return np.array([getattr(c, attr) for c in self.cells]).reshape(shape)
+        return self.values[name].reshape(shape)
 
 
 def default_grid(
@@ -242,16 +234,18 @@ def _sampled(grid) -> bool:
     return bool({"syncAbs", "discord", "mutualInfo"} & set(grid.metrics))
 
 
-def _measure_stack(grid, omega2, lams, initial, dt_out, w, k_eval) -> list:
+def _measure_stack(grid, omega2, lams, initial, dt_out, w, k_eval) -> tuple:
     """The cells at the detunings ``omega2`` and couplings ``lams``, as one stack.
 
-    Each cell reads its window of ``w`` steps from the evaluation step
-    ``k_eval`` for the indicator and that step alone for the information
-    measures, so without ``syncAbs`` only that step is sampled.  A set-up
-    error fails every cell.  A cell whose drift is not finite is left out
-    of the stack's spectrum, and one whose lab variances are not finite
-    throughout its window out of the stack's indicator; each fails as it
-    would on its own.
+    Returns each asked-for metric's array over the stack (``values``) and
+    each failed cell's message by its stack index (``errors``); the caller
+    blanks the failed cells.  Each cell reads its window of ``w`` steps from
+    the evaluation step ``k_eval`` for the indicator and that step alone for
+    the information measures, so without ``syncAbs`` only that step is
+    sampled.  A set-up error fails every cell.  A cell whose drift is not
+    finite is left out of the stack's spectrum, and one whose lab variances
+    are not finite throughout its window out of the stack's indicator; each
+    fails as it would on its own.
     """
     sampled = _sampled(grid)
     try:
@@ -260,10 +254,7 @@ def _measure_stack(grid, omega2, lams, initial, dt_out, w, k_eval) -> list:
             system, grid.bath, initial if sampled else None, grid.backend
         )
     except OscSyncError as exc:
-        return [
-            CellResult(o, lam, "error", message=str(exc))
-            for o, lam in zip(omega2, lams)
-        ]
+        return {}, dict.fromkeys(range(lams.size), str(exc))
     errors = {}  # cell: message of its first failure
     values = {}
     if "eigRatio" in grid.metrics:
@@ -272,7 +263,7 @@ def _measure_stack(grid, omega2, lams, initial, dt_out, w, k_eval) -> list:
         spectrum = dynamical_eigenvalues(
             replace(gen, A=np.where(finite_drift[:, None, None], gen.A, 0.0))
         )
-        values["eig_ratio"] = np.where(finite_drift, spectrum.ratio, np.nan)
+        values["eigRatio"] = np.where(finite_drift, spectrum.ratio, np.nan)
         for j in np.flatnonzero(~finite_drift):
             errors[j] = _DRIFT_NOT_FINITE
     if sampled:
@@ -283,8 +274,8 @@ def _measure_stack(grid, omega2, lams, initial, dt_out, w, k_eval) -> list:
         finite = np.isfinite(x1).all(axis=1) & np.isfinite(x2).all(axis=1)
         f = ObservableSeries(traj.times, x1[finite])
         g = ObservableSeries(traj.times, x2[finite])
-        values["sync_abs"] = np.full(lams.size, np.nan)
-        values["sync_abs"][finite] = abs(windowed_correlation(f, g, w * dt_out).C[:, 0])
+        values["syncAbs"] = np.full(lams.size, np.nan)
+        values["syncAbs"][finite] = abs(windowed_correlation(f, g, w * dt_out).C[:, 0])
         for j in np.flatnonzero(~finite):  # as the cell's series would raise alone
             errors.setdefault(j, _NOT_FINITE)
     names = [name for name in ("discord", "mutualInfo") if name in grid.metrics]
@@ -293,13 +284,8 @@ def _measure_stack(grid, omega2, lams, initial, dt_out, w, k_eval) -> list:
         measures = gaussian_measures(sigma)
         for j in set().union(*(measures.failures[name] for name in names)):
             errors.setdefault(j, str(measures.error(j, names)))
-        values.update((_ATTRS[name], measures.series[name]) for name in names)
-    return [
-        CellResult(o, lam, "error", message=errors[j])
-        if j in errors
-        else CellResult(o, lam, **{a: float(v[j]) for a, v in values.items()})
-        for j, (o, lam) in enumerate(zip(omega2, lams))
-    ]
+        values.update((name, measures.series[name]) for name in names)
+    return values, errors
 
 
 _BLOCK_SAMPLES = 2**14  # window samples per stack; bounds its temporaries
@@ -353,7 +339,10 @@ def run_sweep(
     order, through stacks of up to ``_BLOCK_SAMPLES`` window samples, or
     as many cells as the bytes of those samples hold generators when no
     metric is sampled (:func:`_measure_stack`); a block may cross omega2
-    rows, and a cell's values do not depend on its block.
+    rows, and a cell's values do not depend on its block.  Each block's
+    arrays and failures are written by index into the columns of the
+    :class:`SweepResult`, and a cell that is not ``ok`` is NaN in every
+    metric column.
 
     ``t_eval`` and ``window`` are rounded to whole steps of ``dt_out``;
     the provenance records the effective values (``t_eval_effective``,
@@ -378,21 +367,24 @@ def run_sweep(
     omega1 = grid.system.omega1
     skipped = np.abs(lams) >= omega1 * omega2
     _, om_minus_sq, _ = _mode_squares(omega1, omega2, lams)
-    live = np.flatnonzero(~skipped & (om_minus_sq > 0))
+    live = ~skipped & (om_minus_sq > 0)
+    status = np.where(live, "ok", np.where(skipped, "skipped", "error"))
+    message = np.where(skipped, _SKIPPED, "").astype(object)
+    for j in np.flatnonzero(~skipped & ~live):
+        message[j] = _NOT_ATTRACTIVE.format(om_minus_sq[j])
+    values = {name: np.full(omega2.size, np.nan) for name in METRICS}
     cell_bytes = (w + 1) * _SAMPLE_BYTES if _sampled(grid) else _GENERATOR_BYTES
     size = max(1, _BLOCK_SAMPLES * _SAMPLE_BYTES // cell_bytes)
-    measured = itertools.chain.from_iterable(
-        _measure_stack(grid, omega2[b], lams[b], initial, dt_out, w, k_eval)
-        for b in (live[i : i + size] for i in range(0, live.size, size))
-    )
-    cells = [
-        CellResult(o, lam, "skipped", message=_SKIPPED)
-        if skip
-        else CellResult(o, lam, "error", message=_NOT_ATTRACTIVE.format(v))
-        if v <= 0
-        else next(measured)
-        for o, lam, skip, v in zip(omega2, lams, skipped, om_minus_sq)
-    ]
+    measured = np.flatnonzero(live)
+    for b in (measured[i : i + size] for i in range(0, measured.size, size)):
+        cols, errors = _measure_stack(grid, omega2[b], lams[b], initial, dt_out, w, k_eval)
+        for name, v in cols.items():
+            values[name][b] = v
+        for j, text in errors.items():
+            status[b[j]], message[b[j]] = "error", text
+    flagged = status != "ok"
+    for v in values.values():
+        v[flagged] = np.nan
 
     provenance = {
         "version": __version__,
@@ -412,17 +404,13 @@ def run_sweep(
         "dt_out": dt_out,
         "metrics": list(grid.metrics),
         "flagged_cells": [
-            {
-                "omega2": c.omega2,
-                "lambda": c.lam,
-                "status": c.status,
-                "message": c.message,
-            }
-            for c in cells
-            if c.status != "ok"
+            {"omega2": o, "lambda": lam, "status": s, "message": m}
+            for o, lam, s, m in zip(
+                *(c[flagged].tolist() for c in (omega2, lams, status, message))
+            )
         ],
     }
-    return SweepResult(grid=grid, cells=tuple(cells), provenance=provenance)
+    return SweepResult(grid, omega2, lams, values, status, message, provenance)
 
 
 _CSV_BLOCK_ROWS = 1024
@@ -449,13 +437,12 @@ def _write_csv(path, comment: str, header: list, columns: list) -> None:
 
 def write_sweep_csv(result: SweepResult, path) -> None:
     """CSV per cell; empty fields mark metrics that were not computed."""
-    attrs = ("omega2", "lam", "sync_abs", "discord", "mutual_info", "eig_ratio")
     _write_csv(
         path,
         "omega2 [omega1], lambda [omega1^2], syncAbs [-], discord [nats],"
         " mutualInfo [nats], eigRatio [-], status",
         ["omega2", "lambda", "syncAbs", "discord", "mutualInfo", "eigRatio", "status"],
-        [[getattr(c, attr) for c in result.cells] for attr in (*attrs, "status")],
+        [result.omega2, result.lam, *(result.values[m] for m in METRICS), result.status],
     )
 
 

@@ -610,6 +610,20 @@ class TestSweepCommand:
         assert [r[-1] for r in rows] == ["ok", "ok"]
 
     @pytest.mark.parametrize(
+        "line, listed",
+        [("metrics =", "()"), ("metrics = eigRatio,eigRatio", "('eigRatio', 'eigRatio')")],
+    )
+    def test_empty_or_repeated_metrics_exit_2(self, line, listed, tmp_path, capsys):
+        # a sweep that computes nothing, or one metric twice, writes nothing
+        cfg = _config(tmp_path, line + "\n")
+        out = tmp_path / "out"
+        assert _run(["sweep", "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: need one or more distinct sweep metrics, got {listed}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "settings, setting",
         [
             ("metrics = eigRatio\nt_eval = 1e308\n", "t_eval = 1e+308"),

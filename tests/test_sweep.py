@@ -84,6 +84,14 @@ class TestGrid:
                     t_eval=t_eval,
                 )
 
+    @pytest.mark.parametrize("metrics", [(), ("eigRatio", "eigRatio")])
+    def test_empty_or_repeated_metrics_rejected(self, metrics):
+        # a sweep that computes nothing, or one metric twice, is a settings error
+        with pytest.raises(DomainError, match="one or more distinct sweep metrics"):
+            _tiny_grid(metrics=metrics)
+        with pytest.raises(DomainError, match="one or more distinct sweep metrics"):
+            default_grid(metrics=metrics)
+
     @pytest.mark.parametrize(
         "omega2, lam", [((math.nan,), (0.7,)), ((1.4,), (0.3, math.inf))]
     )
@@ -94,6 +102,19 @@ class TestGrid:
 
 def _same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _assert_same_cells(got, want, cells=slice(None)):
+    # two sweeps' columns agree over `cells`, the metrics bit for bit (NaN too)
+    for name in sweep_mod.METRICS:
+        assert _same_bits(got.values[name][cells], want.values[name][cells]), name
+    for name in ("omega2", "lam", "status", "message"):
+        np.testing.assert_array_equal(getattr(got, name)[cells], getattr(want, name)[cells])
+
+
+def _assert_same_sweep(got, want):
+    _assert_same_cells(got, want)
+    assert got.provenance == want.provenance
 
 
 class TestStackedSetUp:
@@ -163,9 +184,8 @@ class TestRunSweep:
     def test_single_cell_matches_direct_computation(self):
         grid = _tiny_grid()
         res = run_sweep(grid, SQ)
-        assert len(res.cells) == 1
-        cell = res.cells[0]
-        assert cell.status == "ok"
+        assert res.status.tolist() == ["ok"]
+        cell = {name: v[0] for name, v in res.values.items()}
 
         sys_p = SystemParams(1.0, 1.4, 0.7)
         basis = diagonalize(sys_p)
@@ -185,10 +205,10 @@ class TestRunSweep:
 
         # the cell jumps to t_eval by a matrix power of the per-step
         # exponential instead of stepping there, so round-off differs
-        assert _close(cell.sync_abs, abs(sync.C[k]))
-        assert _close(cell.discord, info["discord"][k])
-        assert _close(cell.mutual_info, info["mutualInfo"][k])
-        assert cell.eig_ratio == mu.ratio
+        assert _close(cell["syncAbs"], abs(sync.C[k]))
+        assert _close(cell["discord"], info["discord"][k])
+        assert _close(cell["mutualInfo"], info["mutualInfo"][k])
+        assert cell["eigRatio"] == mu.ratio
 
     @pytest.mark.parametrize(
         "topology, backend",
@@ -200,9 +220,10 @@ class TestRunSweep:
         grid = _tiny_grid(omega2=omega2s, lam=lams, topology=topology, backend=backend)
         res = run_sweep(grid, SQ)
         k = int(round(grid.t_eval / 0.1))
-        for cell in res.cells:
-            assert cell.status == "ok"
-            sys_p = SystemParams(1.0, cell.omega2, cell.lam)
+        assert res.status.tolist() == ["ok"] * 6
+        for j, (omega2, lam) in enumerate(zip(res.omega2, res.lam)):
+            cell = {name: v[j] for name, v in res.values.items()}
+            sys_p = SystemParams(1.0, omega2, lam)
             basis = diagonalize(sys_p)
             coeffs = dissipation_coefficients(sys_p, grid.bath, basis)
             gen = build_generator(basis, coeffs, backend=backend)
@@ -222,15 +243,15 @@ class TestRunSweep:
             # The exact-resonance cell keeps an undamped mode under the
             # common bath, and its discord and mutual information are
             # ill-conditioned there (measured 1.3e-8 and 2.5e-8 nats).
-            resonant = cell.omega2 == 1.0 and topology == "common"
+            resonant = omega2 == 1.0 and topology == "common"
             tol = 1e-7 if resonant else 1e-9
             pairs = [
-                (cell.sync_abs, abs(sync.C[k])),
-                (cell.discord, gaussian_discord(cov)),
-                (cell.mutual_info, mutual_information(cov)),
+                (cell["syncAbs"], abs(sync.C[k])),
+                (cell["discord"], gaussian_discord(cov)),
+                (cell["mutualInfo"], mutual_information(cov)),
             ]
             assert all(_close(got, want, tol) for got, want in pairs)
-            assert cell.eig_ratio == dynamical_eigenvalues(gen).ratio
+            assert cell["eigRatio"] == dynamical_eigenvalues(gen).ratio
 
     # 2 rows of 3 cells, one block at the default budget; (1.4, 0.5) is the
     # fifth cell of the stack
@@ -250,8 +271,8 @@ class TestRunSweep:
 
         monkeypatch.setattr(sweep_mod, "sample_trajectory", shrink_middle)
         res = run_sweep(_tiny_grid(**self.TWO_ROWS), SQ)
-        assert [c.status for c in res.cells] == ["ok"] * 4 + ["error", "ok"]
-        assert res.cells[:4] + res.cells[5:] == full.cells[:4] + full.cells[5:]
+        assert res.status.tolist() == ["ok"] * 4 + ["error", "ok"]
+        _assert_same_cells(res, full, [0, 1, 2, 3, 5])
 
         sys_p = SystemParams(1.0, 1.4, 0.5)
         basis = diagonalize(sys_p)
@@ -263,8 +284,8 @@ class TestRunSweep:
         )
         with pytest.raises(OscSyncError) as exc:
             gaussian_discord(cov)
-        assert res.cells[4].message == str(exc.value)
-        assert "uncertainty bound" in res.cells[4].message
+        assert res.message[4] == str(exc.value)
+        assert "uncertainty bound" in res.message[4]
 
     def test_non_finite_window_leaves_its_row_alone(self, monkeypatch):
         # the cell's window holds an infinite moment after its first
@@ -280,12 +301,12 @@ class TestRunSweep:
 
         monkeypatch.setattr(sweep_mod, "sample_trajectory", blow_up_middle)
         res = run_sweep(_tiny_grid(**self.TWO_ROWS), SQ)
-        assert [c.status for c in res.cells] == ["ok"] * 4 + ["error", "ok"]
-        assert res.cells[:4] + res.cells[5:] == full.cells[:4] + full.cells[5:]
+        assert res.status.tolist() == ["ok"] * 4 + ["error", "ok"]
+        _assert_same_cells(res, full, [0, 1, 2, 3, 5])
         with pytest.raises(DomainError) as exc:
             ObservableSeries(np.arange(3.0), [0.0, np.inf, 1.0])
-        assert res.cells[4].message == str(exc.value)
-        assert math.isnan(res.cells[4].eig_ratio)
+        assert res.message[4] == str(exc.value)
+        assert math.isnan(res.values["eigRatio"][4])
 
     def test_non_finite_drift_fails_its_cell_alone(self, monkeypatch):
         # the block's spectrum is one call; the cell whose drift is not
@@ -303,28 +324,58 @@ class TestRunSweep:
 
         monkeypatch.setattr(sweep_mod, "build_generator", poison_middle)
         res = run_sweep(_tiny_grid(**self.TWO_ROWS), SQ)
-        assert [c.status for c in res.cells] == ["ok"] * 4 + ["error", "ok"]
-        assert res.cells[:4] + res.cells[5:] == full.cells[:4] + full.cells[5:]
+        assert res.status.tolist() == ["ok"] * 4 + ["error", "ok"]
+        _assert_same_cells(res, full, [0, 1, 2, 3, 5])
         gen = drifts[0]
         with pytest.raises(OscSyncError) as exc:
             dynamical_eigenvalues(replace(gen, A=gen.A[4]))
-        assert res.cells[4].message == str(exc.value)
-        assert math.isnan(res.cells[4].discord)
+        assert res.message[4] == str(exc.value)
+        assert math.isnan(res.values["discord"][4])
 
     def test_overflowing_bath_fails_every_cell(self):
         with pytest.warns(UserWarning, match="weak-coupling"):
             grid = _tiny_grid(omega2=(1.1, 1.4), lam=(0.3, 0.7), gamma=1e200)
         res = run_sweep(grid, SQ)
-        assert [c.status for c in res.cells] == ["error"] * 4
-        assert {c.message for c in res.cells} == {"observable values must be finite"}
+        assert res.status.tolist() == ["error"] * 4
+        assert set(res.message) == {"observable values must be finite"}
 
     def test_set_up_error_keeps_its_message(self):
         grid = _tiny_grid(omega2=(1.1,), lam=(0.5, np.nextafter(1.1, 0)))
         res = run_sweep(grid, SQ)
-        assert [c.status for c in res.cells] == ["ok", "error"]
-        assert res.cells[1].message == "potential not attractive: Omega-^2 = 0.0 <= 0"
+        assert res.status.tolist() == ["ok", "error"]
+        assert res.message[1] == "potential not attractive: Omega-^2 = 0.0 <= 0"
         alone = run_sweep(_tiny_grid(omega2=(1.1,), lam=(0.5,)), SQ)
-        assert res.cells[0] == alone.cells[0]
+        _assert_same_cells(res, alone, [0])
+
+    def test_cells_not_ok_are_blank_in_every_metric(self, monkeypatch):
+        # row 1.1: ok, ok, not attractive, skipped; row 1.4: ok, unphysical
+        # (made so below), ok, ok.  The unphysical cell's block computes
+        # its indicator and spectrum, yet the cell is NaN in every column.
+        grid = _tiny_grid(omega2=(1.1, 1.4), lam=(0.3, 0.5, np.nextafter(1.1, 0), 1.2))
+        real_sample, real_measure = sweep_mod.sample_trajectory, sweep_mod._measure_stack
+        blocks = []
+
+        def shrink_fourth(gen, initial, *args, **kwargs):
+            traj = real_sample(gen, initial, *args, **kwargs)
+            traj.second_moments[3, 0] *= 0.01
+            return traj
+
+        def recorded(*args):
+            blocks.append(real_measure(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(sweep_mod, "sample_trajectory", shrink_fourth)
+        monkeypatch.setattr(sweep_mod, "_measure_stack", recorded)
+        res = run_sweep(grid, SQ)
+        statuses = ["ok", "ok", "error", "skipped", "ok", "error", "ok", "ok"]
+        assert res.status.tolist() == statuses
+        assert res.message[2] == "potential not attractive: Omega-^2 = 0.0 <= 0"
+        assert "uncertainty bound" in res.message[5]
+        [(values, errors)] = blocks
+        assert list(errors) == [3]
+        assert np.isfinite(values["syncAbs"][3]) and np.isfinite(values["eigRatio"][3])
+        for name in sweep_mod.METRICS:
+            assert (np.isnan(res.values[name]) == (res.status != "ok")).all(), name
 
     def test_one_kernel_call_per_block(self, monkeypatch):
         calls = {}
@@ -353,12 +404,12 @@ class TestRunSweep:
         # 2 rows of 3 cells; lambda = 1.2 is skipped at omega2 = 1.1
         grid = _tiny_grid(omega2=(1.1, 1.4), lam=(0.3, 0.7, 1.2))
         res = run_sweep(grid, SQ)
-        assert [c.status for c in res.cells].count("ok") == 5
+        assert res.status.tolist().count("ok") == 5
         assert calls == dict(zip(names, (1,) * 8))
         # a budget of one cell's window: one stack per live cell
         calls.clear()
         monkeypatch.setattr(sweep_mod, "_BLOCK_SAMPLES", 151)
-        assert run_sweep(grid, SQ) == res
+        _assert_same_sweep(run_sweep(grid, SQ), res)
         assert calls == dict(zip(names, (5,) * 8))
 
     def test_cells_do_not_depend_on_blocking(self, monkeypatch):
@@ -385,11 +436,12 @@ class TestRunSweep:
         runs = []
         for cells in (1, 2, 3, 4, 6):
             monkeypatch.setattr(sweep_mod, "_BLOCK_SAMPLES", cells * 151)
-            runs.append(run_sweep(grid, SQ).cells)
+            runs.append(run_sweep(grid, SQ))
         statuses = ["ok", "ok", "error", "skipped", "ok", "error", "ok", "ok"]
-        assert [c.status for c in runs[0]] == statuses
-        assert "uncertainty bound" in runs[0][5].message
-        assert all(cells == runs[0] for cells in runs[1:])
+        assert runs[0].status.tolist() == statuses
+        assert "uncertainty bound" in runs[0].message[5]
+        for run in runs[1:]:
+            _assert_same_sweep(run, runs[0])
 
     @pytest.mark.parametrize("window, budget", [(15.0, 301), (15.0, 453), (60.0, 500)])
     def test_block_budget_bounds_each_stack(self, window, budget, monkeypatch):
@@ -411,7 +463,7 @@ class TestRunSweep:
         w = round(window / 0.1)
         assert sum(sizes) == 6 * (w + 1)
         assert max(sizes) <= max(budget, w + 1)
-        assert res == alone
+        _assert_same_sweep(res, alone)
 
     def test_eig_ratio_blocks_hold_generators(self, monkeypatch):
         # an eigRatio-only sweep samples nothing: a block holds as many
@@ -436,7 +488,7 @@ class TestRunSweep:
         # 26 samples take 2288 bytes: two cells
         sizes.clear()
         monkeypatch.setattr(sweep_mod, "_BLOCK_SAMPLES", 26)
-        assert run_sweep(grid, SQ) == alone
+        _assert_same_sweep(run_sweep(grid, SQ), alone)
         assert sizes == [2, 2, 2]
 
     def test_measures_only_sample_one_step(self, monkeypatch):
@@ -462,35 +514,32 @@ class TestRunSweep:
     def test_row_major_cell_order(self):
         grid = _tiny_grid(omega2=(1.1, 1.3), lam=(0.2, 0.5), metrics=("eigRatio",))
         res = run_sweep(grid, SQ)
-        keys = [(c.omega2, c.lam) for c in res.cells]
+        keys = list(zip(res.omega2.tolist(), res.lam.tolist()))
         assert keys == [(1.1, 0.2), (1.1, 0.5), (1.3, 0.2), (1.3, 0.5)]
         ratio = res.metric_map("eigRatio")
         assert ratio.shape == (2, 2)
-        assert ratio[1, 0] == res.cells[2].eig_ratio
+        assert ratio[1, 0] == res.values["eigRatio"][2]
 
     def test_infeasible_cell_skipped(self):
         grid = _tiny_grid(omega2=(1.1,), lam=(0.5, 1.2))
         res = run_sweep(grid, SQ)
-        by_lam = {c.lam: c for c in res.cells}
-        assert by_lam[0.5].status == "ok"
-        bad = by_lam[1.2]
-        assert bad.status == "skipped"
-        assert math.isnan(bad.sync_abs) and math.isnan(bad.eig_ratio)
-        assert "lam" in bad.message or "coupling" in bad.message
+        assert res.lam.tolist() == [0.5, 1.2]
+        assert res.status.tolist() == ["ok", "skipped"]
+        assert math.isnan(res.values["syncAbs"][1]) and math.isnan(res.values["eigRatio"][1])
+        assert "lam" in res.message[1] or "coupling" in res.message[1]
 
     def test_eig_ratio_only_skips_trajectory(self):
         grid = _tiny_grid(metrics=("eigRatio",))
         res = run_sweep(grid, SQ)
-        cell = res.cells[0]
-        assert math.isfinite(cell.eig_ratio)
-        assert math.isnan(cell.sync_abs)
-        assert math.isnan(cell.discord)
+        assert math.isfinite(res.values["eigRatio"][0])
+        assert math.isnan(res.values["syncAbs"][0])
+        assert math.isnan(res.values["discord"][0])
 
     def test_topology_override_changes_result(self):
         grid = _tiny_grid(metrics=("eigRatio",))
         common = run_sweep(grid, SQ)
         separate = run_sweep(_tiny_grid(metrics=("eigRatio",), topology="separate"), SQ)
-        assert separate.cells[0].eig_ratio > common.cells[0].eig_ratio
+        assert separate.values["eigRatio"][0] > common.values["eigRatio"][0]
         assert separate.provenance["bath"] == "separate"
         assert common.provenance["bath"] == "common"
 
@@ -528,10 +577,9 @@ class TestRunSweep:
         monkeypatch.setattr(sweep_mod, "dissipation_coefficients", boom)
         grid = _tiny_grid(metrics=("eigRatio",))
         res = run_sweep(grid, SQ)
-        cell = res.cells[0]
-        assert cell.status == "error"
-        assert "injected failure" in cell.message
-        assert math.isnan(cell.eig_ratio)
+        assert res.status.tolist() == ["error"]
+        assert "injected failure" in res.message[0]
+        assert math.isnan(res.values["eigRatio"][0])
 
 
 class TestSweepIO:
@@ -560,7 +608,7 @@ class TestSweepIO:
         assert ok_row[0] == "1.1000000000000001"
         assert ok_row[1] == "0.29999999999999999"
         assert ok_row[2] == "" and ok_row[5] != ""
-        assert float(ok_row[5]) == small_result.cells[0].eig_ratio
+        assert float(ok_row[5]) == small_result.values["eigRatio"][0]
         skip_row = lines[3].split(",")
         assert skip_row[-1] == "skipped"
         assert skip_row[2] == skip_row[3] == skip_row[4] == skip_row[5] == ""
@@ -589,7 +637,7 @@ class TestSweepIO:
                 "omega2": 1.1,
                 "lambda": 1.5,
                 "status": "skipped",
-                "message": small_result.cells[1].message,
+                "message": small_result.message[1],
             }
         ]
 
