@@ -4,10 +4,10 @@ All information formulas work on the 4x4 covariance matrix over
 ``(q1, p1, q2, p2)`` in shot-noise units, where ``q_i = sqrt(2 omega_i) x_i``
 and ``p_i = sqrt(2 / omega_i) p_i`` so the two-oscillator vacuum is the
 identity matrix.  Conversion from the normal-mode second moments of a
-zero-mean state (physical units) is owned by :func:`lab_covariances`;
-everything downstream is dimensionless.  :func:`gaussian_measures`
-computes every measure of a stack of covariances at once; the scalar
-functions call it with one.
+zero-mean state (physical units) is owned by :func:`lab_covariances`, a
+linear map of the moments; everything downstream is dimensionless.
+:func:`gaussian_measures` computes every measure of a stack of covariances
+at once; the scalar functions call it with one.
 """
 
 from __future__ import annotations
@@ -17,7 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import IDX_XX, MomentState, Trajectory, pack_moments, unpack_moments
+from .dynamics import (
+    IDX_XX,
+    MODE_SLOT,
+    MODE_WEIGHT,
+    MomentState,
+    Trajectory,
+    pack_moments,
+)
 from .errors import (
     DegenerateState,
     DomainError,
@@ -47,17 +54,6 @@ __all__ = [
     "information_measures",
     "information_series",
 ]
-
-# Symplectic form for the ordering (q1, p1, q2, p2).
-OMEGA_SYMP = np.array(
-    [
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0, 0.0],
-    ]
-)
-
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
@@ -138,9 +134,9 @@ class SymplecticSpectrum:
 
 
 def _shot_noise_scale(sys: SystemParams) -> np.ndarray:
+    # The diagonal (..., 4) of the map from physical to shot-noise units.
     w1, w2 = np.broadcast_arrays(sys.omega1, sys.omega2)
-    diag = np.sqrt(np.stack([2.0 * w1, 2.0 / w1, 2.0 * w2, 2.0 / w2], axis=-1))
-    return diag[..., None] * np.eye(4)
+    return np.sqrt(np.stack([2.0 * w1, 2.0 / w1, 2.0 * w2, 2.0 / w2], axis=-1))
 
 
 def _mode_rotation(basis: NormalModeBasis) -> np.ndarray:
@@ -183,8 +179,7 @@ def make_initial(
     stacked ``sys`` and ``basis`` give a stacked state.
     """
     sn = _spec_to_shot_noise_sigma(spec)
-    scale = _shot_noise_scale(sys)
-    inv = (1.0 / np.diagonal(scale, axis1=-2, axis2=-1))[..., None] * np.eye(4)
+    inv = (1.0 / _shot_noise_scale(sys))[..., None] * np.eye(4)
     sigma_lab = inv @ sn @ inv
     rot = _mode_rotation(basis)
     sm = rot @ sigma_lab @ np.swapaxes(rot, -1, -2)
@@ -202,6 +197,51 @@ def _symmetrised(sigma: np.ndarray) -> np.ndarray:
     return 0.5 * (sigma + sigma_t)
 
 
+# Slot k of R sits at (a, b) = (_SLOT_A[k], _SLOT_B[k]), a <= b, and at its
+# mirror: unpack(e_k) = _SLOT_HALF[k] (E_ab + E_ba), where a diagonal slot
+# counts its one entry twice.
+_UPPER = np.triu_indices(4)
+_SLOT_A, _SLOT_B = (i[np.argsort(MODE_SLOT[_UPPER])] for i in _UPPER)
+_SLOT_HALF = np.where(_SLOT_A == _SLOT_B, 0.5, MODE_WEIGHT[_SLOT_A, _SLOT_B])
+
+
+def _reads(i: int, j: int) -> list:
+    # The slots sigma[i, j] depends on: the mode rotation maps positions to
+    # positions and momenta to momenta, so those whose (a, b) are of the
+    # kinds of (i, j); three for a position or a momentum pair, four else.
+    kinds = sorted([i % 2, j % 2])
+    return [k for k in range(10) if sorted([_SLOT_A[k] % 2, _SLOT_B[k] % 2]) == kinds]
+
+
+# sigma's ten entries (i, j), i <= j; term r of entry e reads slot
+# _TERM_SLOT[r, e] with factor _TERM_HALF[r, e].  An entry of three slots
+# has a fourth term of factor 0, its first slot again.
+_ENTRY_I, _ENTRY_J = _UPPER
+_TERMS = [_reads(i, j) for i, j in zip(_ENTRY_I, _ENTRY_J)]
+_TERM_SLOT = np.array([(k + k)[:4] for k in _TERMS]).T
+_TERM_HALF = np.where(
+    np.arange(4)[:, None] < [len(k) for k in _TERMS], _SLOT_HALF[_TERM_SLOT], 0.0
+)
+_ENTRY_OF = np.zeros((4, 4), dtype=int)  # entry of sigma[i, j], flattened
+_ENTRY_OF[_ENTRY_I, _ENTRY_J] = _ENTRY_OF[_ENTRY_J, _ENTRY_I] = np.arange(10)
+_ENTRY_OF = _ENTRY_OF.ravel()
+
+
+def _lab_map(
+    basis: NormalModeBasis, sys: SystemParams
+) -> tuple[np.ndarray, np.ndarray]:
+    # sigma = D rot^T S rot D, D = diag(scale), is linear in R: sigma[i, j] =
+    # D_i (sum_k R_k map[k, i, j]) D_j, where map[k] = rot^T unpack(e_k) rot
+    # = h_k (r_a r_b^T + r_b r_a^T), with r_a row a of rot, is the image of
+    # the unit vector e_k.  Returns the (4, 10, points) factors of the terms
+    # above and the (4, points) scale: one point, or one per point of a stack.
+    r = np.swapaxes(_mode_rotation(basis), -1, -2).reshape(-1, 16).T
+    i, j = 4 * _ENTRY_I, 4 * _ENTRY_J  # rot[a, i] is in row 4 i + a of r
+    a, b = _SLOT_A[_TERM_SLOT], _SLOT_B[_TERM_SLOT]
+    factors = _TERM_HALF[..., None] * (r[i + a] * r[j + b] + r[i + b] * r[j + a])
+    return factors, _shot_noise_scale(sys).reshape(-1, 4).T
+
+
 def lab_covariances(
     second: np.ndarray, basis: NormalModeBasis, sys: SystemParams
 ) -> np.ndarray:
@@ -210,14 +250,23 @@ def lab_covariances(
     ``second`` (``(n, 10)``) holds the mode second moments of zero-mean
     states, which are their covariances.  ``basis`` and ``sys`` are one
     point for every sample, or stacked ``(n,)`` with one point per sample.
-    Returns the ``(n, 4, 4)`` covariances, checked symmetric to 1e-12
-    relative and symmetrised.
+    ``sigma = scale rot^T S rot scale`` is linear in the moments: one map
+    per point, whose rows are the images of the ten unit moment vectors.
+    The rotation never mixes positions with momenta, so each of sigma's ten
+    distinct entries reads three or four moments.  Their terms are summed
+    elementwise over the samples in a fixed order and scaled last, so a
+    sample's covariance has the same bits in a block of any size and for
+    one point or a stack of equal points, which a matrix product over the
+    samples (its rounding depends on their number) would not give.  Returns
+    the ``(n, 4, 4)`` covariances, checked symmetric to 1e-12 relative and
+    symmetrised.
     """
     second = np.asarray(second, dtype=float)
-    rotation, scale = _mode_rotation(basis), _shot_noise_scale(sys)
-    cov = unpack_moments(second)
-    sigma = scale @ (np.swapaxes(rotation, -1, -2) @ cov @ rotation) @ scale
-    return _symmetrised(sigma)
+    factors, scale = _lab_map(basis, sys)
+    terms = second.T[_TERM_SLOT] * factors
+    rotated = terms[0] + terms[1] + terms[2] + terms[3]
+    entries = scale[_ENTRY_I] * rotated * scale[_ENTRY_J]
+    return _symmetrised(entries[_ENTRY_OF].T.reshape(-1, 4, 4))
 
 
 def to_lab_covariance(
@@ -228,11 +277,6 @@ def to_lab_covariance(
         sigma=lab_covariances(state.second_moments[None], basis, sys)[0]
     )
 
-
-# The partial transpose F sigma F = (F L)(F L)^T, so L^T (F Omega F) L
-# carries its symplectic eigenvalues as L^T Omega L carries sigma's.
-_FLIP = np.diag([1.0, 1.0, 1.0, -1.0])
-_OMEGAS = np.stack([OMEGA_SYMP, _FLIP @ OMEGA_SYMP @ _FLIP])
 
 MEASURES = ("mutualInfo", "discord", "logNegativity", "nuMin")
 _ENTROPY_FLOOR = 1.0 - 1e-6
@@ -268,42 +312,53 @@ class GaussianMeasures:
         return sorted(set().union(*self.failures.values()))
 
 
-def _cholesky(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Lower Cholesky factors of a stack of 4x4 matrices, column by column,
-    # and which matrices are positive definite.  np.linalg.cholesky fails
-    # the whole stack on one such matrix; here it gets the identity factor.
-    ok = np.all(np.isfinite(sigma), axis=(1, 2))
-    a = np.where(ok[:, None, None], sigma, np.eye(4))
+_EYE = np.eye(4)[:, :, None]  # the identity as (4, 4, 1) components
+
+
+def _cholesky(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Lower Cholesky factors l[i, j] of a stack of 4x4 matrices, given and
+    # returned as (4, 4, n) components, and which matrices are positive
+    # definite.  np.linalg.cholesky fails the whole stack on one such
+    # matrix; here it gets the identity factor.
+    ok = np.isfinite(s).all(axis=(0, 1))
+    a = np.where(ok, s, _EYE)
     low = np.zeros_like(a)
     for j in range(4):
-        pivot = a[:, j, j] - np.einsum("nk,nk->n", low[:, j, :j], low[:, j, :j])
+        pivot = a[j, j] - (low[j, :j] * low[j, :j]).sum(axis=0)
         ok &= pivot > 0.0
-        low[:, j, j] = np.sqrt(np.where(ok, pivot, 1.0))
-        low[:, j + 1 :, j] = (
-            a[:, j + 1 :, j]
-            - np.einsum("nik,nk->ni", low[:, j + 1 :, :j], low[:, j, :j])
-        ) / low[:, j, j, None]
-    low[~ok] = np.eye(4)
+        low[j, j] = np.sqrt(np.where(ok, pivot, 1.0))
+        for i in range(j + 1, 4):
+            low[i, j] = (a[i, j] - (low[i, :j] * low[j, :j]).sum(axis=0)) / low[j, j]
+    low[..., ~ok] = _EYE
     return low, ok
 
 
-def _symplectic_pair(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The eigenvalues of a real antisymmetric 4x4 K are +-i(|a| -+ |b|)/2,
-    # with a and b its self-dual and anti-self-dual halves; returns the
-    # smaller and the larger modulus.  hypot keeps |K| up to ~1e308 finite.
-    k01, k02, k03 = k[..., 0, 1], k[..., 0, 2], k[..., 0, 3]
-    k12, k13, k23 = k[..., 1, 2], k[..., 1, 3], k[..., 2, 3]
+def _symplectic_pair(k01, k02, k03, k12, k13, k23) -> tuple[np.ndarray, np.ndarray]:
+    # The eigenvalues of a real antisymmetric 4x4 K, given by its entries
+    # above the diagonal, are +-i(|a| -+ |b|)/2, with a and b its self-dual
+    # and anti-self-dual halves; returns the smaller and the larger modulus.
+    # hypot keeps |K| up to ~1e308 finite.
     a = np.hypot(np.hypot(k01 + k23, k02 - k13), k03 + k12)
     b = np.hypot(np.hypot(k01 - k23, k02 + k13), k03 - k12)
     return 0.5 * np.abs(a - b), 0.5 * (a + b)
 
 
-_J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
-def _adjugate(m: np.ndarray) -> np.ndarray:
-    # adj(M) = J M^T J^T for a stack of 2x2 matrices
-    return _J2 @ np.swapaxes(m, -1, -2) @ _J2.T
+def _symplectic_invariants(low: np.ndarray) -> tuple[np.ndarray, ...]:
+    # nu1, nu2 of sigma = L L^T and nu~1 of its partial transpose.  K = L^T
+    # Omega L = P + Q with P_ij = L0i L1j - L1i L0j and Q_ij = L2i L3j - L3i
+    # L2j, the 2x2 minors of L's row pairs (Omega = J + J, block-diagonal).
+    # The partial transpose F sigma F = (F L)(F L)^T, F = diag(1, 1, 1, -1),
+    # flips the sign of Q: K~ = P - Q.  L is lower triangular, so P's only
+    # entry is P01 and the products with L's zeros drop out.
+    (l00, _, _, _), (l10, l11, _, _), (l20, l21, l22, _), (l30, l31, l32, l33) = low
+    p01 = l00 * l11
+    q01 = l20 * l31 - l30 * l21
+    q02 = l20 * l32 - l30 * l22
+    q12 = l21 * l32 - l31 * l22
+    q03, q13, q23 = l20 * l33, l21 * l33, l22 * l33
+    nu1, nu2 = _symplectic_pair(p01 + q01, q02, q03, q12, q13, q23)
+    nu_pt = _symplectic_pair(p01 - q01, -q02, -q03, -q12, -q13, -q23)[0]
+    return nu1, nu2, nu_pt
 
 
 def _d_minus_a(s, a, c, d, u) -> np.ndarray:
@@ -312,12 +367,22 @@ def _d_minus_a(s, a, c, d, u) -> np.ndarray:
     # gamma) for sigma = [[alpha, gamma], [gamma^T, beta]], with round-off
     # ~eps times the size of its terms; whichever is smaller.  The discord
     # divides D - A by B - 1, which vanishes for a pure measured mode while
-    # the round-off of det(sigma) does not.
-    alpha, beta, gamma = s[:, :2, :2], s[:, 2:, 2:], s[:, :2, 2:]
-    left = _adjugate(beta) @ np.swapaxes(gamma, -1, -2)
-    right = _adjugate(alpha) @ gamma
-    trace = np.einsum("nij,nji->n", left, right)
-    size = np.einsum("nij,nji->n", np.abs(left), np.abs(right))
+    # the round-off of det(sigma) does not.  ``s`` holds sigma's (4, 4, n)
+    # components; adj([[x, y], [y, z]]) = [[z, -y], [-y, x]].
+    left = (  # adj(beta) gamma^T
+        s[3, 3] * s[0, 2] - s[2, 3] * s[0, 3],
+        s[3, 3] * s[1, 2] - s[2, 3] * s[1, 3],
+        s[2, 2] * s[0, 3] - s[2, 3] * s[0, 2],
+        s[2, 2] * s[1, 3] - s[2, 3] * s[1, 2],
+    )
+    right = (  # adj(alpha) gamma, transposed to pair with left
+        s[1, 1] * s[0, 2] - s[0, 1] * s[1, 2],
+        s[0, 0] * s[1, 2] - s[0, 1] * s[0, 2],
+        s[1, 1] * s[0, 3] - s[0, 1] * s[1, 3],
+        s[0, 0] * s[1, 3] - s[0, 1] * s[0, 3],
+    )
+    trace = sum(x * y for x, y in zip(left, right))
+    size = sum(np.abs(x) * np.abs(y) for x, y in zip(left, right))
     return np.where(
         np.abs(d) + np.abs(a) <= c * c + size + np.abs(a * u),
         d - a,
@@ -355,6 +420,8 @@ def _emin(s, a, b, c, d) -> np.ndarray:
     u = b - 1.0
     d_minus_a = _d_minus_a(s, a, c, d, u)
     e_min, finite = _emin_terms(a, b, c, d, u, d_minus_a, 0)
+    if finite.all():
+        return e_min
     size = np.max(np.abs([a, b, c, np.sqrt(np.abs(d))]), axis=0)
     k = np.where(finite, 0, (np.frexp(size)[1] + 1) // 2)
     return _emin_terms(a, b, c, d, u, d_minus_a, k)[0]
@@ -402,7 +469,12 @@ def gaussian_measures(sigma: np.ndarray) -> GaussianMeasures:
     where ``a = (k01 + k23, k02 - k13, k03 + k12)`` and ``b = (k01 - k23,
     k02 + k13, k03 - k12)`` are its self-dual and anti-self-dual halves, so
     ``nu2 = (|a| + |b|)/2`` and ``nu1 = ||a| - |b||/2``; ``nu~1`` is the
-    same for ``L^T (F Omega F) L``.  This is not the invariant shortcut
+    same for ``L^T (F Omega F) L``.  Both come from the 2x2 minors of L's
+    row pairs: ``K = P + Q`` and ``L^T (F Omega F) L = P - Q`` with ``P_ij
+    = L0i L1j - L1i L0j`` and ``Q_ij = L2i L3j - L3i L2j``, since ``F =
+    diag(1, 1, 1, -1)`` flips the second block of ``Omega``.  Every step is
+    elementwise over the samples' ``(n,)`` components; only ``D`` is a
+    stacked LAPACK call.  This is not the invariant shortcut
     ``nu^2 = (Delta +- sqrt(Delta^2 - 4 D))/2``, which subtracts under a
     root and loses half the digits where ``nu1 = nu2``: ``|a|`` and ``|b|``
     are norms (``hypot``), so the error is about ``eps nu2``, as from an
@@ -431,19 +503,18 @@ def gaussian_measures(sigma: np.ndarray) -> GaussianMeasures:
     from about 1e154).  ``B = 1`` with ``|C| < 1e-15`` has zero discord.
     """
     sigma = np.asarray(sigma, dtype=float)
-    low, pd = _cholesky(sigma)
-    s = np.where(pd[:, None, None], sigma, np.eye(4))
-    small, large = _symplectic_pair(
-        np.swapaxes(low, -1, -2)[:, None] @ _OMEGAS @ low[:, None]
-    )
-    nu1, nu2, nu_pt = small[:, 0], large[:, 0], small[:, 1]
     # A covariance too large for float64 overflows here; the checks below
     # turn each non-finite value into a failure.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        a = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
-        b = s[:, 2, 2] * s[:, 3, 3] - s[:, 2, 3] * s[:, 3, 2]
-        c = s[:, 0, 2] * s[:, 1, 3] - s[:, 0, 3] * s[:, 1, 2]
-        d = np.linalg.det(s)
+        # sigma's components s[i, j], each a contiguous (n,) array
+        s = np.ascontiguousarray(np.moveaxis(sigma, 0, -1))
+        low, pd = _cholesky(s)
+        nu1, nu2, nu_pt = _symplectic_invariants(low)
+        s = np.where(pd, s, _EYE)
+        d = np.linalg.det(np.moveaxis(s, -1, 0))
+        a = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
+        b = s[2, 2] * s[3, 3] - s[2, 3] * s[3, 2]
+        c = s[0, 2] * s[1, 3] - s[0, 3] * s[1, 2]
         nu_a = np.sqrt(np.maximum(a, 0.0))
         nu_b = np.sqrt(np.maximum(b, 0.0))
 

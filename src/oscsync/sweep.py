@@ -114,6 +114,15 @@ class SweepGrid:
             raise DomainError(f"t_eval must be positive and finite, got {self.t_eval}")
         if not np.all(np.isfinite(self.omega2_values + self.lambda_values)):
             raise DomainError("sweep axis values must be finite")
+        # a cell the sweep measures needs a finite Omega+^2, as a point does
+        omega1 = self.system.omega1
+        omega2, lam = np.meshgrid(self.omega2_values, self.lambda_values, indexing="ij")
+        with np.errstate(over="ignore", invalid="ignore"):
+            om_plus_sq = _mode_squares(omega1, omega2, lam)[2]
+        overflow = (np.abs(lam) < omega1 * omega2) & ~np.isfinite(om_plus_sq)
+        if overflow.any():
+            j = np.flatnonzero(overflow)[0]
+            SystemParams(omega1, omega2.flat[j], lam.flat[j])  # raises the overflow
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,7 +375,8 @@ def run_sweep(
     omega2, lams = (a.ravel() for a in axes)
     omega1 = grid.system.omega1
     skipped = np.abs(lams) >= omega1 * omega2
-    _, om_minus_sq, _ = _mode_squares(omega1, omega2, lams)
+    with np.errstate(over="ignore", invalid="ignore"):  # only skipped cells overflow
+        _, om_minus_sq, _ = _mode_squares(omega1, omega2, lams)
     live = ~skipped & (om_minus_sq > 0)
     status = np.where(live, "ok", np.where(skipped, "skipped", "error"))
     message = np.where(skipped, _SKIPPED, "").astype(object)

@@ -623,6 +623,20 @@ class TestSweepCommand:
         )
         assert not out.exists()
 
+    def test_overflowing_axis_exits_2(self, tmp_path, capsys):
+        # as simulate --omega2 1e200 does, with one line and no file
+        cfg = _config(tmp_path, "sweep_omega2 = 1.2:1e200:1e200\nmetrics = eigRatio\n")
+        out = tmp_path / "out"
+        assert _run(["sweep", "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: oscillator frequencies must be positive and finite, got"
+            " omega1=1.0, omega2=1e+200: Omega+^2 overflows float64\n"
+        )
+        assert not out.exists()
+        assert _run(["simulate", "--omega2", "1e200", "--out", tmp_path / "sim"]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("omega2=1e+200: Omega+^2 overflows float64\n")
+
     @pytest.mark.parametrize(
         "settings, setting",
         [

@@ -99,6 +99,23 @@ class TestGrid:
         with pytest.raises(DomainError, match="finite"):
             _tiny_grid(omega2=omega2, lam=lam)
 
+    def test_overflowing_axis_rejected_with_the_point_message(self):
+        # Omega+^2 of omega2 = 1e200 overflows: the grid is rejected as the
+        # point itself is, not measured as a cell with Omega-^2 = nan
+        with pytest.raises(DomainError) as alone:
+            SystemParams(1.0, 1e200, 0.3)
+        with pytest.raises(DomainError) as grid:
+            _tiny_grid(omega2=(1.2, 1e200), lam=(0.3,))
+        assert str(grid.value) == str(alone.value)
+        assert str(grid.value).endswith("Omega+^2 overflows float64")
+
+    def test_overflowing_coupling_of_a_skipped_cell_is_accepted(self):
+        # |lambda| >= omega1 omega2 skips the cell, so its overflowing mode
+        # frequencies are never read, and raise no floating-point warning
+        grid = _tiny_grid(omega2=(1.2,), lam=(0.3, 1e308), metrics=("eigRatio",))
+        res = run_sweep(grid, SQ)
+        assert res.status.tolist() == ["ok", "skipped"]
+
 
 def _same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
