@@ -200,8 +200,8 @@ def _symmetrised(sigma: np.ndarray) -> np.ndarray:
 # Slot k of R sits at (a, b) = (_SLOT_A[k], _SLOT_B[k]), a <= b, and at its
 # mirror: unpack(e_k) = _SLOT_HALF[k] (E_ab + E_ba), where a diagonal slot
 # counts its one entry twice.
-_UPPER = np.triu_indices(4)
-_SLOT_A, _SLOT_B = (i[np.argsort(MODE_SLOT[_UPPER])] for i in _UPPER)
+_UPPER = [(a, b) for a in range(4) for b in range(a, 4)]
+_SLOT_A, _SLOT_B = np.array(sorted(_UPPER, key=lambda ab: MODE_SLOT[ab])).T
 _SLOT_HALF = np.where(_SLOT_A == _SLOT_B, 0.5, MODE_WEIGHT[_SLOT_A, _SLOT_B])
 
 
@@ -216,7 +216,7 @@ def _reads(i: int, j: int) -> list:
 # sigma's ten entries (i, j), i <= j; term r of entry e reads slot
 # _TERM_SLOT[r, e] with factor _TERM_HALF[r, e].  An entry of three slots
 # has a fourth term of factor 0, its first slot again.
-_ENTRY_I, _ENTRY_J = _UPPER
+_ENTRY_I, _ENTRY_J = np.array(_UPPER).T
 _TERMS = [_reads(i, j) for i, j in zip(_ENTRY_I, _ENTRY_J)]
 _TERM_SLOT = np.array([(k + k)[:4] for k in _TERMS]).T
 _TERM_HALF = np.where(
