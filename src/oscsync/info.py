@@ -199,7 +199,8 @@ def _symmetrised(sigma: np.ndarray) -> np.ndarray:
 
 # Slot k of R sits at (a, b) = (_SLOT_A[k], _SLOT_B[k]), a <= b, and at its
 # mirror: unpack(e_k) = _SLOT_HALF[k] (E_ab + E_ba), where a diagonal slot
-# counts its one entry twice.
+# counts its one entry twice.  Built in Python: a first np.argsort pages in
+# about 0.4 MB of numpy code that no run needs.
 _UPPER = [(a, b) for a in range(4) for b in range(a, 4)]
 _SLOT_A, _SLOT_B = np.array(sorted(_UPPER, key=lambda ab: MODE_SLOT[ab])).T
 _SLOT_HALF = np.where(_SLOT_A == _SLOT_B, 0.5, MODE_WEIGHT[_SLOT_A, _SLOT_B])
