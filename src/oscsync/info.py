@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
+    IDX_PP,
+    IDX_XP,
     IDX_XX,
-    MODE_SLOT,
-    MODE_WEIGHT,
     MomentState,
     Trajectory,
     pack_moments,
@@ -197,50 +197,30 @@ def _symmetrised(sigma: np.ndarray) -> np.ndarray:
     return 0.5 * (sigma + sigma_t)
 
 
-# Slot k of R sits at (a, b) = (_SLOT_A[k], _SLOT_B[k]), a <= b, and at its
-# mirror: unpack(e_k) = _SLOT_HALF[k] (E_ab + E_ba), where a diagonal slot
-# counts its one entry twice.  Built in Python: a first np.argsort pages in
-# about 0.4 MB of numpy code that no run needs.
-_UPPER = [(a, b) for a in range(4) for b in range(a, 4)]
-_SLOT_A, _SLOT_B = np.array(sorted(_UPPER, key=lambda ab: MODE_SLOT[ab])).T
-_SLOT_HALF = np.where(_SLOT_A == _SLOT_B, 0.5, MODE_WEIGHT[_SLOT_A, _SLOT_B])
-
-
-def _reads(i: int, j: int) -> list:
-    # The slots sigma[i, j] depends on: the mode rotation maps positions to
-    # positions and momenta to momenta, so those whose (a, b) are of the
-    # kinds of (i, j); three for a position or a momentum pair, four else.
-    kinds = sorted([i % 2, j % 2])
-    return [k for k in range(10) if sorted([_SLOT_A[k] % 2, _SLOT_B[k] % 2]) == kinds]
-
-
-# sigma's ten entries (i, j), i <= j; term r of entry e reads slot
-# _TERM_SLOT[r, e] with factor _TERM_HALF[r, e].  An entry of three slots
-# has a fourth term of factor 0, its first slot again.
-_ENTRY_I, _ENTRY_J = np.array(_UPPER).T
-_TERMS = [_reads(i, j) for i, j in zip(_ENTRY_I, _ENTRY_J)]
-_TERM_SLOT = np.array([(k + k)[:4] for k in _TERMS]).T
-_TERM_HALF = np.where(
-    np.arange(4)[:, None] < [len(k) for k in _TERMS], _SLOT_HALF[_TERM_SLOT], 0.0
+# sigma's three 2x2 blocks, with their lab rows and columns in (q1, p1, q2,
+# p2) and the moments of their mode entries (0, 0), (0, 1), (1, 0), (1, 1):
+# positions, momenta, and positions with momenta, whose <X P> slots hold
+# twice the symmetrised covariance.
+_X, _P = (0, 2), (1, 3)
+_BLOCKS = (
+    (_X, _X, [IDX_XX[ij] for ij in [(0, 0), (0, 1), (0, 1), (1, 1)]], 1.0),
+    (_P, _P, [IDX_PP[ij] for ij in [(0, 0), (0, 1), (0, 1), (1, 1)]], 1.0),
+    (_X, _P, [IDX_XP[ij] for ij in [(0, 0), (0, 1), (1, 0), (1, 1)]], 0.5),
 )
-_ENTRY_OF = np.zeros((4, 4), dtype=int)  # entry of sigma[i, j], flattened
-_ENTRY_OF[_ENTRY_I, _ENTRY_J] = _ENTRY_OF[_ENTRY_J, _ENTRY_I] = np.arange(10)
-_ENTRY_OF = _ENTRY_OF.ravel()
 
 
-def _lab_map(
-    basis: NormalModeBasis, sys: SystemParams
-) -> tuple[np.ndarray, np.ndarray]:
-    # sigma = D rot^T S rot D, D = diag(scale), is linear in R: sigma[i, j] =
-    # D_i (sum_k R_k map[k, i, j]) D_j, where map[k] = rot^T unpack(e_k) rot
-    # = h_k (r_a r_b^T + r_b r_a^T), with r_a row a of rot, is the image of
-    # the unit vector e_k.  Returns the (4, 10, points) factors of the terms
-    # above and the (4, points) scale: one point, or one per point of a stack.
-    r = np.swapaxes(_mode_rotation(basis), -1, -2).reshape(-1, 16).T
-    i, j = 4 * _ENTRY_I, 4 * _ENTRY_J  # rot[a, i] is in row 4 i + a of r
-    a, b = _SLOT_A[_TERM_SLOT], _SLOT_B[_TERM_SLOT]
-    factors = _TERM_HALF[..., None] * (r[i + a] * r[j + b] + r[i + b] * r[j + a])
-    return factors, _shot_noise_scale(sys).reshape(-1, 4).T
+def _rotated(c, s, m00, m01, m10, m11) -> tuple:
+    # r^T m r, entries (0, 0), (0, 1), (1, 0), (1, 1), for r = [[c, -s], [s,
+    # c]], which takes (x1, x2) to (X-, X+) and (p1, p2) to (P-, P+): the
+    # 2x2 form of _mode_rotation.  The rows of r^T m first, then times r.
+    t00, t01 = c * m00 + s * m10, c * m01 + s * m11
+    t10, t11 = c * m10 - s * m00, c * m11 - s * m01
+    return (
+        t00 * c + t01 * s,
+        t01 * c - t00 * s,
+        t10 * c + t11 * s,
+        t11 * c - t10 * s,
+    )
 
 
 def lab_covariances(
@@ -251,23 +231,27 @@ def lab_covariances(
     ``second`` (``(n, 10)``) holds the mode second moments of zero-mean
     states, which are their covariances.  ``basis`` and ``sys`` are one
     point for every sample, or stacked ``(n,)`` with one point per sample.
-    ``sigma = scale rot^T S rot scale`` is linear in the moments: one map
-    per point, whose rows are the images of the ten unit moment vectors.
-    The rotation never mixes positions with momenta, so each of sigma's ten
-    distinct entries reads three or four moments.  Their terms are summed
-    elementwise over the samples in a fixed order and scaled last, so a
-    sample's covariance has the same bits in a block of any size and for
-    one point or a stack of equal points, which a matrix product over the
-    samples (its rounding depends on their number) would not give.  Returns
-    the ``(n, 4, 4)`` covariances, checked symmetric to 1e-12 relative and
-    symmetrised.
+    ``sigma = scale rot^T S rot scale`` is linear in the moments, and the
+    mode rotation is the same 2x2 rotation on positions and on momenta, so
+    sigma's position, momentum and position-momentum blocks are each that
+    rotation's congruence of the matching block of ``S``, times the scales
+    of their rows and columns.  Every step is elementwise over the samples
+    in a fixed order, so a sample's covariance has the same bits in a block
+    of any size and for one point or a stack of equal points, which a
+    matrix product over the samples (its rounding depends on their number)
+    would not give.  Returns the ``(n, 4, 4)`` covariances, checked
+    symmetric to 1e-12 relative and symmetrised.
     """
-    second = np.asarray(second, dtype=float)
-    factors, scale = _lab_map(basis, sys)
-    terms = second.T[_TERM_SLOT] * factors
-    rotated = terms[0] + terms[1] + terms[2] + terms[3]
-    entries = scale[_ENTRY_I] * rotated * scale[_ENTRY_J]
-    return _symmetrised(entries[_ENTRY_OF].T.reshape(-1, 4, 4))
+    moments = np.ascontiguousarray(np.asarray(second, dtype=float).T)
+    scale = _shot_noise_scale(sys).T
+    s = np.empty((4, 4, moments.shape[1]))  # sigma's components s[a, b]
+    for rows, cols, slots, weight in _BLOCKS:
+        block = _rotated(basis.c, basis.s, *(weight * moments[k] for k in slots))
+        for (i, j), entry in zip([(0, 0), (0, 1), (1, 0), (1, 1)], block):
+            a, b = rows[i], cols[j]
+            s[a, b] = scale[a] * entry * scale[b]
+    s[1::2, ::2] = np.swapaxes(s[::2, 1::2], 0, 1)  # momenta with positions
+    return _symmetrised(np.moveaxis(s, -1, 0))
 
 
 def to_lab_covariance(

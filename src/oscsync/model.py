@@ -80,10 +80,7 @@ class SystemParams:
         with np.errstate(over="ignore", invalid="ignore"):
             om_plus_sq = _mode_squares(*fields)[2]
         if not np.all(np.isfinite(om_plus_sq)):
-            raise DomainError(
-                f"oscillator frequencies must be positive and finite, got omega1="
-                f"{self.omega1}, omega2={self.omega2}: Omega+^2 overflows float64"
-            )
+            raise DomainError(_OVERFLOWS.format(self.omega1, self.omega2))
 
 
 @dataclass(frozen=True)
@@ -182,6 +179,10 @@ def _mode_squares(omega1, omega2, lam):
 
 
 _NOT_ATTRACTIVE = "potential not attractive: Omega-^2 = {} <= 0"
+_OVERFLOWS = (
+    "oscillator frequencies must be positive and finite, got omega1={},"
+    " omega2={}: Omega+^2 overflows float64"
+)
 
 
 def diagonalize(sys: SystemParams) -> NormalModeBasis:

@@ -60,6 +60,7 @@ from .model import (
     NormalModeBasis,
     SystemParams,
     _NOT_ATTRACTIVE,
+    _OVERFLOWS,
     _mode_squares,
     diagonalize,
     dissipation_coefficients,
@@ -115,14 +116,25 @@ class SweepGrid:
         if not np.all(np.isfinite(self.omega2_values + self.lambda_values)):
             raise DomainError("sweep axis values must be finite")
         # a cell the sweep measures needs a finite Omega+^2, as a point does
-        omega1 = self.system.omega1
-        omega2, lam = np.meshgrid(self.omega2_values, self.lambda_values, indexing="ij")
-        with np.errstate(over="ignore", invalid="ignore"):
-            om_plus_sq = _mode_squares(omega1, omega2, lam)[2]
-        overflow = (np.abs(lam) < omega1 * omega2) & ~np.isfinite(om_plus_sq)
+        omega2, _, skipped, _, om_plus_sq = self._cells()
+        overflow = ~skipped & ~np.isfinite(om_plus_sq)
         if overflow.any():
-            j = np.flatnonzero(overflow)[0]
-            SystemParams(omega1, omega2.flat[j], lam.flat[j])  # raises the overflow
+            raise DomainError(
+                _OVERFLOWS.format(self.system.omega1, omega2[overflow][0].item())
+            )
+
+    def _cells(self) -> tuple[np.ndarray, ...]:
+        # The cells, omega2-major: omega2, lambda, which are skipped (no
+        # attractive potential at |lambda| >= omega1 omega2), and the mode
+        # squares Omega-^2, Omega+^2.  Those of a skipped cell may overflow;
+        # the grid rejects any other that does.
+        axes = np.meshgrid(self.omega2_values, self.lambda_values, indexing="ij")
+        omega2, lams = (a.ravel() for a in axes)
+        omega1 = self.system.omega1
+        skipped = np.abs(lams) >= omega1 * omega2
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, om_minus_sq, om_plus_sq = _mode_squares(omega1, omega2, lams)
+        return omega2, lams, skipped, om_minus_sq, om_plus_sq
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,12 +383,7 @@ def run_sweep(
     if sync:
         _check_window_grid(grid.t_eval, k_eval, w, dt_out)
 
-    axes = np.meshgrid(grid.omega2_values, grid.lambda_values, indexing="ij")
-    omega2, lams = (a.ravel() for a in axes)
-    omega1 = grid.system.omega1
-    skipped = np.abs(lams) >= omega1 * omega2
-    with np.errstate(over="ignore", invalid="ignore"):  # only skipped cells overflow
-        _, om_minus_sq, _ = _mode_squares(omega1, omega2, lams)
+    omega2, lams, skipped, om_minus_sq, _ = grid._cells()
     live = ~skipped & (om_minus_sq > 0)
     status = np.where(live, "ok", np.where(skipped, "skipped", "error"))
     message = np.where(skipped, _SKIPPED, "").astype(object)
