@@ -48,6 +48,7 @@ from .sweep import (
     PointRun,
     SweepGrid,
     _set_up,
+    _formatted,
     _write_csv,
     _write_json,
     run_point,
@@ -170,7 +171,9 @@ def _parse_axis(key: str, text: str) -> tuple:
         values = np.arange(start, stop + 1e-9 * step, step)
     except ValueError as exc:  # too many values to allocate an index for
         raise DomainError(f"config key '{key}' range {text!r}: {exc}") from exc
-    return tuple(np.round(values, 12))
+    small = np.abs(values) < 2.0**52  # larger floats are whole; v * 1e12 may overflow
+    values[small] = np.round(values[small], 12)
+    return tuple(values)
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -269,22 +272,22 @@ def cmd_simulate(cfg: RunConfig) -> list:
     manifest_path = os.path.join(out, "manifest.json")
 
     r = traj.second_moments
-    zero = np.zeros(len(traj.times))  # the means of a zero-mean state
+    t = _formatted(traj.times)
     _write_csv(
         traj_path,
         "t [1/omega1]; mode moments <Xi Xj>, <Pi Pj>, <{Xi,Pj}> and means"
         " (m=minus, p=plus mode) in natural units; x1sq_sn/x2sq_sn are lab"
         " position variances in shot-noise units",
         _TRAJ_HEADER,
-        [traj.times] + [r[:, k] for k in range(10)]
-        + [zero] * 4 + [run.x1, run.x2],
+        [t] + [r[:, k] for k in range(10)]
+        + ["0"] * 4 + [run.x1, run.x2],  # the means of a zero-mean state
     )
     _write_csv(
         info_path,
         "t [1/omega1]; mutualInfo/discord [nats], logNegativity [log-units],"
         " nuMin [shot noise]",
         ["t", *MEASURES],
-        [traj.times] + [run.measures.series[name] for name in MEASURES],
+        [t] + [run.measures.series[name] for name in MEASURES],
     )
     _write_csv(
         sync_path,
@@ -292,7 +295,7 @@ def cmd_simulate(cfg: RunConfig) -> list:
         " its Gaussian-smoothed envelope; empty fields mark constant-window"
         " gaps",
         ["t", "C", "Csmooth"],
-        [sync.times, sync.C, smooth.C],
+        [t[: len(sync.times)], sync.C, smooth.C],
     )
     basis = run.basis
     manifest = {
@@ -386,6 +389,9 @@ def cmd_compare_rwa(cfg: RunConfig) -> list:
         for backend in (Backend.FULL, Backend.RWA)
     }
 
+    full, rwa = runs["full"], runs["rwa"]
+    assert np.array_equal(full.traj.times, rwa.traj.times)
+    t = _formatted(full.traj.times)
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     paths = []
@@ -396,17 +402,16 @@ def cmd_compare_rwa(cfg: RunConfig) -> list:
             sync_path,
             "t [1/omega1]; windowed indicator C, " + name + " backend",
             ["t", "C"],
-            [run.sync.times, run.sync.C],
+            [t[: len(run.sync.times)], run.sync.C],
         )
         _write_csv(
             info_path,
             "t [1/omega1]; information measures, " + name + " backend",
             ["t", *MEASURES],
-            [run.traj.times] + [run.measures.series[name] for name in MEASURES],
+            [t] + [run.measures.series[name] for name in MEASURES],
         )
         paths.extend([sync_path, info_path])
 
-    full, rwa = runs["full"], runs["rwa"]
     c_f, c_r = full.sync.C, rwa.sync.C
     both = np.isfinite(c_f) & np.isfinite(c_r)
     max_sync_dev = float(np.max(np.abs(c_f[both] - c_r[both]))) if both.any() else math.nan

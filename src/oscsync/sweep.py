@@ -433,23 +433,32 @@ def run_sweep(
 _CSV_BLOCK_ROWS = 1024
 
 
+def _formatted(values: np.ndarray) -> list:
+    """The fields :func:`_write_csv` prints for NaN-free ``values``."""
+    return ["%.17g" % v for v in values.tolist()]
+
+
 def _write_csv(path, comment: str, header: list, columns: list) -> None:
     """A ``# comment`` line, the header, and one row per index of the columns.
 
-    Numbers print with 17 significant digits and NaN as an empty field; a
-    column of str prints as it is and must not contain "nan".  Rows are
-    formatted a block at a time, one template per block, to bound memory.
+    A column is an array of numbers (17 significant digits, NaN as an empty
+    field), a list of str such as :func:`_formatted` makes, or a str, the
+    field of every row; no str may contain "nan".  Rows are formatted a block
+    at a time to bound memory, and NaN blanked only if a number column has one.
     """
-    columns = [np.asarray(c) for c in columns]
-    row = ",".join("%s" if c.dtype.kind == "U" else "%.17g" for c in columns) + "\n"
+    row = ",".join(c.replace("%", "%%") if isinstance(c, str) else
+                   "%s" if isinstance(c, list) else "%.17g" for c in columns) + "\n"
+    varying = [c for c in columns if not isinstance(c, str)]
+    blank = any(np.isnan(c).any() for c in varying if not isinstance(c, list))
     with open(path, "w") as fh:
         fh.write("# " + comment + "\n" + ",".join(header) + "\n")
-        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            block = [c[start : start + _CSV_BLOCK_ROWS].tolist() for c in columns]
-            values = tuple(itertools.chain.from_iterable(zip(*block)))
+        for start in range(0, len(varying[0]), _CSV_BLOCK_ROWS):
+            block = [c[start : start + _CSV_BLOCK_ROWS] for c in varying]
+            block = [b if isinstance(b, list) else b.tolist() for b in block]
+            text = (row * len(block[0])) % tuple(itertools.chain.from_iterable(zip(*block)))
             # Python prints every NaN as "nan", and %.17g prints no other
             # number with those letters
-            fh.write(((row * len(block[0])) % values).replace("nan", ""))
+            fh.write(text.replace("nan", "") if blank else text)
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
@@ -459,7 +468,8 @@ def write_sweep_csv(result: SweepResult, path) -> None:
         "omega2 [omega1], lambda [omega1^2], syncAbs [-], discord [nats],"
         " mutualInfo [nats], eigRatio [-], status",
         ["omega2", "lambda", "syncAbs", "discord", "mutualInfo", "eigRatio", "status"],
-        [result.omega2, result.lam, *(result.values[m] for m in METRICS), result.status],
+        [result.omega2, result.lam, *(result.values[m] for m in METRICS),
+         result.status.tolist()],
     )
 
 

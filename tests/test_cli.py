@@ -10,9 +10,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oscsync import cli
 from oscsync import sweep as sweep_mod
+from oscsync.errors import DomainError
 from oscsync.sweep import default_grid
 
 
@@ -24,6 +27,19 @@ def _config(tmp_path, text):
     path = tmp_path / "run.cfg"
     path.write_text(text)
     return path
+
+
+_EDGES = [0.0, 5e-324, 1e-308, 1e300, 1.7e308, math.inf, math.nan]
+_AXIS_VALUES = st.sampled_from(_EDGES + [-v for v in _EDGES]) | st.floats(-10.0, 10.0)
+
+
+@st.composite
+def _axis_text(draw):
+    # a start:stop:step range of edge values, with at most about 64 points
+    start, step = draw(_AXIS_VALUES), draw(_AXIS_VALUES)
+    stop = draw(_AXIS_VALUES | st.integers(0, 3).map(lambda k: start + k * step))
+    assume(not (step and (stop - start) / step > 64))
+    return f"{start!r}:{stop!r}:{step!r}"
 
 
 def _read_csv(path):
@@ -637,6 +653,43 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.endswith("omega2=1e+200: Omega+^2 overflows float64\n")
 
+    def test_omega2_axis_near_the_float_maximum_exits_2(self, tmp_path, capsys):
+        # decoding the axis raises no floating-point warning; the grid then
+        # rejects the overflowing mode frequency as it does at 1e200
+        cfg = _config(tmp_path, "sweep_omega2 = 1.2:1e308:1e308\nmetrics = eigRatio\n")
+        out = tmp_path / "out"
+        assert _run(["sweep", "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: oscillator frequencies must be positive and finite, got"
+            " omega1=1.0, omega2=1e+308: Omega+^2 overflows float64\n"
+        )
+        assert not out.exists()
+
+    def test_lambda_axis_near_the_float_maximum_is_a_skipped_cell(self, tmp_path):
+        cfg = _config(
+            tmp_path,
+            "sweep_omega2 = 1.2:1.2:0.1\nsweep_lambda = 0.3:1e308:1e308\nmetrics = eigRatio\n",
+        )
+        out = tmp_path / "out"
+        assert _run(["sweep", "--config", cfg, "--out", out]) == 0
+        _, _, rows = _read_csv(out / "sweep.csv")
+        assert [(r[1], r[-1]) for r in rows] == [
+            ("0.29999999999999999", "ok"),
+            ("1e+308", "skipped"),
+        ]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(text=_axis_text())
+    def test_axis_decodes_to_finite_values_or_one_line_error(self, text):
+        # a RuntimeWarning fails the test too (filterwarnings in pyproject.toml)
+        try:
+            values = cli._parse_axis("sweep_lambda", text)
+        except DomainError as exc:
+            assert "\n" not in str(exc)
+        else:
+            assert isinstance(values, tuple)
+            assert all(isinstance(v, float) and math.isfinite(v) for v in values)
+
     @pytest.mark.parametrize(
         "settings, setting",
         [
@@ -725,6 +778,9 @@ class TestPlumbing:
             [np.array([1.0, np.nan]), np.array([np.nan, -np.inf]), ["ok", "x"]],
         )
         assert path.read_text() == "# units\na,b,c\n1,,ok\n,-inf,x\n"
+        # a str column is one field in every row, written as it is
+        cli._write_csv(str(path), "units", ["a", "b"], [np.array([1.0, 2.0]), "5%"])
+        assert path.read_text() == "# units\na,b\n1,5%\n2,5%\n"
 
     def test_csv_rows_match_per_value_format(self, tmp_path, monkeypatch):
         # the per-block template prints each value as format(v, ".17g")
@@ -744,6 +800,43 @@ class TestPlumbing:
             for row in zip(*(c.tolist() for c in columns))
         )
         assert path.read_text() == "# units\na,b,c\n" + expected
+
+    @pytest.mark.parametrize("with_nan", [False, True])
+    def test_constant_and_formatted_columns_match_the_arrays(
+        self, with_nan, tmp_path, monkeypatch
+    ):
+        # "0" for a zero column and _formatted(t) for t print the same bytes,
+        # whether or not another column's NaN makes the blanking pass run
+        monkeypatch.setattr(sweep_mod, "_CSV_BLOCK_ROWS", 7)
+        rng = np.random.default_rng(7)
+        t = 0.1 * np.arange(30)
+        other = rng.standard_normal(30) * 10.0 ** rng.integers(-300, 300, 30)
+        if with_nan:
+            other[[2, 7, 29]] = np.nan
+        written = {}
+        for name, columns in [
+            ("arrays", [t, np.zeros(30), other]),
+            ("shared", [sweep_mod._formatted(t), "0", other]),
+        ]:
+            path = tmp_path / f"{name}.csv"
+            cli._write_csv(str(path), "units", ["t", "mean", "x"], columns)
+            written[name] = path.read_bytes()
+        assert written["shared"] == written["arrays"]
+        assert written["arrays"].count(b",\n") == (3 if with_nan else 0)
+
+    def test_simulate_fields_are_their_values_at_17_digits(self, outdir):
+        # each field prints its own value with 17 significant digits, and the
+        # three files share one time column
+        times = {}
+        for name in ("trajectory.csv", "info.csv", "sync.csv"):
+            _, _, rows = _read_csv(outdir / name)
+            for row in rows:
+                assert all(f == "" or f == format(float(f), ".17g") for f in row)
+            times[name] = [row[0] for row in rows]
+        assert times["info.csv"] == times["trajectory.csv"]
+        n = len(times["sync.csv"])
+        assert 0 < n < len(times["trajectory.csv"])
+        assert times["sync.csv"] == times["trajectory.csv"][:n]
 
     def test_import_leaves_out_scipy_special_and_ndimage(self):
         # scipy.linalg (expm) is the only part of scipy the package loads
