@@ -167,11 +167,15 @@ def _parse_axis(key: str, text: str) -> tuple:
         raise DomainError(
             f"config key '{key}' needs finite stop >= start and step > 0, got {text!r}"
         )
-    try:
-        values = np.arange(start, stop + 1e-9 * step, step)
-    except ValueError as exc:  # too many values to allocate an index for
-        raise DomainError(f"config key '{key}' range {text!r}: {exc}") from exc
-    small = np.abs(values) < 2.0**52  # larger floats are whole; v * 1e12 may overflow
+    # whole steps from start to stop, up to 1e-9 of a step, counted: stop +
+    # 1e-9 * step rounds to stop where that term is below half an ulp of stop
+    steps = (stop - start) / step + 1e-9
+    if not steps < 2.0**53:
+        raise DomainError(
+            f"config key '{key}' range {text!r} has more values than a float counts"
+        )
+    values = start + np.arange(math.floor(steps) + 1) * step
+    small = np.abs(values) < 2.0**53 / 1e12  # above, v * 1e12 rounds or overflows
     values[small] = np.round(values[small], 12)
     return tuple(values)
 

@@ -17,14 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    IDX_PP,
-    IDX_XP,
-    IDX_XX,
-    MomentState,
-    Trajectory,
-    pack_moments,
-)
+from .dynamics import IDX_XX, MODE_SLOT, MODE_WEIGHT, MomentState, Trajectory
 from .errors import (
     DegenerateState,
     DomainError,
@@ -57,7 +50,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """4x4 lab-frame covariance, shot-noise units (vacuum = identity)."""
+    """4x4 lab-frame covariance, shot-noise units (vacuum = identity).
+
+    Checked symmetric to 1e-12 relative, then symmetrised."""
 
     sigma: np.ndarray
 
@@ -65,7 +60,10 @@ class CovarianceMatrix:
         sigma = np.asarray(self.sigma, dtype=float)
         if sigma.shape != (4, 4):
             raise DomainError("covariance must be 4x4")
-        object.__setattr__(self, "sigma", _symmetrised(sigma))
+        size = np.maximum(1.0, np.max(np.abs(sigma)))
+        if np.max(np.abs(sigma - sigma.T)) > 1e-12 * size:
+            raise DomainError("covariance matrix must be symmetric")
+        object.__setattr__(self, "sigma", 0.5 * (sigma + sigma.T))
 
 
 @dataclass(frozen=True)
@@ -139,16 +137,6 @@ def _shot_noise_scale(sys: SystemParams) -> np.ndarray:
     return np.sqrt(np.stack([2.0 * w1, 2.0 / w1, 2.0 * w2, 2.0 / w2], axis=-1))
 
 
-def _mode_rotation(basis: NormalModeBasis) -> np.ndarray:
-    # Maps (x1, p1, x2, p2) -> (X-, P-, X+, P+); orthogonal.
-    c, s = np.broadcast_arrays(basis.c, basis.s)
-    rot = np.zeros(c.shape + (4, 4))
-    rot[..., [0, 1, 2, 3], [0, 1, 2, 3]] = c[..., None]
-    rot[..., [2, 3], [0, 1]] = s[..., None]
-    rot[..., [0, 1], [2, 3]] = -s[..., None]
-    return rot
-
-
 def _spec_to_shot_noise_sigma(spec: InitialStateSpec) -> np.ndarray:
     if spec.kind == "vacuum":
         return np.eye(4)
@@ -168,51 +156,23 @@ def _spec_to_shot_noise_sigma(spec: InitialStateSpec) -> np.ndarray:
     return sigma
 
 
-def make_initial(
-    spec: InitialStateSpec, sys: SystemParams, basis: NormalModeBasis
-) -> MomentState:
-    """Build the normal-mode moment vector for a named lab-frame Gaussian state.
-
-    The state is specified by its shot-noise-unit lab covariance, converted
-    to physical units, rotated into the mode basis, and packed into the
-    10-vector of second moments; every supported state has zero means.  A
-    stacked ``sys`` and ``basis`` give a stacked state.
-    """
-    sn = _spec_to_shot_noise_sigma(spec)
-    inv = (1.0 / _shot_noise_scale(sys))[..., None] * np.eye(4)
-    sigma_lab = inv @ sn @ inv
-    rot = _mode_rotation(basis)
-    sm = rot @ sigma_lab @ np.swapaxes(rot, -1, -2)
-    return MomentState(second_moments=pack_moments(sm))
-
-
-def _symmetrised(sigma: np.ndarray) -> np.ndarray:
-    # Symmetry check (1e-12 relative) and symmetrisation of one 4x4
-    # covariance or a stack of them.
-    sigma_t = np.swapaxes(sigma, -1, -2)
-    asym = np.max(np.abs(sigma - sigma_t), axis=(-2, -1))
-    size = np.maximum(1.0, np.max(np.abs(sigma), axis=(-2, -1)))
-    if np.any(asym > 1e-12 * size):
-        raise DomainError("covariance matrix must be symmetric")
-    return 0.5 * (sigma + sigma_t)
-
-
-# sigma's three 2x2 blocks, with their lab rows and columns in (q1, p1, q2,
-# p2) and the moments of their mode entries (0, 0), (0, 1), (1, 0), (1, 1):
-# positions, momenta, and positions with momenta, whose <X P> slots hold
-# twice the symmetrised covariance.
+# sigma's three 2x2 blocks: positions, momenta, and positions with momenta.
+# (q1, p1, q2, p2) and (X-, P-, X+, P+) share one layout, so a block's lab
+# rows and columns also give, through MODE_SLOT, the slots of its mode
+# entries (0, 0), (0, 1), (1, 0), (1, 1), and through MODE_WEIGHT their
+# weight: the <X P> slots hold twice the symmetrised covariance.
 _X, _P = (0, 2), (1, 3)
-_BLOCKS = (
-    (_X, _X, [IDX_XX[ij] for ij in [(0, 0), (0, 1), (0, 1), (1, 1)]], 1.0),
-    (_P, _P, [IDX_PP[ij] for ij in [(0, 0), (0, 1), (0, 1), (1, 1)]], 1.0),
-    (_X, _P, [IDX_XP[ij] for ij in [(0, 0), (0, 1), (1, 0), (1, 1)]], 0.5),
+_BLOCKS = tuple(
+    (rows, cols, [int(MODE_SLOT[i, j]) for i in rows for j in cols],
+     float(MODE_WEIGHT[rows[0], cols[0]]))
+    for rows, cols in ((_X, _X), (_P, _P), (_X, _P))
 )
 
 
 def _rotated(c, s, m00, m01, m10, m11) -> tuple:
     # r^T m r, entries (0, 0), (0, 1), (1, 0), (1, 1), for r = [[c, -s], [s,
-    # c]], which takes (x1, x2) to (X-, X+) and (p1, p2) to (P-, P+): the
-    # 2x2 form of _mode_rotation.  The rows of r^T m first, then times r.
+    # c]], which takes (x1, x2) to (X-, X+) and (p1, p2) to (P-, P+); with
+    # -s it is r m r^T, the way back.  The rows of r^T m first, then times r.
     t00, t01 = c * m00 + s * m10, c * m01 + s * m11
     t10, t11 = c * m10 - s * m00, c * m11 - s * m01
     return (
@@ -221,6 +181,29 @@ def _rotated(c, s, m00, m01, m10, m11) -> tuple:
         t10 * c + t11 * s,
         t11 * c - t10 * s,
     )
+
+
+def make_initial(
+    spec: InitialStateSpec, sys: SystemParams, basis: NormalModeBasis
+) -> MomentState:
+    """Build the normal-mode moment vector for a named lab-frame Gaussian state.
+
+    The state is specified by its shot-noise-unit lab covariance.  Each of
+    its 2x2 blocks is converted to physical units, rotated into the mode
+    basis by the inverse of :func:`lab_covariances`' block rotation, and
+    written into its slots of the 10-vector of second moments (a symmetric
+    block's upper entry); every supported state has zero means.  Every step
+    is elementwise, so a stacked ``sys`` and ``basis`` give a stacked state
+    with each point's bits.
+    """
+    inv = 1.0 / _shot_noise_scale(sys)
+    lab = inv[..., :, None] * _spec_to_shot_noise_sigma(spec) * inv[..., None, :]
+    second = {}
+    for rows, cols, slots, weight in _BLOCKS:
+        block = (lab[..., a, b] for a in rows for b in cols)
+        for k, entry in zip(slots, _rotated(basis.c, -basis.s, *block)):
+            second.setdefault(k, entry / weight)
+    return MomentState(second_moments=np.stack([second[k] for k in range(10)], -1))
 
 
 def lab_covariances(
@@ -239,8 +222,8 @@ def lab_covariances(
     in a fixed order, so a sample's covariance has the same bits in a block
     of any size and for one point or a stack of equal points, which a
     matrix product over the samples (its rounding depends on their number)
-    would not give.  Returns the ``(n, 4, 4)`` covariances, checked
-    symmetric to 1e-12 relative and symmetrised.
+    would not give.  Returns the ``(n, 4, 4)`` covariances, symmetric bit
+    for bit: each entry below the diagonal is a copy of its mirror.
     """
     moments = np.ascontiguousarray(np.asarray(second, dtype=float).T)
     scale = _shot_noise_scale(sys).T
@@ -250,8 +233,9 @@ def lab_covariances(
         for (i, j), entry in zip([(0, 0), (0, 1), (1, 0), (1, 1)], block):
             a, b = rows[i], cols[j]
             s[a, b] = scale[a] * entry * scale[b]
+    s[2, 0], s[3, 1] = s[0, 2], s[1, 3]  # upper entries of the symmetric blocks
     s[1::2, ::2] = np.swapaxes(s[::2, 1::2], 0, 1)  # momenta with positions
-    return _symmetrised(np.moveaxis(s, -1, 0))
+    return np.moveaxis(s, -1, 0)
 
 
 def to_lab_covariance(
@@ -380,7 +364,6 @@ def _emin_terms(a, b, c, d, u, d_minus_a, k):
     # (A + D) and the generic one otherwise, on A, B, C, u = B - 1 scaled by
     # 4^-k and D, D - A by 16^-k.  Every term below then scales by a power
     # of two, exactly, and Emin by 4^-k, so k = 0 is the plain formula.
-    # Also says where the terms are finite.
     e = 2 * k
     a, b, c, u = (np.ldexp(x, -e) for x in (a, b, c, u))
     d, d_minus_a = (np.ldexp(x, -2 * e) for x in (d, d_minus_a))
@@ -394,22 +377,17 @@ def _emin_terms(a, b, c, d, u, d_minus_a, k):
     rhs = (one + b) * c * c * (one * a + d)
     disc = c**4 + (d - a * b) ** 2 - 2.0 * c * c * (a * b + d)
     e_second = (a * b - c * c + d - np.sqrt(np.maximum(disc, 0.0))) / (2.0 * b)
-    e_min = np.ldexp(np.where(lhs <= rhs, e_first, e_second), e)
-    return e_min, np.isfinite([lhs, rhs, disc, root]).all(axis=0)
+    return np.ldexp(np.where(lhs <= rhs, e_first, e_second), e)
 
 
 def _emin(s, a, b, c, d) -> np.ndarray:
-    # Emin of each sample; where a term of the plain formula overflows, again
-    # with A, B, C and sqrt(D) scaled to at most 1, so every other sample
-    # keeps the plain formula's bits.
+    # Emin of each sample, with A, B, C and sqrt(D) scaled by its own 4^-k
+    # to below 1, so that its terms stay finite; where the plain formula is
+    # finite, the exact scaling keeps its bits.
     u = b - 1.0
-    d_minus_a = _d_minus_a(s, a, c, d, u)
-    e_min, finite = _emin_terms(a, b, c, d, u, d_minus_a, 0)
-    if finite.all():
-        return e_min
     size = np.max(np.abs([a, b, c, np.sqrt(np.abs(d))]), axis=0)
-    k = np.where(finite, 0, (np.frexp(size)[1] + 1) // 2)
-    return _emin_terms(a, b, c, d, u, d_minus_a, k)[0]
+    k = (np.frexp(size)[1] + 1) // 2
+    return _emin_terms(a, b, c, d, u, _d_minus_a(s, a, c, d, u), k)
 
 
 def _entropies(nu: np.ndarray) -> np.ndarray:
@@ -471,8 +449,9 @@ def gaussian_measures(sigma: np.ndarray) -> GaussianMeasures:
 
     where ``Emin`` takes its first closed-form branch when ``(D - A*B)^2 <=
     (1 + B) C^2 (A + D)`` and the generic second branch otherwise (Adesso &
-    Datta, PRL 105, 030501, 2010).  Where a term of ``Emin`` would overflow,
-    it is evaluated on ``A, B, C`` and ``D`` scaled by a power of two.  The
+    Datta, PRL 105, 030501, 2010).  ``Emin`` is evaluated on ``A, B, C`` and
+    ``D`` scaled by a power of two per sample, which keeps its terms finite
+    and the bits of the plain formula wherever that is finite.  The
     entropy term takes ``min(Emin, A)``: a measurement never raises the
     unmeasured mode's determinant, so the discord stays at most the mutual
     information where the closed forms overshoot near a pure state.
@@ -495,7 +474,6 @@ def gaussian_measures(sigma: np.ndarray) -> GaussianMeasures:
         s = np.ascontiguousarray(np.moveaxis(sigma, 0, -1))
         low, pd = _cholesky(s)
         nu1, nu2, nu_pt = _symplectic_invariants(low)
-        s = np.where(pd, s, _EYE)
         d = np.linalg.det(np.moveaxis(s, -1, 0))
         a = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
         b = s[2, 2] * s[3, 3] - s[2, 3] * s[3, 2]
@@ -637,7 +615,10 @@ def lab_variance_series(
     Raw lab second moments are linear in the mode moments:
     ``<x1^2> = c^2 <X-^2> + s^2 <X+^2> + 2cs <X-X+>`` and
     ``<x2^2> = s^2 <X-^2> + c^2 <X+^2> - 2cs <X-X+>``; shot-noise
-    normalization multiplies by ``2 omega_i``.  For a stack of trajectories,
+    normalization multiplies by ``2 omega_i``.  These are two entries of
+    sigma; :func:`lab_covariances`' block rotation would form all four of
+    the position block, which on the sweep's window blocks took three to
+    four times as long.  For a stack of trajectories,
     second moments ``(..., n, 10)``, the basis and ``sys`` are stacked
     ``(...)``, and so are the series.
     """

@@ -44,7 +44,7 @@ from .dynamics import (
     dynamical_eigenvalues,
     sample_trajectory,
 )
-from .errors import DomainError, OscSyncError
+from .errors import DomainError, NumericalError, OscSyncError
 from .info import (
     GaussianMeasures,
     InitialStateSpec,
@@ -229,7 +229,9 @@ def run_point(
 
     A sample whose information measures fail (the Redfield transient can
     dip below the uncertainty bound) is blanked and recorded in
-    ``measures``, not raised, so the caller can still write it out.
+    ``measures``, not raised, so the caller can still write it out.  A
+    propagation that overflows raises :class:`NumericalError` naming the
+    first sample time whose moments are not finite.
     """
     if not (t_max >= 0 and dt_out > 0 and math.isfinite(t_max / dt_out)):
         raise DomainError(
@@ -238,6 +240,10 @@ def run_point(
     n = int(math.floor(t_max / dt_out + 1e-12)) + 1
     basis, coeffs, gen, state0 = _set_up(system, bath, initial, backend)
     traj = sample_trajectory(gen, state0, dt_out, n)
+    finite = np.isfinite(traj.second_moments).all(axis=-1)
+    if not finite.all():
+        t = traj.times[np.argmin(finite)]
+        raise NumericalError(f"the propagation overflows float64 at t = {t:.6g}")
     x1, x2 = lab_variance_series(traj, basis, system)
     f, g = ObservableSeries(traj.times, x1), ObservableSeries(traj.times, x2)
     sync = windowed_correlation(f, g, window)

@@ -11,6 +11,10 @@ from oscsync import (
 )
 
 
+# (omega2, lambda): resonance, no coupling, the default point, strong
+STACK_POINTS = ((1.0, 0.3), (1.2, 0.0), (1.4, 0.7), (1.45, 1.2))
+
+
 @pytest.fixture(scope="session")
 def fig_system():
     """The strongly coupled detuned pair used throughout."""

@@ -322,11 +322,15 @@ class TestValidation:
         assert not (tmp_path / "out").exists()
 
     def test_overflowing_propagation_prints_one_line(self, tmp_path, capsys):
-        # a floating-point warning would also fail the test: the pytest
-        # configuration turns RuntimeWarning into an error
-        argv = ["simulate", "--temperature", 1e305, "--t-max", 20]
-        assert _run([*argv, "--out", tmp_path / "sim"]) == 2
-        assert capsys.readouterr().err == "error: observable values must be finite\n"
+        # a numerical failure, not a settings error.  A floating-point
+        # warning would also fail the test: the pytest configuration turns
+        # RuntimeWarning into an error
+        for command in ("simulate", "compare-rwa"):
+            argv = [command, "--temperature", 1e305, "--t-max", 20]
+            assert _run([*argv, "--out", tmp_path / command]) == 3
+            assert capsys.readouterr().err == (
+                "error: the propagation overflows float64 at t = 0.1\n"
+            )
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("sweep_omega2 = 1.1:1.4:0.3\nsweep_lambda = 0.3:0.7:0.4\n")
         argv = ["sweep", "--config", cfg, "--temperature", 1e305]
@@ -373,7 +377,7 @@ class TestValidation:
         # kappa^2 gamma and the diffusion kernel overflowed with
         # RuntimeWarnings, which the pytest configuration raises.  The
         # drift is not finite: eigen fails in its spectrum, simulate in its
-        # observables as any overflowing propagation does, and the sweep
+        # propagation as any overflowing propagation does, and the sweep
         # records each cell's failure.
         argv = ["--gamma", 1.5e308, "--out"]
         with pytest.warns(UserWarning, match="weak-coupling"):
@@ -382,8 +386,10 @@ class TestValidation:
             "error: eigensolver failed: Array must not contain infs or NaNs\n"
         )
         with pytest.warns(UserWarning, match="weak-coupling"):
-            assert _run(["simulate", "--t-max", 20, *argv, tmp_path / "s"]) == 2
-        assert capsys.readouterr().err == "error: observable values must be finite\n"
+            assert _run(["simulate", "--t-max", 20, *argv, tmp_path / "s"]) == 3
+        assert capsys.readouterr().err == (
+            "error: the propagation overflows float64 at t = 0.1\n"
+        )
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("sweep_omega2 = 1.1:1.4:0.3\nsweep_lambda = 0.01:0.7:0.69\n")
         with pytest.warns(UserWarning, match="weak-coupling"):
@@ -689,6 +695,41 @@ class TestSweepCommand:
         else:
             assert isinstance(values, tuple)
             assert all(isinstance(v, float) and math.isfinite(v) for v in values)
+            # it keeps both ends, start up to the 12-decimal rounding
+            start, stop, step = (float(v) for v in text.split(":"))
+            assert values and abs(values[0] - start) <= 5e-13
+            assert abs(values[-1] - stop) <= step + 5e-13
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("1e8:1e8:1", (1e8,)),
+            ("100000000:100000002:1", (1e8, 1e8 + 1, 1e8 + 2)),
+            ("1:1:5e-324", (1.0,)),
+        ],
+    )
+    def test_axis_keeps_its_inclusive_end(self, text, want):
+        # stop + 1e-9 * step is stop where that term is below half an ulp
+        # of stop, and 1e8 + 2 rounded to 12 decimals is not 1e8 + 2: the
+        # end must survive both
+        assert cli._parse_axis("sweep_lambda", text) == want
+
+    def test_one_value_axis_sweeps_one_row(self, tmp_path, capsys):
+        # a subnormal step decoded to no values: a header-only sweep.csv
+        cfg = _config(
+            tmp_path,
+            "sweep_omega2 = 1.2:1.2:0.1\nsweep_lambda = 1:1:5e-324\nmetrics = eigRatio\n",
+        )
+        assert _run(["sweep", "--config", cfg, "--out", tmp_path / "out"]) == 0
+        _, _, rows = _read_csv(tmp_path / "out" / "sweep.csv")
+        assert [(r[1], r[-1]) for r in rows] == [("1", "ok")]
+        text = "0:1e300:1e-300"
+        cfg = _config(tmp_path, f"sweep_lambda = {text}\n")
+        assert _run(["sweep", "--config", cfg, "--out", tmp_path / "big"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config key 'sweep_lambda' range {text!r} has more values"
+            " than a float counts\n"
+        )
 
     @pytest.mark.parametrize(
         "settings, setting",

@@ -39,6 +39,8 @@ from oscsync import (
 from oscsync import dynamics
 from oscsync import sweep as sweep_mod
 
+from conftest import STACK_POINTS
+
 SQ = InitialStateSpec.separable_squeezed(2.0, 4.0)
 
 
@@ -135,8 +137,7 @@ def _assert_same_sweep(got, want):
 
 
 class TestStackedSetUp:
-    # (omega2, lambda): resonance, no coupling, the default point, strong
-    POINTS = ((1.0, 0.3), (1.2, 0.0), (1.4, 0.7), (1.45, 1.2))
+    POINTS = STACK_POINTS
 
     @pytest.mark.parametrize("topology", ["common", "separate"])
     @pytest.mark.parametrize("backend", ["full", "rwa"])
