@@ -181,7 +181,7 @@ def _parse_axis(key: str, text: str) -> tuple:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config file, and flags (flags win)."""
+    """Merge defaults, config file, and flags (flags win), each by its key's rule."""
     merged = dict(_DEFAULTS)
     if getattr(args, "config", None):
         merged.update(read_config_file(args.config))
@@ -447,19 +447,17 @@ def cmd_compare_rwa(cfg: RunConfig) -> list:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key = value config file")
-    common.add_argument("--omega2", type=float, help="second oscillator frequency")
-    common.add_argument("--lambda", dest="lambda", type=float, help="coupling strength")
-    common.add_argument("--gamma", type=float, help="damping constant")
-    common.add_argument("--cutoff", type=float, help="bath cutoff frequency")
-    common.add_argument("--temperature", type=float, help="bath temperature")
-    common.add_argument("--bath", choices=["common", "separate"], help="bath topology")
-    common.add_argument(
-        "--initial", metavar="SPEC", help="vacuum | tms:R | sq:R1:R2"
-    )
-    common.add_argument("--t-max", dest="t_max", type=float, help="simulation time")
-    common.add_argument("--dt-out", dest="dt_out", type=float, help="output spacing")
-    common.add_argument("--window", type=float, help="indicator window length")
-    common.add_argument("--backend", choices=["full", "rwa"], help="moment equations")
+    common.add_argument("--omega2", help="second oscillator frequency")
+    common.add_argument("--lambda", help="coupling strength")
+    common.add_argument("--gamma", help="damping constant")
+    common.add_argument("--cutoff", help="bath cutoff frequency")
+    common.add_argument("--temperature", help="bath temperature")
+    common.add_argument("--bath", metavar="{common,separate}", help="bath topology")
+    common.add_argument("--initial", metavar="SPEC", help="vacuum | tms:R | sq:R1:R2")
+    common.add_argument("--t-max", help="simulation time")
+    common.add_argument("--dt-out", help="output spacing")
+    common.add_argument("--window", help="indicator window length")
+    common.add_argument("--backend", metavar="{full,rwa}", help="moment equations")
     common.add_argument("--out", metavar="DIR", help="output directory (default .)")
 
     parser = argparse.ArgumentParser(

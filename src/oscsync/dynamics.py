@@ -172,8 +172,8 @@ def build_generator(
     mode and ``D = diag(D~mm/(2 Om^2), D~mm/2)`` per mode, so mixed moments
     keep their Hamiltonian part and decay at the average rate with no
     drive.  Raises ``ConfigError`` when the implied Lindblad excitation rate
-    ``D~mm/Om - G~mm`` would be negative, naming the first such point of a
-    stack.
+    ``D~mm/Om - G~mm`` would be negative by more than rounding (``D~mm/Om``
+    more than 4 eps below ``G~mm``), naming the first such point of a stack.
     """
     backend = Backend(backend)
     om2 = basis.frequencies**2
@@ -190,11 +190,13 @@ def build_generator(
     else:
         d_mm = np.diagonal(D_tilde, axis1=-2, axis2=-1)
         g_mm = np.diagonal(G, axis1=-2, axis2=-1)
-        # (points, mode) of D~/Omega and Gamma~
+        # (points, mode) of D~/Omega = Gamma~ coth(Omega/2T) and Gamma~; where
+        # coth rounds to 1 (T < ~Omega/37) four roundings put the first <= 2 eps below
         ratio = (d_mm / basis.frequencies).reshape(-1, 2)
         rate = g_mm.reshape(-1, 2)
-        if np.any(ratio < rate):
-            k, m = np.argwhere(ratio < rate)[0]
+        below = ratio < rate * (1.0 - 4.0 * np.finfo(float).eps)
+        if np.any(below):
+            k, m = np.argwhere(below)[0]
             raise ConfigError(
                 f"RWA backend outside validity: mode {'-+'[m]} has"
                 f" D~/Omega = {ratio[k, m]:.3e} < Gamma~ = {rate[k, m]:.3e}"
@@ -366,12 +368,19 @@ def sample_trajectory(
             f"{n:.3g} samples of spacing dt_out = {dt_out:.6g} are more than"
             " one array can hold"
         )
-    v = np.concatenate([initial.second_moments, np.ones(lead + (1,))], axis=-1)
-    v = v[..., None]
-    # the augmented samples, one per row: R and the constant 1
+    # the augmented samples, one per row: R and the constant
     V = np.empty(lead + (n, 11))
     with np.errstate(over="ignore", invalid="ignore"):
-        phi = expm(_augmented(gen) * dt_out)
+        # A diffusion column far above the drift would set expm's scaling and
+        # cost the drift its digits, so it is divided by 2**k and the constant
+        # raised to 2**k, exactly: k is its 1-norm's exponent above the drift's
+        aug = _augmented(gen) * dt_out
+        e = np.frexp(np.abs(aug).sum(-2))[1]  # exponents of the column 1-norms
+        k = np.clip(e[..., 10] - e[..., :10].max(-1), 0, 1023)  # 2**k finite
+        aug[..., :10, 10] = np.ldexp(aug[..., :10, 10], -k[..., None])
+        v = np.concatenate([initial.second_moments, np.ldexp(1.0, k)[..., None]], -1)
+        v = v[..., None]
+        phi = expm(aug)
         if k_start:
             v = np.linalg.matrix_power(phi, k_start) @ v
         V[..., 0, :] = v[..., 0]

@@ -92,28 +92,16 @@ class InitialStateSpec:
                 )
 
     @classmethod
-    def vacuum(cls) -> "InitialStateSpec":
-        return cls(kind="vacuum")
-
-    @classmethod
-    def two_mode_squeezed(cls, r: float) -> "InitialStateSpec":
-        return cls(kind="tms", r=r)
-
-    @classmethod
-    def separable_squeezed(cls, r1: float, r2: float) -> "InitialStateSpec":
-        return cls(kind="sq", r1=r1, r2=r2)
-
-    @classmethod
     def parse(cls, text: str) -> "InitialStateSpec":
         """Parse ``vacuum``, ``tms:R``, or ``sq:R1:R2``."""
         parts = text.split(":")
         try:
             if parts[0] == "vacuum" and len(parts) == 1:
-                return cls.vacuum()
+                return cls("vacuum")
             if parts[0] == "tms" and len(parts) == 2:
-                return cls.two_mode_squeezed(float(parts[1]))
+                return cls("tms", r=float(parts[1]))
             if parts[0] == "sq" and len(parts) == 3:
-                return cls.separable_squeezed(float(parts[1]), float(parts[2]))
+                return cls("sq", r1=float(parts[1]), r2=float(parts[2]))
         except ValueError as exc:
             raise DomainError(f"bad initial state {text!r}: {exc}") from exc
         raise DomainError(

@@ -162,12 +162,13 @@ def coth(x):
     """Hyperbolic cotangent of a number or an array, stable for small arguments.
 
     For ``x < 1e-8`` the Laurent series ``1/x + x/3`` is used to avoid
-    catastrophic cancellation; otherwise ``1/tanh(x)``.
+    catastrophic cancellation; otherwise ``1/tanh(x)``.  ``coth(0) = inf``.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise DomainError(f"coth argument must be nonnegative here, got {x.min()}")
-    return np.where(x < 1e-8, 1.0 / x + x / 3.0, 1.0 / np.tanh(x))[()]
+    with np.errstate(divide="ignore"):
+        return np.where(x < 1e-8, 1.0 / x + x / 3.0, 1.0 / np.tanh(x))[()]
 
 
 def _mode_squares(omega1, omega2, lam):
@@ -245,7 +246,7 @@ def _damping_kernel(bath: BathParams, omega: float) -> float:
 def _diffusion_kernel(bath: BathParams, omega: float) -> float:
     # d(Omega) = gamma_h(Omega) * Omega * coth(Omega / 2T); a quotient past
     # the float range is inf, where coth takes its limit 1, and so is a
-    # kernel past it
+    # kernel past it.  A 2T past the float range gives 0, where coth is inf
     with np.errstate(over="ignore"):
         x = omega / (2.0 * bath.temperature)
         return _damping_kernel(bath, omega) * omega * coth(x)

@@ -70,6 +70,7 @@ from .sync import (
     _close,
     ObservableSeries,
     SyncResult,
+    _steps,
     _window_steps,
     windowed_correlation,
 )
@@ -321,17 +322,6 @@ _BLOCK_SAMPLES = 2**14  # window samples per stack; bounds its temporaries
 # tracemalloc), so such a stack gets about as many bytes as a sampled one.
 _SAMPLE_BYTES = 11 * 8
 _GENERATOR_BYTES = 1024
-
-
-def _steps(setting: str, value: float, dt_out: float) -> int:
-    # ``value`` in whole steps of dt_out
-    steps = value / dt_out
-    if not math.isfinite(steps):
-        raise DomainError(
-            f"{setting} = {value:g} is too large: it spans no finite number of"
-            f" steps of dt_out = {dt_out:g}"
-        )
-    return int(round(steps))
 
 
 def _check_window_grid(t_eval, k_eval, w, dt_out) -> None:

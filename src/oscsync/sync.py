@@ -97,15 +97,20 @@ def _scaled_down(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(v, -e), e
 
 
-def _window_steps(delta_t: float, dt: float) -> int:
-    # The window in whole sample spacings, of which it needs at least 10.
-    steps = delta_t / dt
+def _steps(setting: str, value: float, dt: float) -> int:
+    # ``value`` in whole steps of the sample spacing dt_out
+    steps = value / dt
     if not math.isfinite(steps):
         raise DomainError(
-            f"window {delta_t} must span a finite number of sample spacings"
-            f" of {dt:.6g}"
+            f"{setting} = {value:g} must span a finite number of steps of"
+            f" dt_out = {dt:g}"
         )
-    w = int(round(steps))
+    return int(round(steps))
+
+
+def _window_steps(delta_t: float, dt: float) -> int:
+    # The window in whole sample spacings, of which it needs at least 10.
+    w = _steps("window", delta_t, dt)
     if w < 10:
         raise DomainError(
             f"window {delta_t} must span at least 10 sample spacings of {dt:.6g}"

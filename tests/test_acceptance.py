@@ -49,7 +49,7 @@ from oscsync import (
 )
 from oscsync.info import CovarianceMatrix
 
-SQ = InitialStateSpec.separable_squeezed(2.0, 4.0)
+SQ = InitialStateSpec("sq", r1=2.0, r2=4.0)
 WINDOW = 15.0
 DT_OUT = 0.1
 LOCK = 0.90  # |C| at or above this counts as synchronized
@@ -296,7 +296,7 @@ def test_criterion_07_propagator_oracle():
         omega2 = rng.uniform(1.0, 1.5)
         lam = rng.uniform(0.05, 0.9 * omega2)
         topo = "common" if i % 2 == 0 else "separate"
-        initial = SQ if i % 2 == 0 else InitialStateSpec.two_mode_squeezed(1.5)
+        initial = SQ if i % 2 == 0 else InitialStateSpec("tms", r=1.5)
         sys_p = SystemParams(1.0, omega2, lam)
         basis = diagonalize(sys_p)
         coeffs = dissipation_coefficients(

@@ -321,19 +321,108 @@ class TestValidation:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_number_takes_the_config_conversion(self, source, tmp_path, capsys):
+        # a flag's text is converted by its config key's rule, to one line
+        # of error rather than argparse's usage text
+        cfg = _config(tmp_path, "omega2 = abc\n" if source == "config" else "")
+        flags = ["--omega2", "abc"] if source == "flag" else []
+        out = tmp_path / "out"
+        assert _run(["simulate", "--config", cfg, *flags, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: config key 'omega2' needs a number, got 'abc'\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, text", [("bath", "Common"), ("backend", "RWA")])
+    def test_choice_flag_takes_the_config_case_rule(self, key, text, tmp_path, capsys):
+        # a choice ignores case whether a flag or the config file sets it
+        cfg = _config(tmp_path, f"{key} = {text}\n")
+        assert _run(["eigen", "--config", cfg, "--out", tmp_path / "c"]) == 0
+        assert _run(["eigen", f"--{key}", text, "--out", tmp_path / "f"]) == 0
+        assert capsys.readouterr().err == ""
+        doc = (tmp_path / "f" / "spectrum.json").read_text()
+        assert doc == (tmp_path / "c" / "spectrum.json").read_text()
+        assert json.loads(doc)["parameters"][key] == text.lower()
+
+    def test_comment_and_blank_lines_are_skipped(self, tmp_path, capsys):
+        cfg = _config(tmp_path, "# a comment\n\n   \nomega2 = 1.3  # trailing\n")
+        assert _run(["eigen", "--config", cfg, "--out", tmp_path]) == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads((tmp_path / "spectrum.json").read_text())
+        assert doc["parameters"]["omega2"] == 1.3
+
+    def test_config_line_without_equals_exits_2(self, tmp_path, capsys):
+        cfg = _config(tmp_path, "# a comment\n\nomega2 1.3\n")
+        out = tmp_path / "out"
+        assert _run(["eigen", "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:3: expected 'key = value', got 'omega2 1.3'\n"
+        )
+        assert not out.exists()
+
+    def test_axis_without_three_parts_exits_2(self, tmp_path, capsys):
+        cfg = _config(tmp_path, "sweep_lambda = 0.1:0.2\n")
+        out = tmp_path / "out"
+        assert _run(["sweep", "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: config key 'sweep_lambda' needs 'start:stop:step', got '0.1:0.2'\n"
+        )
+        assert not out.exists()
+
+    def test_initial_state_with_a_bad_number_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert _run(["simulate", "--initial", "tms:x", "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad initial state 'tms:x': could not convert string to float: 'x'\n"
+        )
+        assert not out.exists()
+
+    def test_unwritable_out_dir_exits_4(self, tmp_path, capsys):
+        # a directory below a regular file cannot be made, also for root
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert _run(["eigen", "--out", blocker / "out"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("io error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("sweep", ""),
+            ("sweep", "metrics = discord\n"),
+            ("simulate", ""),
+            ("compare-rwa", ""),
+        ],
+    )
+    def test_window_of_no_finite_step_count_is_one_message(
+        self, command, config, tmp_path, capsys
+    ):
+        # one rule and one message, whichever command and metrics read it
+        cfg = _config(tmp_path, config)
+        out = tmp_path / "out"
+        argv = [command, "--config", cfg, "--window", 1e308, "--dt-out", 0.01,
+                "--t-max", 20, "--out", out]
+        assert _run(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: window = 1e+308 must span a finite number of steps of"
+            " dt_out = 0.01\n"
+        )
+        assert not out.exists()
+
     def test_overflowing_propagation_prints_one_line(self, tmp_path, capsys):
-        # a numerical failure, not a settings error.  A floating-point
-        # warning would also fail the test: the pytest configuration turns
-        # RuntimeWarning into an error
+        # a numerical failure, not a settings error: 2T overflows, so the
+        # diffusion is infinite.  A floating-point warning would also fail
+        # the test: the pytest configuration turns RuntimeWarning into an error
         for command in ("simulate", "compare-rwa"):
-            argv = [command, "--temperature", 1e305, "--t-max", 20]
+            argv = [command, "--temperature", 1e308, "--t-max", 20]
             assert _run([*argv, "--out", tmp_path / command]) == 3
             assert capsys.readouterr().err == (
                 "error: the propagation overflows float64 at t = 0.1\n"
             )
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("sweep_omega2 = 1.1:1.4:0.3\nsweep_lambda = 0.3:0.7:0.4\n")
-        argv = ["sweep", "--config", cfg, "--temperature", 1e305]
+        argv = ["sweep", "--config", cfg, "--temperature", 1e308]
         assert _run([*argv, "--out", tmp_path / "sweep"]) == 0
         assert capsys.readouterr().err == ""
 
@@ -400,6 +489,12 @@ class TestValidation:
             "observable values must be finite",
             "eigensolver failed: Array must not contain infs or NaNs",
         ] * 2
+
+    def test_huge_temperature_eigen_prints_no_warning(self, tmp_path, capsys):
+        # 2T overflows, so coth takes its argument 0 to inf; a RuntimeWarning
+        # would fail the test (see the pytest configuration)
+        assert _run(["eigen", "--temperature", 1e308, "--out", tmp_path]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_tiny_temperature_prints_no_warning(self, tmp_path, capsys):
         # Omega / 2T overflowed with a RuntimeWarning, which the pytest
@@ -489,6 +584,14 @@ class TestEigen:
         assert doc["zeroReCount"] == 0
         assert max(doc["rateDeviations"].values()) < 0.05
 
+    def test_rwa_runs_where_coth_rounds_to_one(self, tmp_path, capsys):
+        # coth(Omega/2T) rounds to 1 here, so D~/Omega = Gamma~ coth may round
+        # an ulp below Gamma~; the validity guard allows for that
+        argv = ["eigen", "--backend", "rwa", "--temperature", 0.01,
+                "--omega2", 1.4, "--lambda", 0.7, "--out", tmp_path]
+        assert _run(argv) == 0
+        assert capsys.readouterr().err == ""
+
     def test_identical_oscillators_common_bath(self, tmp_path):
         assert (
             _run(["eigen", "--omega2", 1.0, "--lambda", 0.5, "--out", tmp_path])
@@ -548,6 +651,14 @@ class TestSweepCommand:
             assert doc["backend"] == backend
         csv = {b: (path / "sweep.csv").read_bytes() for b, path in out.items()}
         assert csv["full"] != csv["rwa"]
+
+    def test_rwa_sweep_near_zero_temperature_is_ok(self, tmp_path):
+        # one cell's rounding in the RWA validity guard would fail its block
+        cfg = _config(tmp_path, "sweep_omega2 = 1.1:1.4:0.3\nsweep_lambda = 0.3:0.7:0.4\n")
+        argv = ["sweep", "--config", cfg, "--backend", "rwa", "--temperature", 0.01]
+        assert _run([*argv, "--out", tmp_path / "out"]) == 0
+        _, header, rows = _read_csv(tmp_path / "out" / "sweep.csv")
+        assert [row[header.index("status")] for row in rows] == ["ok"] * 4
 
     def test_t_eval_rounding_up_keeps_a_full_window(self, tmp_path):
         # t_eval = 0.26 rounds to the sample at 0.3, whose window
@@ -745,7 +856,7 @@ class TestSweepCommand:
         out = tmp_path / "out"
         assert _run(["sweep", "--config", cfg, "--out", out]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {setting} is too large")
+        assert err.startswith(f"error: {setting} must span a finite number of steps")
         assert err.count("\n") == 1 and "dt_out" in err
         assert not out.exists()
 
@@ -771,6 +882,13 @@ class TestCompareRwa:
         )
         for name in ("full", "rwa"):
             assert doc["physicality"][name]["violatingSamples"] == 0
+
+    def test_rwa_near_zero_temperature_passes_the_validity_guard(self, tmp_path, capsys):
+        # the full backend may still fail on its Redfield transient (exit 3)
+        argv = ["compare-rwa", "--temperature", 0.01, "--t-max", 20, "--out", tmp_path]
+        assert _run(argv) in (0, 3)
+        err = capsys.readouterr().err
+        assert "RWA backend outside validity" not in err and err.count("\n") <= 1
 
     def test_transient_violation_writes_everything_then_exits_3(
         self, tmp_path, capsys

@@ -440,7 +440,7 @@ class TestPropagation:
 
     def test_window_matches_run_from_zero(self):
         points = ((1.05, 0.3), (1.4, 0.7))
-        vacuum = InitialStateSpec.vacuum()
+        vacuum = InitialStateSpec("vacuum")
         sys_s, basis, _, stack = make_gen(*np.transpose(points))
         states = make_initial(vacuum, sys_s, basis)
         window = sample_trajectory(stack, states, 0.1, 21, k_start=400)
@@ -482,6 +482,34 @@ class TestPropagation:
             bound = 1e-9 * max(1.0, np.max(np.abs(truth)))
             for sample in got:
                 assert np.max(np.abs(sample - truth)) <= bound, k
+
+    @pytest.mark.parametrize("temperature", [1e20, 1e40])
+    def test_huge_diffusion_keeps_the_drift(self, temperature):
+        # One step against a 40-digit exp(aug dt) of the same float
+        # generator.  Unscaled, the diffusion column's norm sets the
+        # exponential's scaling, and the drift block is 5.7e-10 off at 1e20
+        # and 5.8e-3 at 1e40, the driven column 1.7e-12 and 1.7e-5 relative.
+        mp = pytest.importorskip("mpmath")
+        sys_p = SystemParams(1.0, 1.4, 0.7)
+        basis = diagonalize(sys_p)
+        coeffs = dissipation_coefficients(sys_p, BathParams(temperature=temperature), basis)
+        gen = build_generator(basis, coeffs)
+        aug = mp.matrix(dynamics._augmented(gen).tolist()) * mp.mpf(0.1)
+        with mp.workdps(40):
+            exact = mp.expm(aug)
+        truth = np.array(exact.tolist(), dtype=float)
+        drift, column = truth[:10, :10], truth[:10, 10]
+
+        def step(r0):
+            return sample_trajectory(gen, MomentState(r0), 0.1, 1, k_start=1).second_moments[0]
+
+        driven = step(np.zeros(10))
+        assert np.max(np.abs(driven - column)) <= 1e-14 * np.max(np.abs(column))
+        # each drift column from a start of the driven column's size, so
+        # that the sum's rounding is about eps
+        scale = 2.0 ** np.frexp(np.max(np.abs(column)))[1]
+        got = np.stack([(step(scale * e) - driven) / scale for e in np.eye(10)], axis=-1)
+        assert np.max(np.abs(got - drift)) <= 1e-14
 
     @pytest.mark.parametrize("k_start, n", [(0, 37), (0, 4001), (3000, 37)])
     def test_stack_gives_each_system_its_own_bits(self, k_start, n):
@@ -662,7 +690,7 @@ class TestLateTimeDynamics:
 
         sys_p, basis, _, gen = make_gen(1.4, 0.7)
         state = make_initial(
-            InitialStateSpec.separable_squeezed(2.0, 4.0), sys_p, basis
+            InitialStateSpec("sq", r1=2.0, r2=4.0), sys_p, basis
         )
         traj = sample_trajectory(gen, state, 0.1, 4001)
         x1, _ = lab_variance_series(traj, basis, sys_p)

@@ -76,17 +76,17 @@ def _assert_stacked_roundtrip(spec, want):
 class TestInitialStates:
     def test_vacuum_roundtrip(self, fig_system):
         basis = diagonalize(fig_system)
-        state = make_initial(InitialStateSpec.vacuum(), fig_system, basis)
+        state = make_initial(InitialStateSpec("vacuum"), fig_system, basis)
         cov = to_lab_covariance(state, basis, fig_system)
         assert np.allclose(cov.sigma, np.eye(4), atol=1e-12)
-        _assert_stacked_roundtrip(InitialStateSpec.vacuum(), np.eye(4))
+        _assert_stacked_roundtrip(InitialStateSpec("vacuum"), np.eye(4))
         nu = symplectic_spectrum(cov).nu
         assert nu[0] == pytest.approx(1.0, abs=1e-10)
         assert nu[1] == pytest.approx(1.0, abs=1e-10)
 
     def test_squeezed_roundtrip(self, fig_system):
         basis = diagonalize(fig_system)
-        spec = InitialStateSpec.separable_squeezed(2.0, 4.0)
+        spec = InitialStateSpec("sq", r1=2.0, r2=4.0)
         state = make_initial(spec, fig_system, basis)
         cov = to_lab_covariance(state, basis, fig_system)
         expect = np.diag(
@@ -101,24 +101,24 @@ class TestInitialStates:
     def test_tms_roundtrip(self, fig_system):
         basis = diagonalize(fig_system)
         state = make_initial(
-            InitialStateSpec.two_mode_squeezed(2.0), fig_system, basis
+            InitialStateSpec("tms", r=2.0), fig_system, basis
         )
         cov = to_lab_covariance(state, basis, fig_system)
         assert np.allclose(cov.sigma, _tms_sigma(2.0).sigma, rtol=1e-10)
         _assert_stacked_roundtrip(
-            InitialStateSpec.two_mode_squeezed(2.0), _tms_sigma(2.0).sigma
+            InitialStateSpec("tms", r=2.0), _tms_sigma(2.0).sigma
         )
 
     def test_tms_zero_is_vacuum(self, fig_system):
         basis = diagonalize(fig_system)
-        a = make_initial(InitialStateSpec.two_mode_squeezed(0.0), fig_system, basis)
-        b = make_initial(InitialStateSpec.vacuum(), fig_system, basis)
+        a = make_initial(InitialStateSpec("tms", r=0.0), fig_system, basis)
+        b = make_initial(InitialStateSpec("vacuum"), fig_system, basis)
         assert np.allclose(a.second_moments, b.second_moments, atol=1e-14)
 
     def test_uncoupled_mode_moments(self):
         sys_p = SystemParams(1.0, 1.3, 0.0)
         basis = diagonalize(sys_p)
-        state = make_initial(InitialStateSpec.vacuum(), sys_p, basis)
+        state = make_initial(InitialStateSpec("vacuum"), sys_p, basis)
         r = state.second_moments
         assert r[IDX_XX[0, 0]] == pytest.approx(0.5, rel=1e-12)
         assert r[IDX_XX[1, 1]] == pytest.approx(1.0 / 2.6, rel=1e-12)
@@ -311,7 +311,7 @@ class TestTrajectoryMeasures:
         coeffs = dissipation_coefficients(fig_system, bath, basis)
         gen = build_generator(basis, coeffs)
         state = make_initial(
-            InitialStateSpec.separable_squeezed(2.0, 4.0), fig_system, basis
+            InitialStateSpec("sq", r1=2.0, r2=4.0), fig_system, basis
         )
         traj = sample_trajectory(gen, state, 0.1, 11)
         x1, x2 = lab_variance_series(traj, basis, fig_system)
@@ -322,7 +322,7 @@ class TestTrajectoryMeasures:
         basis = diagonalize(fig_system)
         coeffs = dissipation_coefficients(fig_system, BathParams(), basis)
         gen = build_generator(basis, coeffs)
-        state = make_initial(InitialStateSpec.vacuum(), fig_system, basis)
+        state = make_initial(InitialStateSpec("vacuum"), fig_system, basis)
         traj = sample_trajectory(gen, state, 0.5, 11)
         info = information_series(traj, basis, fig_system)
         assert set(info) == {"mutualInfo", "discord", "logNegativity", "nuMin"}
@@ -341,7 +341,7 @@ class TestTrajectoryMeasures:
         coeffs = dissipation_coefficients(fig_system, BathParams(), basis)
         gen = build_generator(basis, coeffs)
         state = make_initial(
-            InitialStateSpec.separable_squeezed(2.0, 4.0), fig_system, basis
+            InitialStateSpec("sq", r1=2.0, r2=4.0), fig_system, basis
         )
         traj = sample_trajectory(gen, state, 0.02, 301)
         with pytest.raises(UnphysicalState):
@@ -480,7 +480,7 @@ def _squeezed_run(omega2, lam, topology, backend, t_max, dt_out):
     basis = diagonalize(sys_p)
     coeffs = dissipation_coefficients(sys_p, BathParams(topology=topology), basis)
     gen = build_generator(basis, coeffs, backend=backend)
-    state = make_initial(InitialStateSpec.separable_squeezed(2.0, 4.0), sys_p, basis)
+    state = make_initial(InitialStateSpec("sq", r1=2.0, r2=4.0), sys_p, basis)
     n = int(round(t_max / dt_out)) + 1
     return sys_p, basis, sample_trajectory(gen, state, dt_out, n)
 

@@ -41,7 +41,7 @@ from oscsync import sweep as sweep_mod
 
 from conftest import STACK_POINTS
 
-SQ = InitialStateSpec.separable_squeezed(2.0, 4.0)
+SQ = InitialStateSpec("sq", r1=2.0, r2=4.0)
 
 
 def _tiny_grid(
@@ -584,7 +584,7 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("window", [math.nan, math.inf])
     def test_run_point_non_finite_window(self, window):
-        with pytest.raises(DomainError, match="finite number of sample spacings"):
+        with pytest.raises(DomainError, match="must span a finite number of steps of dt_out"):
             run_point(SystemParams(1.0, 1.4, 0.7), BathParams(), SQ, "full",
                       20.0, 0.1, window)
 
