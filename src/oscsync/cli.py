@@ -83,6 +83,7 @@ _DEFAULTS = {
 _FLOAT_KEYS = frozenset(
     k for k, v in _DEFAULTS.items() if isinstance(v, float)
 )
+_AXIS_VALUES = 2**20  # values a sweep axis may have; a 201 x 341 map fits
 
 
 @dataclass(frozen=True)
@@ -173,6 +174,10 @@ def _parse_axis(key: str, text: str) -> tuple:
     if not steps < 2.0**53:
         raise DomainError(
             f"config key '{key}' range {text!r} has more values than a float counts"
+        )
+    if math.floor(steps) >= _AXIS_VALUES:  # checked before the axis is built
+        raise DomainError(
+            f"config key '{key}' range {text!r} has more than {_AXIS_VALUES} values"
         )
     values = start + np.arange(math.floor(steps) + 1) * step
     small = np.abs(values) < 2.0**53 / 1e12  # above, v * 1e12 rounds or overflows

@@ -162,12 +162,13 @@ def coth(x):
     """Hyperbolic cotangent of a number or an array, stable for small arguments.
 
     For ``x < 1e-8`` the Laurent series ``1/x + x/3`` is used to avoid
-    catastrophic cancellation; otherwise ``1/tanh(x)``.  ``coth(0) = inf``.
+    catastrophic cancellation; otherwise ``1/tanh(x)``.  Where ``1/x``
+    overflows, ``x = 0`` included, it takes the limit inf.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise DomainError(f"coth argument must be nonnegative here, got {x.min()}")
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return np.where(x < 1e-8, 1.0 / x + x / 3.0, 1.0 / np.tanh(x))[()]
 
 
@@ -244,9 +245,9 @@ def _damping_kernel(bath: BathParams, omega: float) -> float:
 
 
 def _diffusion_kernel(bath: BathParams, omega: float) -> float:
-    # d(Omega) = gamma_h(Omega) * Omega * coth(Omega / 2T); a quotient past
-    # the float range is inf, where coth takes its limit 1, and so is a
-    # kernel past it.  A 2T past the float range gives 0, where coth is inf
+    # d(Omega) = gamma_h(Omega) * Omega * coth(Omega / 2T); the quotient and
+    # the kernel may overflow to inf, and coth of an inf quotient is 1.  A
+    # 2T past the float range gives 0, where coth is inf
     with np.errstate(over="ignore"):
         x = omega / (2.0 * bath.temperature)
         return _damping_kernel(bath, omega) * omega * coth(x)

@@ -1,28 +1,24 @@
 """One parameter point's run, and parameter-grid sweeps over detuning and coupling.
 
-:func:`run_point` is the run behind ``simulate``, ``compare-rwa`` and the
-acceptance tests: one trajectory from ``t = 0`` and what is read from it.
+A point and a block of sweep cells go through one pipeline
+(:func:`_pipeline`): set-up, sampling, lab variances, indicator,
+information measures, each stage one call on the point or on the block's
+stack.  The callers differ in what they sample and how they fail, and
+check the window's step count before anything is sampled.
+:func:`run_point`, behind ``simulate``, ``compare-rwa`` and the acceptance
+tests, samples one trajectory from ``t = 0`` and measures every sample.
 
-A sweep cell reads the indicator over the window ``[t_eval, t_eval + window]``
-and the information measures at ``t_eval``, so only that window, or
-that one step when the indicator is not asked for, is propagated.  The
+A sweep cell reads the indicator over the window ``[t_eval, t_eval +
+window]`` and the information measures at ``t_eval``, so only that window,
+or that one step when the indicator is not asked for, is propagated.  The
 live cells, in row-major order, go through blocks of at most
-``_BLOCK_SAMPLES`` window samples (one cell if its window alone is
-longer; an eigRatio-only sweep samples nothing, and its blocks hold as
-many generators as those samples take bytes).  Each block is one stack
-from set-up to measures: the set-up functions take its detunings and
-couplings as arrays, its per-step exponentials are raised to the
-evaluation step and its windows filled by doubling, one stacked product
-per level (:func:`~oscsync.dynamics.sample_trajectory`), and its
-spectrum, its indicator and the information measures of its first window
-samples are one :func:`~oscsync.dynamics.dynamical_eigenvalues`, one
-:func:`~oscsync.sync.windowed_correlation` and one
-:func:`~oscsync.info.gaussian_measures` call.  A block may cross omega2
-rows; a cell's values do not depend on its block.  Each block's metric
-arrays are written straight into the sweep's columns (:class:`SweepResult`).
-A cell that fails is reported with its message while the rest of its
-block goes on; a set-up error shared by the block fails its cells, and a
-window too short for the indicator fails the sweep.
+``_BLOCK_SAMPLES`` window samples (one cell if its window alone is longer;
+an eigRatio-only sweep samples nothing, and its blocks hold as many
+generators as those samples take bytes).  A block may cross omega2 rows; a
+cell's values do not depend on its block.  A cell that fails is reported
+with its message while the rest of its block goes on; a set-up error
+shared by the block fails its cells, and a window too short for the
+indicator, or too long for an array, fails the sweep.
 """
 
 from __future__ import annotations
@@ -190,7 +186,8 @@ def _set_up(system, bath, initial, backend):
 @dataclass(frozen=True)
 class PointRun:
     """Everything one parameter point computes.  In ``measures.series`` the
-    measures other than ``nuMin`` are NaN at each failed sample."""
+    measures other than ``nuMin`` are NaN at each failed sample.  A sweep
+    block's pass of :func:`_pipeline` gives one over its stack of cells."""
 
     basis: NormalModeBasis
     coeffs: DissipationCoefficients
@@ -217,6 +214,36 @@ class PointRun:
         }
 
 
+def _pipeline(system, set_up, dt_out, n, k_start, window, measure) -> tuple:
+    """Sampling, indicator and measures of a point or a stack of cells.
+
+    ``set_up`` is :func:`_set_up`'s for ``system``.  Samples ``n`` steps of
+    ``dt_out`` from step ``k_start``; reads the indicator over every window
+    of ``window`` unless it is None, NaN where a cell's lab variances are
+    not finite; if ``measure``, measures every sample of a point, or the
+    first sample of each cell of a stack.  Returns the :class:`PointRun`
+    and the mask of cells the indicator read (None without it).  Raises
+    nothing for values that are not finite: each caller has its own policy.
+    """
+    basis, coeffs, gen, state0 = set_up
+    traj = sample_trajectory(gen, state0, dt_out, n, k_start=k_start)
+    x1, x2 = lab_variance_series(traj, basis, system)
+    sync = measures = finite = None
+    if window is not None:
+        # a point is a stack of one here; its indicator keeps its own shape
+        finite = np.isfinite(x1).all(axis=-1) & np.isfinite(x2).all(axis=-1)
+        f, g = (ObservableSeries(traj.times, x[finite]) for x in (x1, x2))
+        sync = windowed_correlation(f, g, window)
+        C = np.full(finite.shape + sync.C.shape[-1:], np.nan)
+        C[finite] = sync.C
+        sync = replace(sync, C=C)
+    if measure and traj.second_moments.ndim == 2:  # in blocks of samples
+        measures = information_measures(traj, basis, system)
+    elif measure:
+        measures = gaussian_measures(lab_covariances(traj.second_moments[:, 0], basis, system))
+    return PointRun(basis, coeffs, gen, traj, x1, x2, sync, measures), finite
+
+
 def run_point(
     system: SystemParams,
     bath: BathParams,
@@ -228,94 +255,34 @@ def run_point(
 ) -> PointRun:
     """One trajectory from ``t = 0`` to ``t_max`` and what is read from it.
 
-    A sample whose information measures fail (the Redfield transient can
-    dip below the uncertainty bound) is blanked and recorded in
-    ``measures``, not raised, so the caller can still write it out.  A
-    propagation that overflows raises :class:`NumericalError` naming the
-    first sample time whose moments are not finite.
+    The window's step count is checked before anything is sampled.  A
+    sample whose information measures fail (the Redfield transient can dip
+    below the uncertainty bound) is blanked and recorded in ``measures``,
+    not raised, so the caller can still write it out.  A propagation that
+    overflows raises :class:`NumericalError` naming the first sample time
+    whose moments or lab variances are not finite.
     """
     if not (t_max >= 0 and dt_out > 0 and math.isfinite(t_max / dt_out)):
         raise DomainError(
             f"need t_max >= 0 and dt_out > 0 with a finite ratio, got {t_max}, {dt_out}"
         )
     n = int(math.floor(t_max / dt_out + 1e-12)) + 1
-    basis, coeffs, gen, state0 = _set_up(system, bath, initial, backend)
-    traj = sample_trajectory(gen, state0, dt_out, n)
-    finite = np.isfinite(traj.second_moments).all(axis=-1)
+    if _window_steps(window, dt_out) >= n:
+        raise DomainError("window longer than the series")
+    set_up = _set_up(system, bath, initial, backend)
+    run, _ = _pipeline(system, set_up, dt_out, n, 0, window, True)
+    finite = np.isfinite(run.traj.second_moments).all(axis=-1)
+    finite &= np.isfinite(run.x1) & np.isfinite(run.x2)
     if not finite.all():
-        t = traj.times[np.argmin(finite)]
+        t = run.traj.times[np.argmin(finite)]
         raise NumericalError(f"the propagation overflows float64 at t = {t:.6g}")
-    x1, x2 = lab_variance_series(traj, basis, system)
-    f, g = ObservableSeries(traj.times, x1), ObservableSeries(traj.times, x2)
-    sync = windowed_correlation(f, g, window)
-    measures = information_measures(traj, basis, system)
-    failed = measures.failed_samples()
+    failed = run.measures.failed_samples()
     for name in ("mutualInfo", "discord", "logNegativity"):
-        measures.series[name][failed] = np.nan
-    return PointRun(basis, coeffs, gen, traj, x1, x2, sync, measures)
+        run.measures.series[name][failed] = np.nan
+    return run
 
 
 _SKIPPED = "coupling exceeds stability bound |lam| < omega1*omega2"
-
-
-def _sampled(grid) -> bool:
-    return bool({"syncAbs", "discord", "mutualInfo"} & set(grid.metrics))
-
-
-def _measure_stack(grid, omega2, lams, initial, dt_out, w, k_eval) -> tuple:
-    """The cells at the detunings ``omega2`` and couplings ``lams``, as one stack.
-
-    Returns each asked-for metric's array over the stack (``values``) and
-    each failed cell's message by its stack index (``errors``); the caller
-    blanks the failed cells.  Each cell reads its window of ``w`` steps from
-    the evaluation step ``k_eval`` for the indicator and that step alone for
-    the information measures, so without ``syncAbs`` only that step is
-    sampled.  A set-up error fails every cell.  A cell whose drift is not
-    finite is left out of the stack's spectrum, and one whose lab variances
-    are not finite throughout its window out of the stack's indicator; each
-    fails as it would on its own.
-    """
-    sampled = _sampled(grid)
-    try:
-        system = replace(grid.system, omega2=omega2, lam=lams)
-        basis, _, gen, state0 = _set_up(
-            system, grid.bath, initial if sampled else None, grid.backend
-        )
-    except OscSyncError as exc:
-        return {}, dict.fromkeys(range(lams.size), str(exc))
-    errors = {}  # cell: message of its first failure
-    values = {}
-    if "eigRatio" in grid.metrics:
-        # a drift that is not finite fails its cell, as it would alone
-        finite_drift = np.isfinite(gen.A).all(axis=(1, 2))
-        spectrum = dynamical_eigenvalues(
-            replace(gen, A=np.where(finite_drift[:, None, None], gen.A, 0.0))
-        )
-        values["eigRatio"] = np.where(finite_drift, spectrum.ratio, np.nan)
-        for j in np.flatnonzero(~finite_drift):
-            errors[j] = _DRIFT_NOT_FINITE
-    if sampled:
-        n = w + 1 if "syncAbs" in grid.metrics else 1
-        traj = sample_trajectory(gen, state0, dt_out, n, k_start=k_eval)
-    if "syncAbs" in grid.metrics:
-        x1, x2 = lab_variance_series(traj, basis, system)
-        finite = np.isfinite(x1).all(axis=1) & np.isfinite(x2).all(axis=1)
-        f = ObservableSeries(traj.times, x1[finite])
-        g = ObservableSeries(traj.times, x2[finite])
-        values["syncAbs"] = np.full(lams.size, np.nan)
-        values["syncAbs"][finite] = abs(windowed_correlation(f, g, w * dt_out).C[:, 0])
-        for j in np.flatnonzero(~finite):  # as the cell's series would raise alone
-            errors.setdefault(j, _NOT_FINITE)
-    names = [name for name in ("discord", "mutualInfo") if name in grid.metrics]
-    if names:
-        sigma = lab_covariances(traj.second_moments[:, 0], basis, system)
-        measures = gaussian_measures(sigma)
-        for j in set().union(*(measures.failures[name] for name in names)):
-            errors.setdefault(j, str(measures.error(j, names)))
-        values.update((name, measures.series[name]) for name in names)
-    return values, errors
-
-
 _BLOCK_SAMPLES = 2**14  # window samples per stack; bounds its temporaries
 # The bytes of one window sample in the sampler (R and the constant 1), and
 # of one cell of an eigRatio-only stack at its peak (1.05 kB a cell under
@@ -355,11 +322,11 @@ def run_sweep(
     frequency rounds to zero fails on its own.  The rest go, in row-major
     order, through stacks of up to ``_BLOCK_SAMPLES`` window samples, or
     as many cells as the bytes of those samples hold generators when no
-    metric is sampled (:func:`_measure_stack`); a block may cross omega2
-    rows, and a cell's values do not depend on its block.  Each block's
-    arrays and failures are written by index into the columns of the
-    :class:`SweepResult`, and a cell that is not ``ok`` is NaN in every
-    metric column.
+    metric is sampled, each stack one pass of :func:`_pipeline`; a block
+    may cross omega2 rows, and a cell's values do not depend on its block.
+    Each block's arrays and failures are written by index into the columns
+    of the :class:`SweepResult`, and a cell that is not ``ok`` is NaN in
+    every metric column.
 
     ``t_eval`` and ``window`` are rounded to whole steps of ``dt_out``;
     the provenance records the effective values (``t_eval_effective``,
@@ -386,13 +353,39 @@ def run_sweep(
     for j in np.flatnonzero(~skipped & ~live):
         message[j] = _NOT_ATTRACTIVE.format(om_minus_sq[j])
     values = {name: np.full(omega2.size, np.nan) for name in METRICS}
-    cell_bytes = (w + 1) * _SAMPLE_BYTES if _sampled(grid) else _GENERATOR_BYTES
+    sampled = bool({"syncAbs", "discord", "mutualInfo"} & set(grid.metrics))
+    names = [name for name in ("discord", "mutualInfo") if name in grid.metrics]
+    cell_bytes = (w + 1) * _SAMPLE_BYTES if sampled else _GENERATOR_BYTES
     size = max(1, _BLOCK_SAMPLES * _SAMPLE_BYTES // cell_bytes)
     measured = np.flatnonzero(live)
     for b in (measured[i : i + size] for i in range(0, measured.size, size)):
-        cols, errors = _measure_stack(grid, omega2[b], lams[b], initial, dt_out, w, k_eval)
-        for name, v in cols.items():
-            values[name][b] = v
+        errors = {}  # stack index: message of the cell's first failure
+        try:
+            system = replace(grid.system, omega2=omega2[b], lam=lams[b])
+            set_up = _set_up(system, grid.bath, initial if sampled else None, grid.backend)
+        except OscSyncError as exc:  # shared by the block, so it fails every cell
+            errors = dict.fromkeys(range(b.size), str(exc))
+        else:
+            if "eigRatio" in grid.metrics:
+                # a drift that is not finite fails its cell, as it would alone
+                gen = set_up[2]
+                finite_drift = np.isfinite(gen.A).all(axis=(1, 2))
+                A = np.where(finite_drift[:, None, None], gen.A, 0.0)
+                values["eigRatio"][b] = dynamical_eigenvalues(replace(gen, A=A)).ratio
+                for j in np.flatnonzero(~finite_drift):
+                    errors[j] = _DRIFT_NOT_FINITE
+            if sampled:
+                run, finite = _pipeline(system, set_up, dt_out, w + 1 if sync else 1,
+                                        k_eval, w * dt_out if sync else None, bool(names))
+                if sync:
+                    values["syncAbs"][b] = abs(run.sync.C[:, 0])
+                    for j in np.flatnonzero(~finite):  # as its series would raise alone
+                        errors.setdefault(j, _NOT_FINITE)
+                for j in set().union(*(run.measures.failures[m] for m in names)):
+                    errors.setdefault(j, str(run.measures.error(j, names)))
+                for name in names:
+                    values[name][b] = run.measures.series[name]
+                del run  # freed before the next block's arrays are made
         for j, text in errors.items():
             status[b[j]], message[b[j]] = "error", text
     flagged = status != "ok"

@@ -842,6 +842,32 @@ class TestSweepCommand:
             " than a float counts\n"
         )
 
+    def test_axis_over_the_limit_exits_2_before_it_is_built(self, tmp_path):
+        # 1e8 values would take 800 MB before any check; the child runs
+        # under a 2 GB address-space limit, so a regression fails without
+        # taking the host's memory.  simulate decodes the axes too.  One
+        # BLAS thread keeps the child's own reservations small on any host.
+        text = "0:1e-300:1e-308"
+        cfg = _config(tmp_path, f"sweep_lambda = {text}\n")
+        code = (
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31));"
+            " from oscsync.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        argv = ["simulate", "--config", str(cfg), "--t-max", "20",
+                "--out", str(tmp_path / "o")]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stderr == (
+            f"error: config key 'sweep_lambda' range {text!r} has more than"
+            f" {2**20} values\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "settings, setting",
         [

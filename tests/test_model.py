@@ -202,6 +202,14 @@ class TestBathModel:
         assert coth(2e-8) == pytest.approx(5e7, rel=1e-9)
         assert coth(5e-9) == pytest.approx(2e8, rel=1e-9)
 
+    def test_coth_takes_its_limit_where_the_reciprocal_overflows(self):
+        # 1/x overflows for a subnormal x; a RuntimeWarning would fail the
+        # test (see the pytest configuration)
+        assert coth(5e-324) == math.inf
+        assert coth(np.array([0.0, 5e-324, 1e-300])).tolist() == [
+            math.inf, math.inf, pytest.approx(1e300, rel=1e-15)
+        ]
+
     def test_high_temperature_diffusion(self, fig_system, cb_bath):
         basis = diagonalize(SystemParams(1.0, 1.0, 0.0))
         coeffs = dissipation_coefficients(

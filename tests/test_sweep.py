@@ -370,8 +370,9 @@ class TestRunSweep:
         # (made so below), ok, ok.  The unphysical cell's block computes
         # its indicator and spectrum, yet the cell is NaN in every column.
         grid = _tiny_grid(omega2=(1.1, 1.4), lam=(0.3, 0.5, np.nextafter(1.1, 0), 1.2))
-        real_sample, real_measure = sweep_mod.sample_trajectory, sweep_mod._measure_stack
-        blocks = []
+        real_sample, real_pipeline = sweep_mod.sample_trajectory, sweep_mod._pipeline
+        real_spectrum = sweep_mod.dynamical_eigenvalues
+        runs, spectra = [], []
 
         def shrink_fourth(gen, initial, *args, **kwargs):
             traj = real_sample(gen, initial, *args, **kwargs)
@@ -379,19 +380,25 @@ class TestRunSweep:
             return traj
 
         def recorded(*args):
-            blocks.append(real_measure(*args))
-            return blocks[-1]
+            runs.append(real_pipeline(*args))
+            return runs[-1]
+
+        def recorded_spectrum(gen):
+            spectra.append(real_spectrum(gen))
+            return spectra[-1]
 
         monkeypatch.setattr(sweep_mod, "sample_trajectory", shrink_fourth)
-        monkeypatch.setattr(sweep_mod, "_measure_stack", recorded)
+        monkeypatch.setattr(sweep_mod, "_pipeline", recorded)
+        monkeypatch.setattr(sweep_mod, "dynamical_eigenvalues", recorded_spectrum)
         res = run_sweep(grid, SQ)
         statuses = ["ok", "ok", "error", "skipped", "ok", "error", "ok", "ok"]
         assert res.status.tolist() == statuses
         assert res.message[2] == "potential not attractive: Omega-^2 = 0.0 <= 0"
         assert "uncertainty bound" in res.message[5]
-        [(values, errors)] = blocks
-        assert list(errors) == [3]
-        assert np.isfinite(values["syncAbs"][3]) and np.isfinite(values["eigRatio"][3])
+        # one block; of its six cells only the fourth failed
+        [(run, _)], [spectrum] = runs, spectra
+        assert run.measures.failed_samples() == [3]
+        assert np.isfinite(run.sync.C[3, 0]) and np.isfinite(spectrum.ratio[3])
         for name in sweep_mod.METRICS:
             assert (np.isnan(res.values[name]) == (res.status != "ok")).all(), name
 
@@ -587,6 +594,22 @@ class TestRunSweep:
         with pytest.raises(DomainError, match="must span a finite number of steps of dt_out"):
             run_point(SystemParams(1.0, 1.4, 0.7), BathParams(), SQ, "full",
                       20.0, 0.1, window)
+
+    @pytest.mark.parametrize(
+        "window, t_max, dt_out, match",
+        [(1e308, 400.0, 0.001, "must span a finite number of steps of dt_out"),
+         (30.0, 20.0, 0.1, "window longer than the series")],
+    )
+    def test_run_point_checks_the_window_before_sampling(
+        self, window, t_max, dt_out, match, monkeypatch
+    ):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the window was checked")
+
+        monkeypatch.setattr(sweep_mod, "sample_trajectory", no_sampling)
+        with pytest.raises(DomainError, match=match):
+            run_point(SystemParams(1.0, 1.4, 0.7), BathParams(), SQ, "full",
+                      t_max, dt_out, window)
 
     def test_cell_error_is_captured(self, monkeypatch):
         def boom(*args, **kwargs):
