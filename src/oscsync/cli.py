@@ -249,8 +249,8 @@ _TRAJ_HEADER = [
 
 def _raise_first_failure(run: PointRun, info_path: str) -> None:
     # Once every file is written, the first failed sample's error, one line.
-    failed = run.measures.failed_samples()
-    if failed:
+    failed = np.flatnonzero(run.measures.failed())
+    if failed.size:
         first = run.measures.error(failed[0])
         times = run.traj.times
         raise type(first)(

@@ -43,8 +43,6 @@ __all__ = [
     "Spectrum",
     "Trajectory",
     "IDX_XX",
-    "IDX_PP",
-    "IDX_XP",
     "MODE_SLOT",
     "MODE_WEIGHT",
     "pack_moments",
@@ -66,11 +64,8 @@ MODE_WEIGHT = np.where(MODE_SLOT >= 6, 0.5, 1.0)
 _UPPER = np.triu_indices(4)
 _DIAG = np.arange(4)
 
-# The same layout by mode pair (i, j), 0 = minus mode.
-_PAIRS = [(0, 0), (1, 1), (0, 1), (1, 0)]
-IDX_XX = {(i, j): int(MODE_SLOT[2 * i, 2 * j]) for i, j in _PAIRS}
-IDX_PP = {(i, j): int(MODE_SLOT[2 * i + 1, 2 * j + 1]) for i, j in _PAIRS}
-IDX_XP = {(i, j): int(MODE_SLOT[2 * i, 2 * j + 1]) for i, j in _PAIRS}
+# The position slots by mode pair (i, j), 0 = minus mode.
+IDX_XX = {(i, j): int(MODE_SLOT[2 * i, 2 * j]) for i in (0, 1) for j in (0, 1)}
 
 
 def pack_moments(S: np.ndarray) -> np.ndarray:

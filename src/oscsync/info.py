@@ -238,6 +238,20 @@ def to_lab_covariance(
 MEASURES = ("mutualInfo", "discord", "logNegativity", "nuMin")
 _ENTROPY_FLOOR = 1.0 - 1e-6
 
+# Each check's code (0 is none failed), error class and message; {name} is
+# the measure and {nu} the eigenvalue that failed the bound.
+_NOT_PD, _DEGENERATE, _BELOW_BOUND, _OVERFLOW, _PT_ZERO = range(1, 6)
+_ERRORS = {
+    _NOT_PD: (UnphysicalState, "covariance matrix is not positive definite,"
+              " which violates the uncertainty bound"),
+    _DEGENERATE: (DegenerateState,
+                  "measured mode is pure (det B = 1) yet carries correlations"),
+    _BELOW_BOUND: (UnphysicalState,
+                   "symplectic eigenvalue {nu} < 1 violates the uncertainty bound"),
+    _OVERFLOW: (NumericalError, "{name} overflows float64 at this covariance's scale"),
+    _PT_ZERO: (UnphysicalState, "partial transpose produced a zero eigenvalue"),
+}
+
 
 @dataclass(frozen=True)
 class GaussianMeasures:
@@ -245,28 +259,36 @@ class GaussianMeasures:
 
     ``nu`` holds the global symplectic eigenvalues ``(nu1, nu2)`` and
     ``reduced`` the single-mode ones ``(nu_a, nu_b)``, both ``(n, 2)``.
-    ``series`` maps each name in :data:`MEASURES` to its ``(n,)`` values.
-    ``failures`` maps the same names to ``{sample: error}``: the error the
-    scalar function of that measure raises on that sample, where the value
-    is NaN.  Nothing is raised here, and a failed sample leaves the other
-    samples as they would be on their own.
+    ``series`` maps each name in :data:`MEASURES` to its ``(n,)`` values,
+    ``failures`` to ``(n,)`` codes in ``_ERRORS``: per sample, the first of
+    the measure's checks to fail there, or 0, and the value is NaN where it
+    is not 0.  ``failed_nu`` holds the eigenvalue that failed the bound where
+    the code says so.  :meth:`error` builds what the scalar function raises.
+    Nothing is raised here; a failed sample leaves the others as they are.
     """
 
     nu: np.ndarray
     reduced: np.ndarray
     series: dict
     failures: dict
+    failed_nu: dict
 
     def error(self, k: int, names=MEASURES) -> OscSyncError | None:
         """The first error of ``names``, in that order, at sample ``k``."""
         for name in names:
-            if k in self.failures[name]:
-                return self.failures[name][k]
+            code = self.failures[name][k]
+            if code:
+                cls, text = _ERRORS[code]
+                return cls(text.format(name=name, nu=float(self.failed_nu[name][k])))
         return None
+
+    def failed(self, names=MEASURES) -> np.ndarray:
+        """Whether any measure of ``names`` failed, per sample."""
+        return np.any([self.failures[name] for name in names], axis=0)
 
     def failed_samples(self) -> list:
         """Sorted indices of the samples where any measure failed."""
-        return sorted(set().union(*self.failures.values()))
+        return np.flatnonzero(self.failed()).tolist()
 
 
 _EYE = np.eye(4)[:, :, None]  # the identity as (4, 4, 1) components
@@ -388,35 +410,28 @@ def _entropies(nu: np.ndarray) -> np.ndarray:
     return np.log(up) + dn * np.log1p(1.0 / np.where(dn == 0.0, 1.0, dn))
 
 
-def _below_bound(nu: np.ndarray):
-    return nu < _ENTROPY_FLOOR, lambda k: UnphysicalState(
-        f"symplectic eigenvalue {float(nu[k])} < 1 violates the uncertainty bound"
-    )
-
-
-def _overflow(name: str, failed: np.ndarray):
-    return failed, lambda k: NumericalError(
-        f"{name} overflows float64 at this covariance's scale"
-    )
-
-
-def _first_failures(checks) -> dict:
-    # {sample: error of the first check that fails there}
-    out = {}
-    for failed, make in checks:
-        for k in np.flatnonzero(failed):
-            if int(k) not in out:
-                out[int(k)] = make(k)
-    return out
+def _first_failures(checks, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # Per sample, the code of the first of (failed, code, nu) checks that
+    # fails there, and its nu where it has one.  Later checks are written
+    # first, so that earlier ones overwrite them.
+    codes = np.zeros(n, dtype=np.int8)
+    failed_nu = np.full(n, np.nan)
+    for failed, code, nu in reversed(checks):
+        if failed.any():
+            codes[failed] = code
+            failed_nu[failed] = np.nan if nu is None else nu[failed]
+    return codes, failed_nu
 
 
 def gaussian_measures(sigma: np.ndarray) -> GaussianMeasures:
     """Spectra and information measures of ``(n, 4, 4)`` covariances.
 
-    With ``A, B, C`` the determinants of the 2x2 blocks and ``D = det
-    sigma``, the global symplectic eigenvalues ``nu1 <= nu2`` and those of
-    the partial transpose come from ``L = cholesky(sigma)``.  ``K = L^T
-    Omega L`` is real antisymmetric with eigenvalues ``+-i (|a| +- |b|)/2``,
+    ``sigma`` must be symmetric (not checked): the Cholesky factor reads its
+    lower triangle, ``D - A`` its upper one.  With ``A, B, C`` the
+    determinants of the 2x2 blocks and ``D = det sigma``, the global
+    symplectic eigenvalues ``nu1 <= nu2`` and those of the partial
+    transpose come from ``L = cholesky(sigma)``.  ``K = L^T Omega L`` is
+    real antisymmetric with eigenvalues ``+-i (|a| +- |b|)/2``,
     where ``a = (k01 + k23, k02 - k13, k03 + k12)`` and ``b = (k01 - k23,
     k02 + k13, k03 - k12)`` are its self-dual and anti-self-dual halves, so
     ``nu2 = (|a| + |b|)/2`` and ``nu1 = ||a| - |b||/2``; ``nu~1`` is the
@@ -452,7 +467,8 @@ def gaussian_measures(sigma: np.ndarray) -> GaussianMeasures:
     a zero eigenvalue (log-negativity), or when mutual information or
     discord overflows float64 (:class:`NumericalError`; the discord from
     ``|sigma|`` of about 1e77, where ``D`` overflows, mutual information
-    from about 1e154).  ``B = 1`` with ``|C| < 1e-15`` has zero discord.
+    from about 1e154), each recorded as its check's code, not raised.  ``B =
+    1`` with ``|C| < 1e-15`` has zero discord.
     """
     sigma = np.asarray(sigma, dtype=float)
     # A covariance too large for float64 overflows here; the checks below
@@ -486,39 +502,28 @@ def gaussian_measures(sigma: np.ndarray) -> GaussianMeasures:
             "nuMin": nu1,
         }
 
-    # Each measure's checks in the order its scalar function made them.
-    not_pd = (~pd, lambda k: UnphysicalState(
-        "covariance matrix is not positive definite, which violates the"
-        " uncertainty bound"
-    ))
-    degenerate = (pure_b & (np.abs(c) >= 1e-15), lambda k: DegenerateState(
-        "measured mode is pure (det B = 1) yet carries correlations"
-    ))
-    pt_zero = (nu_pt <= 0.0, lambda k: UnphysicalState(
-        "partial transpose produced a zero eigenvalue"
-    ))
+    # Each measure's checks in the order its scalar function made them:
+    # where the check fails, its code, and the eigenvalue it bounds.
+    not_pd = (~pd, _NOT_PD, None)
+    below_a, below_b, below_1, below_2, below_e = (
+        (x < _ENTROPY_FLOOR, _BELOW_BOUND, x) for x in (nu_a, nu_b, nu1, nu2, nu_e)
+    )
     # an Emin that overflowed reads as nu_e = 0, so it is checked first
-    discord_finite = np.isfinite(e_min) & np.isfinite(values["discord"])
-    discord_checks = [not_pd, degenerate] + [
-        (failed & ~pure_b, make)
-        for failed, make in [
-            *map(_below_bound, (nu_b, nu1, nu2)),
-            _overflow("discord", ~discord_finite),
-            _below_bound(nu_e),
-        ]
-    ]
-    failures = {
-        "mutualInfo": _first_failures(
-            [not_pd]
-            + [_below_bound(x) for x in (nu_a, nu_b, nu1, nu2)]
-            + [_overflow("mutualInfo", ~np.isfinite(values["mutualInfo"]))]
-        ),
-        "discord": _first_failures(discord_checks),
-        "logNegativity": _first_failures([not_pd, pt_zero]),
-        "nuMin": _first_failures([not_pd]),
+    overflow_d = (~np.isfinite(e_min) | ~np.isfinite(values["discord"]), _OVERFLOW, None)
+    checks = {
+        "mutualInfo": [not_pd, below_a, below_b, below_1, below_2,
+                       (~np.isfinite(values["mutualInfo"]), _OVERFLOW, None)],
+        "discord": [not_pd, (pure_b & (np.abs(c) >= 1e-15), _DEGENERATE, None)] + [
+            (failed & ~pure_b, code, x)
+            for failed, code, x in (below_b, below_1, below_2, overflow_d, below_e)
+        ],
+        "logNegativity": [not_pd, (nu_pt <= 0.0, _PT_ZERO, None)],
+        "nuMin": [not_pd],
     }
-    for name, failed in failures.items():
-        values[name][list(failed)] = np.nan
+    failures, failed_nu = {}, {}
+    for name, measure_checks in checks.items():
+        failures[name], failed_nu[name] = _first_failures(measure_checks, pd.size)
+        values[name][failures[name] != 0] = np.nan
     spectra = np.stack([nu1, nu2, nu_a, nu_b], axis=1)
     spectra[~pd] = np.nan
     return GaussianMeasures(
@@ -526,6 +531,7 @@ def gaussian_measures(sigma: np.ndarray) -> GaussianMeasures:
         reduced=spectra[:, 2:],
         series=values,
         failures=failures,
+        failed_nu=failed_nu,
     )
 
 
@@ -631,28 +637,18 @@ def information_measures(
     Samples go through :func:`gaussian_measures` in blocks of
     ``_BLOCK_SAMPLES``; a sample's values do not depend on its block.
     """
-    starts = range(0, len(traj.times), _BLOCK_SAMPLES)
-    parts = []
-    for start in starts:
-        block = slice(start, start + _BLOCK_SAMPLES)
-        sigma = lab_covariances(traj.second_moments[block], basis, sys)
-        parts.append(gaussian_measures(sigma))
-    return GaussianMeasures(
-        nu=np.concatenate([p.nu for p in parts]),
-        reduced=np.concatenate([p.reduced for p in parts]),
-        series={
-            name: np.concatenate([p.series[name] for p in parts])
-            for name in MEASURES
-        },
-        failures={
-            name: {
-                start + k: error
-                for start, p in zip(starts, parts)
-                for k, error in p.failures[name].items()
-            }
-            for name in MEASURES
-        },
+    blocks = (
+        traj.second_moments[k : k + _BLOCK_SAMPLES]
+        for k in range(0, len(traj.times), _BLOCK_SAMPLES)
     )
+    parts = [gaussian_measures(lab_covariances(b, basis, sys)) for b in blocks]
+
+    def joined(fields):  # one field of every block, or one measure of it
+        if isinstance(fields[0], dict):
+            return {name: joined([f[name] for f in fields]) for name in MEASURES}
+        return np.concatenate(fields)
+
+    return GaussianMeasures(*map(joined, zip(*(vars(p).values() for p in parts))))
 
 
 def information_series(

@@ -201,7 +201,7 @@ class PointRun:
     def physicality(self) -> dict:
         """The minimum symplectic eigenvalue and its time, and the count and
         the first and last time of the samples whose measures failed."""
-        failed = self.measures.failed_samples()
+        failed = np.flatnonzero(self.measures.failed())
         times = self.traj.times
         nu_min = self.measures.series["nuMin"]
         k_min = int(np.nanargmin(nu_min)) if np.isfinite(nu_min).any() else None
@@ -209,8 +209,8 @@ class PointRun:
             "minNu": None if k_min is None else float(nu_min[k_min]),
             "minNuTime": None if k_min is None else float(times[k_min]),
             "violatingSamples": len(failed),
-            "firstViolationTime": float(times[failed[0]]) if failed else None,
-            "lastViolationTime": float(times[failed[-1]]) if failed else None,
+            "firstViolationTime": float(times[failed[0]]) if failed.size else None,
+            "lastViolationTime": float(times[failed[-1]]) if failed.size else None,
         }
 
 
@@ -276,7 +276,7 @@ def run_point(
     if not finite.all():
         t = run.traj.times[np.argmin(finite)]
         raise NumericalError(f"the propagation overflows float64 at t = {t:.6g}")
-    failed = run.measures.failed_samples()
+    failed = run.measures.failed()
     for name in ("mutualInfo", "discord", "logNegativity"):
         run.measures.series[name][failed] = np.nan
     return run
@@ -381,7 +381,7 @@ def run_sweep(
                     values["syncAbs"][b] = abs(run.sync.C[:, 0])
                     for j in np.flatnonzero(~finite):  # as its series would raise alone
                         errors.setdefault(j, _NOT_FINITE)
-                for j in set().union(*(run.measures.failures[m] for m in names)):
+                for j in np.flatnonzero(run.measures.failed(names) if names else ()):
                     errors.setdefault(j, str(run.measures.error(j, names)))
                 for name in names:
                     values[name][b] = run.measures.series[name]

@@ -9,7 +9,13 @@ from oscsync import (
     diagonalize,
     dissipation_coefficients,
 )
+from oscsync.dynamics import MODE_SLOT
 
+
+# The momentum and position-momentum slots of R by mode pair (i, j), 0 =
+# minus mode, as dynamics.IDX_XX gives the position slots.
+IDX_PP = {(i, j): int(MODE_SLOT[2 * i + 1, 2 * j + 1]) for i in (0, 1) for j in (0, 1)}
+IDX_XP = {(i, j): int(MODE_SLOT[2 * i, 2 * j + 1]) for i in (0, 1) for j in (0, 1)}
 
 # (omega2, lambda): resonance, no coupling, the default point, strong
 STACK_POINTS = ((1.0, 0.3), (1.2, 0.0), (1.4, 0.7), (1.45, 1.2))

@@ -32,9 +32,9 @@ from oscsync import (
     unpack_moments,
 )
 from oscsync import dynamics
-from oscsync.dynamics import IDX_PP, IDX_XP, IDX_XX
+from oscsync.dynamics import IDX_XX
 
-from conftest import make_gen, mean_drift, mean_trajectory
+from conftest import IDX_PP, IDX_XP, make_gen, mean_drift, mean_trajectory
 
 COTH_005 = 20.016663889550099248  # = 2 <X^2> of a thermal mode at omega=1, T=10
 TWO_OMEGA_MINUS_131_09 = 1.248107133869219397

@@ -39,9 +39,9 @@ from oscsync import (
     to_lab_covariance,
 )
 from oscsync import info as info_mod
-from oscsync.dynamics import IDX_PP, IDX_XP, IDX_XX, unpack_moments
+from oscsync.dynamics import IDX_XX, Trajectory, pack_moments, unpack_moments
 
-from conftest import STACK_POINTS
+from conftest import IDX_PP, IDX_XP, STACK_POINTS
 
 # Frozen arbitrary-precision references for the two-mode squeezed state r=2
 COSH_2 = 3.7621956910836314596
@@ -475,6 +475,18 @@ def _reference_series(traj, basis, sys_p, samples):
     return dict(zip(names, np.array(rows).T))
 
 
+# A physical near-pure state whose closed-form sqrt(Emin) rounds below the
+# bound (0.99999896) while nu1, nu2 and nu_b pass; exact Emin - 1 = -3e-15.
+_EMIN_BELOW = np.array(
+    [
+        [10.057782270619793, 0, -31.54396061729318, 49.12680793158241],
+        [0, 4.93340743955944, 0.7007562795385717, 0.44995043266133067],
+        [-31.54396061729318, 0.7007562795385717, 101.06689286295908, -157.17892372455967],
+        [49.12680793158241, 0.44995043266133067, -157.17892372455967, 244.93513652048682],
+    ]
+)
+
+
 def _squeezed_run(omega2, lam, topology, backend, t_max, dt_out):
     sys_p = SystemParams(1.0, omega2, lam)
     basis = diagonalize(sys_p)
@@ -545,8 +557,8 @@ class TestBatchedKernel:
             for measure in alone.series:
                 got = mixed.series[measure][keep]
                 assert np.array_equal(got, alone.series[measure])
-                assert set(mixed.failures[measure]) <= {1}
-                if mixed.failures[measure]:
+                assert set(np.flatnonzero(mixed.failures[measure])) <= {1}
+                if mixed.failures[measure].any():
                     assert np.isnan(mixed.series[measure][1])
             assert np.array_equal(mixed.nu[keep], alone.nu)
             assert mixed.failed_samples() == [1]
@@ -581,8 +593,12 @@ class TestBatchedKernel:
 
         def reasons(measures):
             return {
-                name: {k: (type(e), str(e)) for k, e in failed.items()}
-                for name, failed in measures.failures.items()
+                name: {
+                    k: (type(e), str(e))
+                    for k in np.flatnonzero(codes)
+                    for e in [measures.error(k, (name,))]
+                }
+                for name, codes in measures.failures.items()
             }
 
         for size in (1, 3, 7):
@@ -593,6 +609,51 @@ class TestBatchedKernel:
                 assert blocks.series[name].tobytes() == whole.series[name].tobytes()
             assert blocks.nu.tobytes() == whole.nu.tobytes()
             assert blocks.reduced.tobytes() == whole.reduced.tobytes()
+
+    def test_blocks_record_each_failure_as_alone(self, monkeypatch):
+        # good samples between failures of every check and every quantity
+        # the bound checks, in blocks of 3: each sample's codes, errors and
+        # values are those it gets alone
+        nan = np.eye(4)
+        nan[0, 0] = np.nan
+        degenerate = np.eye(4)
+        degenerate[0, 2] = degenerate[2, 0] = 0.1
+        degenerate[1, 3] = degenerate[3, 1] = -0.1
+        thermal = np.diag([2.0, 2.0, 3.0, 3.0])
+        bad = [
+            -np.eye(4),  # not positive definite
+            nan,
+            degenerate,  # B = 1 with correlations
+            np.diag([0.5, 0.5, 1.0, 1.0]),  # nu_a below the bound
+            np.diag([1.0, 1.0, 0.5, 0.5]),  # nu_b
+            0.9 * _tms_sigma(1.0).sigma,  # nu1 and nu2; nu1 <= nu2 fails first
+            _EMIN_BELOW,  # the discord's sqrt(Emin)
+            1e100 * thermal,  # the discord overflows
+            1e200 * thermal,  # the mutual information too
+            _tms_sigma(19.25).sigma,  # its nu~1 = e^-r rounds to 0
+        ]
+        good = [_tms_sigma(r).sigma + x * np.eye(4) for r, x in ((0.4, 0.1), (2.0, 0.0))]
+        stack = np.stack([s for k, b in enumerate(bad) for s in (good[k % 2], b)])
+        # omega = (0.5, 2) and lam = 0 take the moments to sigma by powers of 2
+        sys_p = SystemParams(0.5, 2.0, 0.0)
+        basis = diagonalize(sys_p)
+        scale = np.sqrt([1.0, 4.0, 4.0, 1.0])
+        second = pack_moments(stack / np.outer(scale, scale))
+        traj = Trajectory(np.arange(len(stack), dtype=float), second)
+        sigma = lab_covariances(second, basis, sys_p)
+        monkeypatch.setattr(info_mod, "_BLOCK_SAMPLES", 3)
+        whole = information_measures(traj, basis, sys_p)
+        codes = np.stack([whole.failures[name] for name in MEASURES])
+        assert set(np.unique(codes)) == set(range(6))
+        assert whole.failed_samples() == list(range(1, len(stack), 2))
+        for k in range(len(stack)):
+            alone = gaussian_measures(sigma[k][None])
+            for name in MEASURES:
+                assert whole.failures[name][k] == alone.failures[name][0], (k, name)
+                got, want = whole.error(k, (name,)), alone.error(0, (name,))
+                assert type(got) is type(want), (k, name)
+                assert str(got) == str(want), (k, name)
+                assert whole.series[name][k].tobytes() == alone.series[name][0].tobytes()
 
     def test_stacked_builder_matches_reference(self, fig_system):
         sys_p, basis, traj = _squeezed_run(1.4, 0.7, "common", "full", 20.0, 0.5)
