@@ -383,6 +383,10 @@ def sample_trajectory(
         while m < n:
             c = min(m, n - m)
             step_t = np.swapaxes(step, -1, -2)
+            # a contiguous operand halves a stack's time with the same bits;
+            # at c = 1 numpy takes a matrix-vector route, whose bits it changes
+            if c > 1:
+                step_t = np.ascontiguousarray(step_t)
             np.matmul(V[..., :c, :], step_t, out=V[..., m : m + c, :])
             m += c
             if m < n:

@@ -504,18 +504,20 @@ def gaussian_measures(sigma: np.ndarray) -> GaussianMeasures:
 
     # Each measure's checks in the order its scalar function made them:
     # where the check fails, its code, and the eigenvalue it bounds.
+    # nu2 needs no check of its own: nu1 = |a - b|/2 <= nu2 = (a + b)/2 for
+    # a, b >= 0 in floats too, so below_1 fails first wherever nu2 would.
     not_pd = (~pd, _NOT_PD, None)
-    below_a, below_b, below_1, below_2, below_e = (
-        (x < _ENTROPY_FLOOR, _BELOW_BOUND, x) for x in (nu_a, nu_b, nu1, nu2, nu_e)
+    below_a, below_b, below_1, below_e = (
+        (x < _ENTROPY_FLOOR, _BELOW_BOUND, x) for x in (nu_a, nu_b, nu1, nu_e)
     )
     # an Emin that overflowed reads as nu_e = 0, so it is checked first
     overflow_d = (~np.isfinite(e_min) | ~np.isfinite(values["discord"]), _OVERFLOW, None)
     checks = {
-        "mutualInfo": [not_pd, below_a, below_b, below_1, below_2,
+        "mutualInfo": [not_pd, below_a, below_b, below_1,
                        (~np.isfinite(values["mutualInfo"]), _OVERFLOW, None)],
         "discord": [not_pd, (pure_b & (np.abs(c) >= 1e-15), _DEGENERATE, None)] + [
             (failed & ~pure_b, code, x)
-            for failed, code, x in (below_b, below_1, below_2, overflow_d, below_e)
+            for failed, code, x in (below_b, below_1, overflow_d, below_e)
         ],
         "logNegativity": [not_pd, (nu_pt <= 0.0, _PT_ZERO, None)],
         "nuMin": [not_pd],

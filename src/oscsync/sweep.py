@@ -1,23 +1,28 @@
 """One parameter point's run, and parameter-grid sweeps over detuning and coupling.
 
-A point and a block of sweep cells go through one pipeline
+A point and a stack of sweep cells go through one pipeline
 (:func:`_pipeline`): set-up, sampling, lab variances, indicator,
-information measures, each stage one call on the point or on the block's
-stack.  The callers differ in what they sample and how they fail, and
-check the window's step count before anything is sampled.
+information measures.  On a point each stage is one call.  On a stack the
+set-up, the spectrum and the measures are one call each, and sampling, lab
+variances and indicator one call per chunk of cells.  The callers differ
+in what they sample and how they fail, and check the window's step count
+before anything is sampled.
 :func:`run_point`, behind ``simulate``, ``compare-rwa`` and the acceptance
 tests, samples one trajectory from ``t = 0`` and measures every sample.
 
 A sweep cell reads the indicator over the window ``[t_eval, t_eval +
 window]`` and the information measures at ``t_eval``, so only that window,
 or that one step when the indicator is not asked for, is propagated.  The
-live cells, in row-major order, go through blocks of at most
-``_BLOCK_SAMPLES`` window samples (one cell if its window alone is longer;
-an eigRatio-only sweep samples nothing, and its blocks hold as many
-generators as those samples take bytes).  A block may cross omega2 rows; a
-cell's values do not depend on its block.  A cell that fails is reported
-with its message while the rest of its block goes on; a set-up error
-shared by the block fails its cells, and a window too short for the
+live cells, in row-major order, go through stacks of as many cells as the
+bytes of ``_BLOCK_SAMPLES`` window samples hold generators (1408; the
+default map is one stack).  A stack is set up, and its spectrum and
+measures read, once; its windows are sampled in chunks of at most
+``_BLOCK_SAMPLES`` samples (108 cells at the default window, one cell if
+its window alone is longer), of which only each cell's first sample and
+its indicator are kept.  A stack or a chunk may cross omega2
+rows; a cell's values depend on neither.  A cell that fails is reported
+with its message while the rest of its stack goes on; a set-up error
+shared by the stack fails all of its cells, and a window too short for the
 indicator, or too long for an array, fails the sweep.
 """
 
@@ -26,7 +31,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -187,7 +192,8 @@ def _set_up(system, bath, initial, backend):
 class PointRun:
     """Everything one parameter point computes.  In ``measures.series`` the
     measures other than ``nuMin`` are NaN at each failed sample.  A sweep
-    block's pass of :func:`_pipeline` gives one over its stack of cells."""
+    stack's pass of :func:`_pipeline` gives one over its cells, with each
+    cell's first sample and its indicator."""
 
     basis: NormalModeBasis
     coeffs: DissipationCoefficients
@@ -214,29 +220,74 @@ class PointRun:
         }
 
 
-def _pipeline(system, set_up, dt_out, n, k_start, window, measure) -> tuple:
+def _sliced(stacked, cells: slice):
+    # A stacked frozen dataclass with each array field cut to ``cells``; a
+    # part of a checked stack needs no check, so __post_init__ is not rerun.
+    part = object.__new__(type(stacked))
+    for f in fields(stacked):
+        value = getattr(stacked, f.name)
+        object.__setattr__(part, f.name, value[cells] if np.ndim(value) else value)
+    return part
+
+
+def _sampled(system, basis, gen, state0, dt_out, n, k_start, window, first=False) -> tuple:
+    # The trajectory, lab variances, and unless ``window`` is None the
+    # indicator and the mask of cells it read, of a point or a chunk.  With
+    # ``first`` only each cell's first sample and lab variances are kept, as
+    # copies, and the samples are freed before the indicator is read.
+    traj = sample_trajectory(gen, state0, dt_out, n, k_start=k_start)
+    x1, x2 = lab_variance_series(traj, basis, system)
+    times = traj.times
+    if first:
+        traj = Trajectory(times[:1], traj.second_moments[:, :1].copy())
+    sync = finite = None
+    if window is not None:
+        # a point is a stack of one here; its indicator keeps its own shape
+        finite = np.isfinite(x1).all(axis=-1) & np.isfinite(x2).all(axis=-1)
+        f, g = (ObservableSeries(times, x[finite]) for x in (x1, x2))
+        sync = windowed_correlation(f, g, window)
+        C = np.full(finite.shape + sync.C.shape[-1:], np.nan)
+        C[finite] = sync.C
+        sync = replace(sync, C=C)
+    if first:
+        x1, x2 = x1[:, :1].copy(), x2[:, :1].copy()
+    return traj, x1, x2, sync, finite
+
+
+def _pipeline(system, set_up, dt_out, n, k_start, window, measure, chunk=None) -> tuple:
     """Sampling, indicator and measures of a point or a stack of cells.
 
     ``set_up`` is :func:`_set_up`'s for ``system``.  Samples ``n`` steps of
     ``dt_out`` from step ``k_start``; reads the indicator over every window
     of ``window`` unless it is None, NaN where a cell's lab variances are
     not finite; if ``measure``, measures every sample of a point, or the
-    first sample of each cell of a stack.  Returns the :class:`PointRun`
-    and the mask of cells the indicator read (None without it).  Raises
-    nothing for values that are not finite: each caller has its own policy.
+    first sample of each cell of a stack.  A point is one chunk and keeps
+    every sample.  A stack is sampled, and its indicator read, ``chunk``
+    cells at a time; of each chunk it keeps only its cells' first sample
+    and indicator, and frees the chunk's samples before its indicator is
+    read.  A stack's set-up and measures are one call each.
+    Returns the :class:`PointRun` and the mask of cells the indicator read
+    (None without it).  Raises nothing for values that are not finite: each
+    caller has its own policy.
     """
     basis, coeffs, gen, state0 = set_up
-    traj = sample_trajectory(gen, state0, dt_out, n, k_start=k_start)
-    x1, x2 = lab_variance_series(traj, basis, system)
-    sync = measures = finite = None
-    if window is not None:
-        # a point is a stack of one here; its indicator keeps its own shape
-        finite = np.isfinite(x1).all(axis=-1) & np.isfinite(x2).all(axis=-1)
-        f, g = (ObservableSeries(traj.times, x[finite]) for x in (x1, x2))
-        sync = windowed_correlation(f, g, window)
-        C = np.full(finite.shape + sync.C.shape[-1:], np.nan)
-        C[finite] = sync.C
-        sync = replace(sync, C=C)
+    inputs, args = (system, basis, gen, state0), (dt_out, n, k_start, window)
+    if chunk is None:
+        traj, x1, x2, sync, finite = _sampled(*inputs, *args)
+    else:
+        parts = [
+            _sampled(*(_sliced(x, slice(i, i + chunk)) for x in inputs), *args, first=True)
+            for i in range(0, len(gen.A), chunk)
+        ]
+        trajs, x1, x2, syncs, masks = zip(*parts)
+        moments = np.concatenate([t.second_moments for t in trajs])
+        traj = replace(trajs[0], second_moments=moments)
+        x1, x2 = np.concatenate(x1), np.concatenate(x2)
+        sync = finite = None
+        if window is not None:
+            sync = replace(syncs[0], C=np.concatenate([y.C for y in syncs]))
+            finite = np.concatenate(masks)
+    measures = None
     if measure and traj.second_moments.ndim == 2:  # in blocks of samples
         measures = information_measures(traj, basis, system)
     elif measure:
@@ -283,10 +334,11 @@ def run_point(
 
 
 _SKIPPED = "coupling exceeds stability bound |lam| < omega1*omega2"
-_BLOCK_SAMPLES = 2**14  # window samples per stack; bounds its temporaries
+_BLOCK_SAMPLES = 2**14  # window samples per chunk; bounds its temporaries
 # The bytes of one window sample in the sampler (R and the constant 1), and
-# of one cell of an eigRatio-only stack at its peak (1.05 kB a cell under
-# tracemalloc), so such a stack gets about as many bytes as a sampled one.
+# of one cell of a stack's set-up at its peak (1.05 kB a cell under
+# tracemalloc, on an eigRatio-only stack), so a stack's set-up takes about
+# as many bytes as a chunk's samples.
 _SAMPLE_BYTES = 11 * 8
 _GENERATOR_BYTES = 1024
 
@@ -320,13 +372,17 @@ def run_sweep(
 
     A cell past the stability bound is skipped, and one whose lower mode
     frequency rounds to zero fails on its own.  The rest go, in row-major
-    order, through stacks of up to ``_BLOCK_SAMPLES`` window samples, or
-    as many cells as the bytes of those samples hold generators when no
-    metric is sampled, each stack one pass of :func:`_pipeline`; a block
-    may cross omega2 rows, and a cell's values do not depend on its block.
-    Each block's arrays and failures are written by index into the columns
-    of the :class:`SweepResult`, and a cell that is not ``ok`` is NaN in
-    every metric column.
+    order, through stacks of as many cells as the bytes of
+    ``_BLOCK_SAMPLES`` window samples hold generators, each stack one pass
+    of :func:`_pipeline`: one set-up, one ``eigRatio`` spectrum and one
+    call of the information measures, with its windows sampled and their
+    indicator read in chunks of at most ``_BLOCK_SAMPLES`` samples (one
+    cell if its window alone is longer).  A stack or a chunk may cross
+    omega2 rows, and a cell's values depend on neither.  A set-up error
+    fails every cell of its stack, since they share the call.  Each stack's
+    arrays and failures are written by index into the columns of the
+    :class:`SweepResult`, and a cell that is not ``ok`` is NaN in every
+    metric column.
 
     ``t_eval`` and ``window`` are rounded to whole steps of ``dt_out``;
     the provenance records the effective values (``t_eval_effective``,
@@ -355,15 +411,16 @@ def run_sweep(
     values = {name: np.full(omega2.size, np.nan) for name in METRICS}
     sampled = bool({"syncAbs", "discord", "mutualInfo"} & set(grid.metrics))
     names = [name for name in ("discord", "mutualInfo") if name in grid.metrics]
-    cell_bytes = (w + 1) * _SAMPLE_BYTES if sampled else _GENERATOR_BYTES
-    size = max(1, _BLOCK_SAMPLES * _SAMPLE_BYTES // cell_bytes)
+    n = w + 1 if sync else 1  # the samples of each cell
+    chunk = max(1, _BLOCK_SAMPLES // n)  # cells a chunk
+    size = max(1, _BLOCK_SAMPLES * _SAMPLE_BYTES // _GENERATOR_BYTES)  # cells a stack
     measured = np.flatnonzero(live)
     for b in (measured[i : i + size] for i in range(0, measured.size, size)):
         errors = {}  # stack index: message of the cell's first failure
         try:
             system = replace(grid.system, omega2=omega2[b], lam=lams[b])
             set_up = _set_up(system, grid.bath, initial if sampled else None, grid.backend)
-        except OscSyncError as exc:  # shared by the block, so it fails every cell
+        except OscSyncError as exc:  # shared by the stack, so it fails every cell
             errors = dict.fromkeys(range(b.size), str(exc))
         else:
             if "eigRatio" in grid.metrics:
@@ -375,8 +432,8 @@ def run_sweep(
                 for j in np.flatnonzero(~finite_drift):
                     errors[j] = _DRIFT_NOT_FINITE
             if sampled:
-                run, finite = _pipeline(system, set_up, dt_out, w + 1 if sync else 1,
-                                        k_eval, w * dt_out if sync else None, bool(names))
+                run, finite = _pipeline(system, set_up, dt_out, n, k_eval,
+                                        w * dt_out if sync else None, bool(names), chunk)
                 if sync:
                     values["syncAbs"][b] = abs(run.sync.C[:, 0])
                     for j in np.flatnonzero(~finite):  # as its series would raise alone
@@ -385,7 +442,6 @@ def run_sweep(
                     errors.setdefault(j, str(run.measures.error(j, names)))
                 for name in names:
                     values[name][b] = run.measures.series[name]
-                del run  # freed before the next block's arrays are made
         for j, text in errors.items():
             status[b[j]], message[b[j]] = "error", text
     flagged = status != "ok"

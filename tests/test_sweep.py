@@ -131,6 +131,12 @@ def _assert_same_cells(got, want, cells=slice(None)):
         np.testing.assert_array_equal(getattr(got, name)[cells], getattr(want, name)[cells])
 
 
+def _generator(system):
+    # the generator of one point at the default bath
+    basis = diagonalize(system)
+    return build_generator(basis, dissipation_coefficients(system, BathParams(), basis))
+
+
 def _assert_same_sweep(got, want):
     _assert_same_cells(got, want)
     assert got.provenance == want.provenance
@@ -403,6 +409,8 @@ class TestRunSweep:
             assert (np.isnan(res.values[name]) == (res.status != "ok")).all(), name
 
     def test_one_kernel_call_per_block(self, monkeypatch):
+        # a stack's set-up, spectrum and measures are one call each; its
+        # sampling, lab variances and indicator one call per chunk
         calls = {}
 
         def counted(name):
@@ -414,50 +422,45 @@ class TestRunSweep:
 
             return wrapper
 
-        names = (
+        per_stack = (
+            "diagonalize",
             "dissipation_coefficients",
             "build_generator",
             "make_initial",
-            "sample_trajectory",
-            "windowed_correlation",
+            "dynamical_eigenvalues",
             "lab_covariances",
             "gaussian_measures",
-            "dynamical_eigenvalues",
         )
-        for name in names:
+        per_chunk = ("sample_trajectory", "lab_variance_series", "windowed_correlation")
+        for name in per_stack + per_chunk:
             monkeypatch.setattr(sweep_mod, name, counted(name))
         # 2 rows of 3 cells; lambda = 1.2 is skipped at omega2 = 1.1
         grid = _tiny_grid(omega2=(1.1, 1.4), lam=(0.3, 0.7, 1.2))
         res = run_sweep(grid, SQ)
         assert res.status.tolist().count("ok") == 5
-        assert calls == dict(zip(names, (1,) * 8))
-        # a budget of one cell's window: one stack per live cell
+        assert calls == dict.fromkeys(per_stack + per_chunk, 1)
+        # a budget of one cell's window: one chunk per live cell, in one
+        # stack of 151 * 88 // 1024 = 12 cells
         calls.clear()
         monkeypatch.setattr(sweep_mod, "_BLOCK_SAMPLES", 151)
         _assert_same_sweep(run_sweep(grid, SQ), res)
-        assert calls == dict(zip(names, (5,) * 8))
+        assert calls == {**dict.fromkeys(per_stack, 1), **dict.fromkeys(per_chunk, 5)}
 
     def test_cells_do_not_depend_on_blocking(self, monkeypatch):
         # row 1.1: ok, ok, not attractive, skipped; row 1.4: ok, unphysical
         # (made so below), ok, ok.  Six live cells of 151 window samples.
         grid = _tiny_grid(omega2=(1.1, 1.4), lam=(0.3, 0.5, np.nextafter(1.1, 0), 1.2))
-        real_initial, real_sample = sweep_mod.make_initial, sweep_mod.sample_trajectory
-        seen = {}
-
-        def record(spec, system, basis):
-            seen["system"] = system
-            return real_initial(spec, system, basis)
+        real_sample = sweep_mod.sample_trajectory
+        target = _generator(SystemParams(1.0, 1.4, 0.5)).A
 
         def shrink_target(gen, initial, *args, **kwargs):
             traj = real_sample(gen, initial, *args, **kwargs)
-            system = seen["system"]
-            traj.second_moments[(system.omega2 == 1.4) & (system.lam == 0.5), 0] *= 0.01
+            traj.second_moments[(gen.A == target).all(axis=(1, 2)), 0] *= 0.01
             return traj
 
-        monkeypatch.setattr(sweep_mod, "make_initial", record)
         monkeypatch.setattr(sweep_mod, "sample_trajectory", shrink_target)
-        # one cell, two (row 1.1), three (splits row 1.4), four (row 1.4),
-        # the whole grid
+        # chunks of one cell, two (row 1.1), three (splits row 1.4), four
+        # (row 1.4), the whole grid, each budget's stack holding every cell
         runs = []
         for cells in (1, 2, 3, 4, 6):
             monkeypatch.setattr(sweep_mod, "_BLOCK_SAMPLES", cells * 151)
@@ -467,6 +470,60 @@ class TestRunSweep:
         assert "uncertainty bound" in runs[0].message[5]
         for run in runs[1:]:
             _assert_same_sweep(run, runs[0])
+
+    @pytest.mark.parametrize(
+        "stack, chunk, stacks, chunks",
+        [
+            (6, 6, [6], [6]),
+            (6, 4, [6], [4, 2]),  # a chunk boundary inside the stack
+            (4, 3, [4, 2], [3, 1, 2]),  # the unphysical cell: a stack's 2nd chunk
+            (3, 2, [3, 3], [2, 1, 2, 1]),
+            (2, 6, [2, 2, 2], [2, 2, 2]),  # a chunk is never more than a stack
+            (1, 1, [1] * 6, [1] * 6),
+        ],
+    )
+    def test_stacks_and_chunks_are_independent(
+        self, stack, chunk, stacks, chunks, monkeypatch
+    ):
+        # the live cells of test_cells_do_not_depend_on_blocking, with the
+        # fourth, (1.4, 0.5), unphysical and the sixth, (1.4, 1.2), not
+        # finite inside its window; the sample budget sets the chunk and the
+        # generator bytes the stack, each apart from the other
+        grid = _tiny_grid(omega2=(1.1, 1.4), lam=(0.3, 0.5, np.nextafter(1.1, 0), 1.2))
+        real_sample, real_build = sweep_mod.sample_trajectory, sweep_mod.build_generator
+        shrink = _generator(SystemParams(1.0, 1.4, 0.5)).A
+        blow_up = _generator(SystemParams(1.0, 1.4, 1.2)).A
+        stacks_seen, chunks_seen = [], []
+
+        def sample(gen, initial, *args, **kwargs):
+            traj = real_sample(gen, initial, *args, **kwargs)
+            chunks_seen.append(len(gen.A))
+            traj.second_moments[(gen.A == shrink).all(axis=(1, 2)), 0] *= 0.01
+            traj.second_moments[(gen.A == blow_up).all(axis=(1, 2)), 5, 0] = np.inf
+            return traj
+
+        def build(*args, **kwargs):
+            gen = real_build(*args, **kwargs)
+            stacks_seen.append(len(gen.A))
+            return gen
+
+        monkeypatch.setattr(sweep_mod, "sample_trajectory", sample)
+        monkeypatch.setattr(sweep_mod, "build_generator", build)
+        whole = run_sweep(grid, SQ)
+        statuses = ["ok", "ok", "error", "skipped", "ok", "error", "ok", "error"]
+        assert whole.status.tolist() == statuses
+        assert "uncertainty bound" in whole.message[5]
+        assert whole.message[7] == "observable values must be finite"
+
+        budget = chunk * 151
+        monkeypatch.setattr(sweep_mod, "_BLOCK_SAMPLES", budget)
+        monkeypatch.setattr(
+            sweep_mod, "_GENERATOR_BYTES", budget * sweep_mod._SAMPLE_BYTES // stack
+        )
+        stacks_seen.clear()
+        chunks_seen.clear()
+        _assert_same_sweep(run_sweep(grid, SQ), whole)
+        assert (stacks_seen, chunks_seen) == (stacks, chunks)
 
     @pytest.mark.parametrize("window, budget", [(15.0, 301), (15.0, 453), (60.0, 500)])
     def test_block_budget_bounds_each_stack(self, window, budget, monkeypatch):
