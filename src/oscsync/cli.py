@@ -48,7 +48,6 @@ from .sweep import (
     PointRun,
     SweepGrid,
     _set_up,
-    _formatted,
     _write_csv,
     _write_json,
     run_point,
@@ -281,7 +280,7 @@ def cmd_simulate(cfg: RunConfig) -> list:
     manifest_path = os.path.join(out, "manifest.json")
 
     r = traj.second_moments
-    t = _formatted(traj.times)
+    t = traj.times
     _write_csv(
         traj_path,
         "t [1/omega1]; mode moments <Xi Xj>, <Pi Pj>, <{Xi,Pj}> and means"
@@ -400,7 +399,7 @@ def cmd_compare_rwa(cfg: RunConfig) -> list:
 
     full, rwa = runs["full"], runs["rwa"]
     assert np.array_equal(full.traj.times, rwa.traj.times)
-    t = _formatted(full.traj.times)
+    t = full.traj.times
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     paths = []

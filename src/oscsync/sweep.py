@@ -28,7 +28,6 @@ indicator, or too long for an array, fails the sweep.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
@@ -475,35 +474,155 @@ def run_sweep(
     return SweepResult(grid, omega2, lams, values, status, message, provenance)
 
 
-_CSV_BLOCK_ROWS = 1024
+_CSV_BLOCK_VALUES = 2**12  # fields formatted at a time; bounds the temporaries
+_FIELD = 24  # bytes of the longest "%.17g" field, "-1.7976931348623157e+308"
+_WORDS = 12  # uint32 words of a number's slot: sign, 5 + 5 digit groups, point
+# |x| 10**p = (|x| 2**p) 5**p, with 5**p exact for p <= 22 and the product
+# exact as hi + lo (Dekker's two-product, Numer. Math. 18, 224, 1971)
+_TWO, _FIVE = 2.0 ** np.arange(22), 5.0 ** np.arange(22)
+_TEN = 10 ** np.arange(17)
 
 
-def _formatted(values: np.ndarray) -> list:
-    """The fields :func:`_write_csv` prints for NaN-free ``values``."""
-    return ["%.17g" % v for v in values.tolist()]
+def _words(chars: np.ndarray) -> np.ndarray:
+    # each row of four bytes as one uint32 word, in memory order
+    return np.ascontiguousarray(chars, np.uint8).view(np.uint32)[:, 0]
+
+
+# the digits of each group 0000..9999, then the same with trailing zeros as
+# NULs; and the masks that keep the last 0..4 bytes of a word
+_GROUP = np.arange(10**4, dtype=np.uint16)[:, None]
+_DIGITS = _GROUP // np.array([1000, 100, 10, 1], np.uint16) % 10 + 48
+_GROUPS = _words(np.concatenate(
+    [_DIGITS, _DIGITS * (_GROUP % np.array([10**4, 1000, 100, 10], np.uint16) != 0)]
+))
+_LAST = _words(255 * (np.arange(4) >= 4 - np.arange(5)[:, None]))
+# for each E in [-4, 16], the masks of the integer part's five groups, which
+# drop its leading zeros, and of the fraction's first group, which keep its
+# last -E bytes (the zeros after "0." and D's first digit) when E < 0
+_E = np.arange(-4, 17)
+_KEEP = _LAST[np.clip(np.vstack([np.maximum(_E, 0) - [[15], [11], [7], [3], [-1]], -_E]), 0, 4)]
+del _GROUP, _DIGITS, _E
+
+
+def _scaled(s: np.ndarray, p: np.ndarray) -> tuple:
+    # s 10**p as hi + lo, exactly
+    a, b = s * _TWO[p], _FIVE[p]
+    hi = a * b
+    c = a * (2.0**27 + 1)
+    ah = c - (c - a)
+    c = b * (2.0**27 + 1)
+    bh = c - (c - b)
+    al, bl = a - ah, b - bh
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _decimal(x: np.ndarray) -> tuple:
+    """``(D, E, fixed)`` for float64 ``x``: where ``fixed``, ``x`` is finite,
+    non-zero and printed by ``"%.17g"`` without an exponent; E, its decimal
+    exponent, is in [-4, 16]; and the int64 D = round-half-even(|x| 10**(16
+    - E)), computed exactly, holds its 17 digits.  D and E are 0 elsewhere."""
+    a = np.abs(x)
+    fixed = np.isfinite(a) & (a > 0)
+    # floor(log10 |x|) is E or one off it; the scaled value tells which
+    e = np.floor(np.log10(np.where(fixed, a, 1.0)))
+    fixed &= (e >= -4) & (e <= 16)
+    s = np.where(fixed, a, 1.0)
+    p = np.where(fixed, 16 - e, 16).astype(np.intp)
+    hi, lo = _scaled(s, p)
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    p += below.astype(np.intp) - above
+    fixed &= (p >= 0) & (p <= 21)
+    again = fixed & (below | above)
+    if again.any():
+        hi[again], lo[again] = _scaled(s[again], p[again])
+    # hi >= 1e16 > 2**53 is an even integer, so hi + rint(lo) rounds hi + lo
+    # half to even
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    up = d == 10**17
+    e = 16 - p + up
+    fixed &= (e >= -4) & (e <= 16)
+    return np.where(up, 10**16, d) * fixed, e * fixed, fixed
+
+
+def _fields(x: np.ndarray) -> np.ndarray:
+    """The bytes ``"%.17g" % v`` prints for each float64 ``v`` of ``x``, none
+    for NaN, as ``_WORDS`` uint32 words a value whose NUL bytes are padding.
+
+    A value printed without an exponent takes the sign, its integer part
+    right-aligned in five groups of four digits with leading zeros as NULs,
+    the point, and its fraction left-aligned in five groups with trailing
+    zeros as NULs (and no point when no digit is left); zero prints "0".  Any
+    other value (an exponent outside [-4, 16], +-inf) is formatted on its
+    own by ``%``.
+    """
+    d, e, fixed = _decimal(x)
+    e0 = np.maximum(e, 0)
+    whole = d // _TEN[16 - e0] * (e >= 0)
+    frac = (d - whole * _TEN[16 - e0]) * _TEN[e0]  # 16 digits, 17 when E < 0
+    q = np.stack([whole, frac])[:, None] // _TEN[16::-4, None]
+    zeros_after = q[1] * _TEN[16::-4, None] == frac
+    q[:, 1:] -= q[:, :-1] * 10**4  # (whole, frac) x five groups of digits
+    keep = np.take(_KEEP, e + 4, axis=1)
+    words = np.empty((_WORDS, len(x)), np.uint32)
+    words[0] = 45 * np.signbit(x)  # "-"
+    words[1:6] = _GROUPS[q[0]] & keep[:5]
+    words[6] = 46 * (frac != 0)  # "."
+    words[7:] = _GROUPS[q[1] + 10**4 * zeros_after]
+    words[7] &= keep[5]
+    nan = np.isnan(x)
+    words[:, nan] = 0
+    rest = np.flatnonzero(~fixed & ~nan & (x != 0))
+    if rest.size:
+        texts = np.array([b"%.17g" % v for v in x[rest].tolist()], f"S{_FIELD}")
+        words[: _FIELD // 4, rest] = texts.view(np.uint32).reshape(-1, _FIELD // 4).T
+    return np.ascontiguousarray(words.T)
+
+
+def _csv_rows(numbers: dict, texts: dict, count: int, width: int, rows: slice) -> np.ndarray:
+    # the bytes of the rows, each of the count fields a slot of width words
+    # whose NULs are dropped
+    out = np.zeros((rows.stop - rows.start, count, width), np.uint32)
+    out[:, :, -1] = 44  # ","
+    out[:, -1, -1] = 10  # "\n"
+    if numbers:
+        x = np.stack([c[rows] for c in numbers.values()], axis=1)
+        out[:, list(numbers), :_WORDS] = _fields(x.ravel()).reshape(*x.shape, _WORDS)
+    chars = out.view(np.uint8)
+    for k, t in texts.items():
+        chars[:, k, : t.shape[-1]] = t[rows] if t.ndim == 2 else t
+    chars = chars.ravel()
+    return chars[chars != 0]
 
 
 def _write_csv(path, comment: str, header: list, columns: list) -> None:
     """A ``# comment`` line, the header, and one row per index of the columns.
 
-    A column is an array of numbers (17 significant digits, NaN as an empty
-    field), a list of str such as :func:`_formatted` makes, or a str, the
-    field of every row; no str may contain "nan".  Rows are formatted a block
-    at a time to bound memory, and NaN blanked only if a number column has one.
+    A column is an array of numbers, an array or list of ASCII str, or a
+    str, the field of every row.  A number prints as ``"%.17g"`` prints it,
+    and NaN as an empty field: :func:`_fields` computes in numpy the digits
+    of every number printed without an exponent (a decimal exponent in
+    [-4, 16]) and formats any other one on its own with ``%``.  A str is
+    written as it is.  Rows are formatted ``_CSV_BLOCK_VALUES`` fields at a
+    time to bound memory.
     """
-    row = ",".join(c.replace("%", "%%") if isinstance(c, str) else
-                   "%s" if isinstance(c, list) else "%.17g" for c in columns) + "\n"
-    varying = [c for c in columns if not isinstance(c, str)]
-    blank = any(np.isnan(c).any() for c in varying if not isinstance(c, list))
-    with open(path, "w") as fh:
-        fh.write("# " + comment + "\n" + ",".join(header) + "\n")
-        for start in range(0, len(varying[0]), _CSV_BLOCK_ROWS):
-            block = [c[start : start + _CSV_BLOCK_ROWS] for c in varying]
-            block = [b if isinstance(b, list) else b.tolist() for b in block]
-            text = (row * len(block[0])) % tuple(itertools.chain.from_iterable(zip(*block)))
-            # Python prints every NaN as "nan", and %.17g prints no other
-            # number with those letters
-            fh.write(text.replace("nan", "") if blank else text)
+    numbers, texts = {}, {}
+    for k, c in enumerate(columns):
+        if isinstance(c, str):
+            texts[k] = np.frombuffer(c.encode(), np.uint8)
+        elif np.asarray(c).dtype.kind in "US":
+            c = np.asarray(c, np.bytes_)
+            texts[k] = c.view(np.uint8).reshape(len(c), c.itemsize)
+        else:
+            numbers[k] = np.asarray(c, np.float64)
+    width = max([_WORDS] + [-(-t.shape[-1] // 4) for t in texts.values()]) + 1
+    n = len(next(c for c in columns if not isinstance(c, str)))
+    step = max(1, _CSV_BLOCK_VALUES // len(columns))
+    with open(path, "wb") as fh:
+        fh.write(f"# {comment}\n{','.join(header)}\n".encode())
+        for start in range(0, n, step):
+            rows = slice(start, min(n, start + step))
+            fh.write(_csv_rows(numbers, texts, len(columns), width, rows))
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
@@ -514,7 +633,7 @@ def write_sweep_csv(result: SweepResult, path) -> None:
         " mutualInfo [nats], eigRatio [-], status",
         ["omega2", "lambda", "syncAbs", "discord", "mutualInfo", "eigRatio", "status"],
         [result.omega2, result.lam, *(result.values[m] for m in METRICS),
-         result.status.tolist()],
+         result.status],
     )
 
 

@@ -1,8 +1,10 @@
 import importlib
 import inspect
+import itertools
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import time
@@ -10,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oscsync import cli
@@ -48,6 +50,39 @@ def _read_csv(path):
         header = fh.readline().strip().split(",")
         rows = [line.strip().split(",") for line in fh if line.strip()]
     return comment, header, rows
+
+
+# floats by bit pattern, in the band "%.17g" prints without an exponent, and
+# exact ties of its 17-digit rounding: m 2**-j with m odd and m 5**j of 18 digits
+_FLOATS = (
+    st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", b.to_bytes(8, "little"))[0])
+    | st.floats(1e-4, 1e17, exclude_max=True)
+    | st.integers(2, 21).flatmap(
+        lambda j: st.integers(-(-(10**17) // 5**j), min(2**53, 10**18 // 5**j) - 1)
+        .map(lambda m: math.ldexp(m | 1, -j))
+    )
+)
+_FORMAT_EDGES = [
+    0.0, 5e-324, 9.9999999999999991e-05, 0.0001,
+    2251799813685247.75, 2251799813685246.25, 1.7976931348623157e308, math.inf, math.nan,
+] + [
+    v for k in range(-5, 18)
+    for v in (math.nextafter(10.0**k, 0.0), 10.0**k, math.nextafter(10.0**k, math.inf))
+]
+
+
+def _template_csv(path, comment, header, columns):
+    # the writer the numpy kernel replaced: one "%" template per row, "%.17g"
+    # for each number, then every "nan" blanked
+    row = ",".join(
+        c.replace("%", "%%") if isinstance(c, str)
+        else "%s" if np.asarray(c).dtype.kind in "US" else "%.17g"
+        for c in columns
+    ) + "\n"
+    varying = [np.asarray(c).tolist() for c in columns if not isinstance(c, str)]
+    text = (row * len(varying[0])) % tuple(itertools.chain.from_iterable(zip(*varying)))
+    with open(path, "w") as fh:
+        fh.write("# " + comment + "\n" + ",".join(header) + "\n" + text.replace("nan", ""))
 
 
 @pytest.fixture(scope="module")
@@ -966,11 +1001,15 @@ class TestPlumbing:
         # a str column is one field in every row, written as it is
         cli._write_csv(str(path), "units", ["a", "b"], [np.array([1.0, 2.0]), "5%"])
         assert path.read_text() == "# units\na,b\n1,5%\n2,5%\n"
+        # "nan" in a str is text, not a number to blank
+        cli._write_csv(
+            str(path), "units", ["a", "b", "c"], [np.array([np.nan]), "nan", ["banana"]]
+        )
+        assert path.read_text() == "# units\na,b,c\n,nan,banana\n"
 
     def test_csv_rows_match_per_value_format(self, tmp_path, monkeypatch):
-        # the per-block template prints each value as format(v, ".17g")
-        # does, across block boundaries
-        monkeypatch.setattr(sweep_mod, "_CSV_BLOCK_ROWS", 7)
+        # each value prints as format(v, ".17g") does, across block boundaries
+        monkeypatch.setattr(sweep_mod, "_CSV_BLOCK_VALUES", 7)
         rng = np.random.default_rng(5)
         columns = [
             rng.standard_normal(30) * 10.0 ** rng.integers(-300, 300, 30)
@@ -986,13 +1025,23 @@ class TestPlumbing:
         )
         assert path.read_text() == "# units\na,b,c\n" + expected
 
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(values=st.lists(_FLOATS, min_size=1, max_size=40))
+    @example(values=_FORMAT_EDGES + [-v for v in _FORMAT_EDGES])
+    def test_each_number_prints_as_17g(self, values, tmp_path_factory):
+        # the second column keeps the row of a NaN from being a blank line
+        path = tmp_path_factory.getbasetemp() / "fields.csv"
+        cli._write_csv(str(path), "units", ["x", "n"], [np.array(values), "1"])
+        _, _, rows = _read_csv(path)
+        assert [r[0] for r in rows] == ["" if v != v else format(v, ".17g") for v in values]
+
     @pytest.mark.parametrize("with_nan", [False, True])
     def test_constant_and_formatted_columns_match_the_arrays(
         self, with_nan, tmp_path, monkeypatch
     ):
-        # "0" for a zero column and _formatted(t) for t print the same bytes,
-        # whether or not another column's NaN makes the blanking pass run
-        monkeypatch.setattr(sweep_mod, "_CSV_BLOCK_ROWS", 7)
+        # "0" for a zero column and t's fields as str print the same bytes
+        # as the arrays, whether or not another column has NaN
+        monkeypatch.setattr(sweep_mod, "_CSV_BLOCK_VALUES", 7)
         rng = np.random.default_rng(7)
         t = 0.1 * np.arange(30)
         other = rng.standard_normal(30) * 10.0 ** rng.integers(-300, 300, 30)
@@ -1001,13 +1050,44 @@ class TestPlumbing:
         written = {}
         for name, columns in [
             ("arrays", [t, np.zeros(30), other]),
-            ("shared", [sweep_mod._formatted(t), "0", other]),
+            ("shared", [[format(v, ".17g") for v in t.tolist()], "0", other]),
         ]:
             path = tmp_path / f"{name}.csv"
             cli._write_csv(str(path), "units", ["t", "mean", "x"], columns)
             written[name] = path.read_bytes()
         assert written["shared"] == written["arrays"]
         assert written["arrays"].count(b",\n") == (3 if with_nan else 0)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate"],
+            ["simulate", "--gamma", "1e-8"],
+            ["compare-rwa"],
+            ["sweep"],
+            ["sweep", "--temperature", "1e40"],
+        ],
+        ids=" ".join,
+    )
+    def test_csv_bytes_match_the_template_writer(self, argv, tmp_path, monkeypatch):
+        # every CSV a command writes has the bytes of the per-value "%.17g"
+        # template that the numpy kernel replaced
+        write, written = sweep_mod._write_csv, []
+
+        def both(path, comment, header, columns):
+            write(path, comment, header, columns)
+            ref = tmp_path / "ref" / os.path.basename(path)
+            _template_csv(ref, comment, header, columns)
+            written.append((path, ref))
+
+        monkeypatch.setattr(cli, "_write_csv", both)
+        monkeypatch.setattr(sweep_mod, "_write_csv", both)
+        os.makedirs(tmp_path / "ref")
+        _run(argv + ["--out", tmp_path / "out"])
+        assert written
+        for path, ref in written:
+            with open(path, "rb") as fh:
+                assert fh.read() == ref.read_bytes(), path
 
     def test_simulate_fields_are_their_values_at_17_digits(self, outdir):
         # each field prints its own value with 17 significant digits, and the
